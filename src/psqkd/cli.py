@@ -16,7 +16,6 @@ import sys
 
 from .config import ConfigError, RunConfig, build_sweep_spec, load_run_config
 from .errors import PsqkdError
-from .fock_oracle import compare_random_grid
 from .keyrate import KeyRateResult, secret_key_rate
 from .sweep import (
     DEFAULT_FAMILIES,
@@ -157,11 +156,17 @@ def cmd_optimize(config: RunConfig) -> int:
 
 
 def cmd_oracle_check(config: RunConfig) -> int:
-    report = compare_random_grid(
-        points=config.get_int("oracle.points", 50),
-        seed=config.get_int("oracle.seed", 20240817),
-        rel_tol=config.get_float("oracle.rel_tol", 1e-5),
-    )
+    # imported here so that only this subcommand pays for scipy
+    from .fock_oracle import compare_random_grid
+
+    points = config.get_int("oracle.points", 50)
+    seed = config.get_int("oracle.seed", 20240817)
+    try:
+        report = compare_random_grid(
+            points=points, seed=seed, rel_tol=config.get_float("oracle.rel_tol", 1e-5)
+        )
+    except ValueError as exc:  # an empty grid or an unusable seed
+        raise ConfigError(f"oracle.points={points}, oracle.seed={seed}: {exc}") from exc
     status = "PASS" if report.passed else "FAIL"
     print(f"points: {report.points}  seed: {report.seed}  rel_tol: {report.rel_tol:g}")
     print(f"max deviation probability: {report.max_dev_probability:.3e}")

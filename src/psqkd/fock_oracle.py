@@ -6,6 +6,16 @@ amplitude tensor, mix one mode with a vacuum ancilla on a beam splitter,
 project the ancilla on a photon-number outcome, and read moments off the
 surviving amplitudes with quadrature operators x = a + a', p = i(a' - a).
 
+Only the state preparation exponentiates a generator numerically. Because
+the ancilla starts in vacuum, the beam splitter is needed only on its
+|n, 0> input column, which has the binomial form
+<j, n-j| U |n, 0> = sqrt(C(n, j)) sqrt(tau)^j (-sqrt(1 - tau))^(n-j),
+so detecting k photons is one scaled slice of the amplitude tensor. Moments
+apply x and p to one tensor axis as shifted slices scaled by sqrt(n) and
+average over the distinct operator orderings (Weyl ordering). The dense
+expm-based `bs_pair_unitary` stays as the reference the column is tested
+against.
+
 Test-time only; the production key-rate path never calls into here.
 """
 
@@ -29,6 +39,7 @@ __all__ = [
     "apply_bs_and_project",
     "bs_pair_unitary",
     "fock_moment",
+    "state_covariance",
     "oracle_covariance",
     "suggested_truncation",
     "OracleComparison",
@@ -147,7 +158,9 @@ def apply_bs_and_project(
 
     Returns the normalized post-detection two-mode state and the detection
     probability. Because the ancilla starts in vacuum, only the |n, 0>
-    input column of each fixed-photon-number beam-splitter block is needed.
+    input column of each fixed-photon-number beam-splitter block is needed,
+    and it has the closed binomial form: mode-2 level j + k keeps j photons
+    with amplitude sqrt(C(j+k, j)) sqrt(tau)^j (-sqrt(1-tau))^k.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
@@ -156,12 +169,11 @@ def apply_bs_and_project(
     n_in = state.n_max
     n_out = n_in if n_max is None else min(n_max, n_in)
     out = np.zeros((n_out + 1, n_out + 1), dtype=complex)
-    for n2 in range(k, n_in + 1):
-        j = n2 - k
-        if j > n_out:
-            continue
-        column = _bs_block(n2, tau, 0, n2)[:, n2]
-        out[:, j] += state.amps[: n_out + 1, n2] * column[j]
+    kept = max(0, min(n_out, n_in - k) + 1)  # output levels j reachable from j + k
+    binom = np.array([math.comb(level + k, k) for level in range(kept)], dtype=float)
+    kept_amp = math.sqrt(tau) ** np.arange(kept)
+    column = np.sqrt(binom) * kept_amp * (-math.sqrt(1.0 - tau)) ** k
+    out[:, :kept] = state.amps[: n_out + 1, k : k + kept] * column
     prob = float(np.linalg.norm(out) ** 2)
     if prob < 1e-300:
         raise ZeroProbabilityError(
@@ -170,26 +182,39 @@ def apply_bs_and_project(
     return FockTwoModeState(out / math.sqrt(prob)), prob
 
 
-def _weyl_product(ops: list[np.ndarray]) -> np.ndarray:
-    """Symmetric (Weyl) ordering: average the product over all orderings."""
-    if not ops:
-        return np.eye(1)
-    dim = ops[0].shape[0]
-    orderings = set(itertools.permutations(range(len(ops))))
-    acc = np.zeros((dim, dim), dtype=complex)
-    for order in orderings:
-        prod = np.eye(dim, dtype=complex)
-        for pos in order:
-            prod = prod @ ops[pos]
-        acc += prod
-    return acc / len(orderings)
+def _quadrature(v: np.ndarray, op: str, root: np.ndarray) -> np.ndarray:
+    """x = a + a' or p = i(a' - a) on the first axis of v, truncated at the top.
+
+    root[n] = sqrt(n + 1), shaped to broadcast over the remaining axis.
+    """
+    lowered = np.zeros_like(v)
+    lowered[:-1] = root * v[1:]
+    raised = np.zeros_like(v)
+    raised[1:] = root * v[:-1]
+    return lowered + raised if op == "x" else 1j * (raised - lowered)
+
+
+def _weyl_apply(v: np.ndarray, n_x: int, n_p: int, root: np.ndarray) -> np.ndarray:
+    """Symmetric (Weyl) ordered x^n_x p^n_p on the first axis of v.
+
+    Averages the operator word over its distinct orderings; the rightmost
+    operator of a word acts first.
+    """
+    words = set(itertools.permutations("x" * n_x + "p" * n_p))
+    acc = np.zeros_like(v)
+    for word in words:
+        term = v
+        for op in reversed(word):
+            term = _quadrature(term, op, root)
+        acc += term
+    return acc / len(words)
 
 
 def fock_moment(state: FockTwoModeState, i: int, j: int, m: int, n: int) -> float:
     """Phase-space moment <x1^i p1^j x2^m p2^n> of a two-mode Fock state.
 
     Uses symmetric operator ordering, which is what moments of a Wigner
-    density mean. Total order is capped at 4 so matrix powers stay inside
+    density mean. Total order is capped at 4 so operator powers stay inside
     the truncation margin.
     """
     orders = (i, j, m, n)
@@ -197,24 +222,16 @@ def fock_moment(state: FockTwoModeState, i: int, j: int, m: int, n: int) -> floa
         raise ValueError("moment orders must be non-negative")
     if sum(orders) > 4:
         raise ValueError(f"order {orders} too high for the truncation margin")
-    dim = state.n_max + 1
-    a = _destroy(dim)
-    x = a + a.conj().T
-    p = 1j * (a.conj().T - a)
-    w1 = _weyl_product([x] * i + [p] * j)
-    w2 = _weyl_product([x] * m + [p] * n)
-    if w1.shape[0] == 1:
-        w1 = np.eye(dim, dtype=complex)
-    if w2.shape[0] == 1:
-        w2 = np.eye(dim, dtype=complex)
-    val = np.vdot(state.amps, w1 @ state.amps @ w2.T)
+    amps = np.asarray(state.amps, dtype=complex)
+    root = np.sqrt(np.arange(1.0, state.n_max + 1))[:, None]
+    applied = _weyl_apply(_weyl_apply(amps, i, j, root).T, m, n, root).T
+    val = np.vdot(amps, applied)
     assert abs(val.imag) < 1e-10, f"non-real moment {val}"
     return float(val.real)
 
 
-def oracle_covariance(r: float, d: float, tau: float, k: int, n_max: int) -> TwoModeCM:
-    """Means and covariance of the k-subtracted state, straight from Fock space."""
-    state, _ = apply_bs_and_project(build_tmsc_fock(r, d, n_max), tau, k)
+def state_covariance(state: FockTwoModeState) -> TwoModeCM:
+    """Means and covariance of a two-mode Fock state, from its quadrature moments."""
     m_x1 = fock_moment(state, 1, 0, 0, 0)
     m_p1 = fock_moment(state, 0, 1, 0, 0)
     m_x2 = fock_moment(state, 0, 0, 1, 0)
@@ -231,12 +248,18 @@ def oracle_covariance(r: float, d: float, tau: float, k: int, n_max: int) -> Two
     )
 
 
+def oracle_covariance(r: float, d: float, tau: float, k: int, n_max: int) -> TwoModeCM:
+    """Means and covariance of the k-subtracted state, straight from Fock space."""
+    state, _ = apply_bs_and_project(build_tmsc_fock(r, d, n_max), tau, k)
+    return state_covariance(state)
+
+
 def suggested_truncation(r: float, d: float) -> int:
     """Photon-number cutoff that keeps state leakage under the check limit.
 
     Linear in r + d with a flat safety offset, calibrated so the leakage
     guard in build_tmsc_fock stays silent over r <= 1, d <= 2; capped to
-    keep the dense beam-splitter blocks affordable.
+    keep the squeezing exponential affordable.
     """
     return min(96, 20 + math.ceil(24.0 * (r + d)))
 
@@ -279,11 +302,15 @@ def compare_random_grid(
     Draws (r, d, tau, k) uniformly from r in [0.05, 1], d in [0, 2],
     tau in [0.3, 0.95], k in {0, 1, 2} and compares every entry the
     closed forms produce. Probabilities compare fully relatively; CM and
-    means use a unit-floored denominator.
+    means use a unit-floored denominator. Each point's state is built and
+    projected once. Raises ValueError when points < 1, so that no report
+    passes over an empty grid.
     """
     from .moments import pstmsc_covariance, subtraction_probability
     from .phase_space import SqueezedSourceParams
 
+    if points < 1:
+        raise ValueError(f"need at least one grid point, got points={points}")
     rng = np.random.default_rng(seed)
     worst_p = worst_cm = worst_mean = 0.0
     worst_params = (0.0, 0.0, 0.0, 0)
@@ -299,7 +326,7 @@ def compare_random_grid(
         closed_p = subtraction_probability(params)
         dev_p = abs(closed_p - prob) / abs(prob)
 
-        oracle = oracle_covariance(r, d, tau, k, n_max)
+        oracle = state_covariance(state)
         closed = pstmsc_covariance(params)
         dev_cm = max(
             _rel_dev(closed.vax, oracle.vax),

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,6 +268,16 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "oracle check: PASS" in out
 
+    @pytest.mark.parametrize(
+        "setting", ["oracle.points=0", "oracle.points=-3", "oracle.seed=-1"]
+    )
+    def test_oracle_check_bad_grid_is_usage_error(self, base_cfg, setting, capsys):
+        assert main(["oracle-check", "--config", base_cfg, "--set", setting]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_writes_csv(self, base_cfg, tmp_path, capsys):
@@ -376,3 +389,17 @@ class TestGoldenFixtures:
         assert code == 0
         golden = (GOLDEN / f"{name}.csv").read_bytes()
         assert out.read_bytes() == golden, f"{name} drifted from its golden file"
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # a fresh interpreter: this one has scipy loaded by other test modules
+        code = "import sys, psqkd.cli; assert 'scipy' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

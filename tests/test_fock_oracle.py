@@ -1,13 +1,17 @@
 """Self-checks for the truncated photon-number reference implementation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import psqkd.fock_oracle as fock_oracle
 from psqkd.errors import TruncationError, ZeroProbabilityError
 from psqkd.fock_oracle import (
     FockTwoModeState,
+    _bs_block,
+    _destroy,
     apply_bs_and_project,
     bs_pair_unitary,
     build_tmsc_fock,
@@ -65,7 +69,63 @@ class TestBeamSplitterUnitary:
         assert np.max(np.abs(np.abs(u) - np.eye(u.shape[0]))) < 1e-12
 
 
+def _projected_columns(tau, n_max):
+    """cols[n, j] = <j, n-j| U |n, 0> as apply_bs_and_project applies it.
+
+    Projects the state sum_n |n, n> / sqrt(n_max + 1), whose first mode labels
+    the second mode's input level, so that k tap photons leave the
+    unnormalized amplitude cols[j + k, j] / sqrt(n_max + 1) at [j + k, j].
+    """
+    dim = n_max + 1
+    diagonal = FockTwoModeState(np.eye(dim, dtype=complex) / math.sqrt(dim))
+    cols = np.zeros((dim, dim))
+    for k in range(dim):
+        try:
+            out, prob = apply_bs_and_project(diagonal, tau, k)
+        except ZeroProbabilityError:
+            continue
+        for j in range(dim - k):
+            cols[j + k, j] = out.amps[j + k, j].real * math.sqrt(prob * dim)
+    return cols
+
+
+class TestClosedFormColumn:
+    @pytest.mark.parametrize("tau", [0.3, 0.77, 1.0])
+    def test_matches_expm_blocks_up_to_96(self, tau):
+        cols = _projected_columns(tau, 96)
+        for n in range(97):
+            reference = _bs_block(n, tau, 0, n)[:, n]
+            assert np.max(np.abs(cols[n, : n + 1] - reference)) < 1e-13, n
+
+    @pytest.mark.parametrize("tau", [0.3, 0.77, 1.0])
+    def test_matches_pair_unitary(self, tau):
+        n_max = 16
+        dim = n_max + 1
+        u = bs_pair_unitary(tau, n_max)
+        cols = _projected_columns(tau, n_max)
+        for n in range(dim):
+            reference = [u[j * dim + (n - j), n * dim] for j in range(n + 1)]
+            assert np.max(np.abs(cols[n, : n + 1] - reference)) < 1e-13, n
+
+
 class TestProjection:
+    def test_output_crop(self):
+        state = build_tmsc_fock(0.5, 0.8, 40)
+        full, full_prob = apply_bs_and_project(state, 0.7, 2)
+        cropped, prob = apply_bs_and_project(state, 0.7, 2, n_max=12)
+        assert cropped.n_max == 12
+        kept = full.amps[:13, :13] * math.sqrt(full_prob)
+        assert prob == pytest.approx(np.linalg.norm(kept) ** 2, rel=1e-12)
+        assert np.max(np.abs(cropped.amps - kept / math.sqrt(prob))) < 1e-12
+
+    def test_more_tap_photons_than_levels(self):
+        state = FockTwoModeState(np.ones((9, 9), dtype=complex) / 9.0)
+        _, prob = apply_bs_and_project(state, 0.5, 8)
+        assert prob > 0.0
+        for k in (9, 20):
+            with pytest.raises(ZeroProbabilityError):
+                apply_bs_and_project(state, 0.5, k)
+
     def test_full_transmission_keeps_all_mass(self):
         state = build_tmsc_fock(0.5, 0.8, 40)
         _, prob = apply_bs_and_project(state, 1.0, 0)
@@ -122,6 +182,38 @@ class TestMoments:
         assert fock_moment(state, 1, 0, 0, 0) == pytest.approx(cm.mean_x1, abs=1e-8)
         assert fock_moment(state, 0, 0, 1, 0) == pytest.approx(cm.mean_x2, abs=1e-8)
 
+    def test_matches_dense_weyl_reference(self):
+        state = build_tmsc_fock(0.5, 1.0, 50)
+        state, _ = apply_bs_and_project(state, 0.7, 2)
+        dim = state.n_max + 1
+        # rotate both modes in phase space so that moments odd in p do not vanish
+        levels = np.arange(dim)
+        state = FockTwoModeState(
+            state.amps * np.exp(0.4j * levels)[:, None] * np.exp(-0.7j * levels)
+        )
+        a = _destroy(dim)
+        x = a + a.T
+        p = 1j * (a.T - a)
+
+        def weyl(n_x, n_p):
+            words = set(itertools.permutations("x" * n_x + "p" * n_p))
+            acc = np.zeros((dim, dim), dtype=complex)
+            for word in words:
+                prod = np.eye(dim, dtype=complex)
+                for op in word:
+                    prod = prod @ (x if op == "x" else p)
+                acc += prod
+            return acc / len(words)
+
+        for orders in itertools.product(range(5), repeat=4):
+            if sum(orders) > 4:
+                continue
+            i, j, m, n = orders
+            w1, w2 = weyl(i, j), weyl(m, n)
+            reference = np.vdot(state.amps, w1 @ state.amps @ w2.T).real
+            got = fock_moment(state, *orders)
+            assert abs(got - reference) <= 1e-12 * max(1.0, abs(reference)), orders
+
     def test_order_cap(self):
         vac = build_tmsc_fock(0.0, 0.0, 8)
         with pytest.raises(ValueError):
@@ -141,6 +233,27 @@ class TestOracleCovariance:
         assert cm.vcx == pytest.approx(sh, rel=1e-10)
         assert cm.vcp == pytest.approx(-sh, rel=1e-10)
         assert cm.mean_x1 == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "r, d, tau, k",
+        [
+            (0.6, 1.2, 0.7, 3),
+            (0.9, 0.5, 0.45, 4),
+            (0.3, 2.0, 0.85, 4),
+            (1.0, 1.0, 0.6, 3),
+        ],
+    )
+    def test_three_and_four_photon_subtraction(self, r, d, tau, k):
+        n_max = suggested_truncation(r, d)
+        params = SqueezedSourceParams(r=r, d=d, tau=tau, k=k)
+        _, prob = apply_bs_and_project(build_tmsc_fock(r, d, n_max), tau, k)
+        assert prob == pytest.approx(subtraction_probability(params), rel=1e-8)
+        oracle = oracle_covariance(r, d, tau, k, n_max)
+        closed = pstmsc_covariance(params)
+        for field in CM_FIELDS:
+            assert getattr(closed, field) == pytest.approx(
+                getattr(oracle, field), rel=1e-8
+            ), field
 
     def test_stable_under_truncation_doubling(self):
         lo = oracle_covariance(0.4, 1.0, 0.8, 1, 40)
@@ -171,3 +284,25 @@ class TestRandomGridComparison:
     def test_impossible_tolerance_fails(self):
         report = compare_random_grid(points=3, seed=7, rel_tol=1e-18)
         assert not report.passed
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_empty_grid_rejected(self, points):
+        with pytest.raises(ValueError):
+            compare_random_grid(points=points)
+
+    def test_each_point_built_and_projected_once(self, monkeypatch):
+        calls = {"build_tmsc_fock": 0, "apply_bs_and_project": 0}
+
+        def counting(name):
+            inner = getattr(fock_oracle, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fock_oracle, name, counting(name))
+        assert compare_random_grid(points=3, seed=7).passed
+        assert calls == {"build_tmsc_fock": 3, "apply_bs_and_project": 3}
