@@ -18,7 +18,6 @@ from .config import ConfigError, RunConfig, build_sweep_spec, load_run_config
 from .errors import PsqkdError
 from .keyrate import KeyRateResult, secret_key_rate
 from .sweep import (
-    DEFAULT_FAMILIES,
     SweepRow,
     max_secure_distance,
     optimize_scalar,
@@ -62,7 +61,7 @@ def _result_payload(result: KeyRateResult) -> dict:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def cmd_keyrate(config: RunConfig) -> int:
@@ -97,9 +96,9 @@ def render_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(config: RunConfig, out_path: str, threads: int) -> int:
+def cmd_sweep(config: RunConfig, out_path: str) -> int:
     spec = build_sweep_spec(config)
-    rows = run_sweep(spec, threads=threads)
+    rows = run_sweep(spec)
     text = render_csv(rows)
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
@@ -111,8 +110,7 @@ def cmd_sweep(config: RunConfig, out_path: str, threads: int) -> int:
 
 
 def cmd_max_distance(config: RunConfig) -> int:
-    raw = config.get("sweep.families", ",".join(DEFAULT_FAMILIES)) or ""
-    families = tuple(name.strip() for name in raw.split(",") if name.strip())
+    families = config.families()
     k_target = config.get_float("max_distance.k_target", 0.0)
     payload: dict[str, float | None] = {}
     failed = False
@@ -194,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if name == "sweep":
             cmd.add_argument("--out", required=True, help="output CSV path")
-            cmd.add_argument("--threads", type=int, default=4)
+            cmd.add_argument("--threads", type=int, default=4, help="ignored")
     return parser
 
 
@@ -206,13 +204,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "keyrate":
             return cmd_keyrate(config)
         if args.command == "sweep":
-            return cmd_sweep(config, args.out, args.threads)
+            return cmd_sweep(config, args.out)
         if args.command == "max-distance":
             return cmd_max_distance(config)
         if args.command == "optimize":
             return cmd_optimize(config)
         return cmd_oracle_check(config)
-    except ConfigError as exc:
+    except ValueError as exc:  # caller mistakes, ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except PsqkdError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .channel import GEOMETRIES, ChannelParams
 from .phase_space import SqueezedSourceParams
-from .sweep import DEFAULT_FAMILIES, SWEEP_VARIABLES, SweepSpec
+from .sweep import DEFAULT_FAMILIES, SWEEP_VARIABLES, SweepSpec, resolve_family
 
 __all__ = [
     "ConfigError",
@@ -90,18 +90,34 @@ class RunConfig:
         raw = self.values.get(key)
         return default if raw is None else int(raw)
 
+    def families(self) -> tuple[str, ...]:
+        """The `sweep.families` list (default: all five), each name validated."""
+        raw = self.values.get("sweep.families", ",".join(DEFAULT_FAMILIES))
+        names = tuple(name.strip() for name in raw.split(",") if name.strip())
+        if not names:
+            raise ConfigError("sweep.families must name at least one family")
+        for name in names:
+            try:
+                resolve_family(name, self.source)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.families: {exc}") from None
+        return names
+
 
 def _check_entry(key: str, value: str, where: str) -> None:
     if key not in _KNOWN_KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     kind = _KNOWN_KEYS[key]
+    finite = True
     try:
         if kind == "float":
-            float(value)
+            finite = math.isfinite(float(value))
         elif kind == "int":
             int(value)
     except ValueError:
         raise ConfigError(f"{where}: expected {kind} for {key!r}, got {value!r}") from None
+    if not finite:
+        raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
     if not value:
         raise ConfigError(f"{where}: empty value for {key!r}")
 
@@ -205,11 +221,6 @@ def build_sweep_spec(config: RunConfig) -> SweepSpec:
     for key in ("sweep.lo", "sweep.hi", "sweep.points"):
         if key not in values:
             raise ConfigError(f"missing required key: {key}")
-    families = tuple(
-        name.strip()
-        for name in values.get("sweep.families", ",".join(DEFAULT_FAMILIES)).split(",")
-        if name.strip()
-    )
     try:
         return SweepSpec(
             variable=variable,
@@ -218,7 +229,7 @@ def build_sweep_spec(config: RunConfig) -> SweepSpec:
             points=int(values["sweep.points"]),
             source=config.source,
             channel=config.channel,
-            families=families,
+            families=config.families(),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

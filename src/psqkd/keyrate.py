@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams, NoiseBreakdown, noise_breakdown
 from .errors import UnphysicalStateError
-from .moments import (
-    DEFAULT_SUBTRACTION_CAP,
-    TwoModeCM,
-    pstmsc_covariance,
-    subtraction_probability,
-)
+from .moments import DEFAULT_SUBTRACTION_CAP, TwoModeCM, source_stage
 from .phase_space import SqueezedSourceParams
 
 __all__ = [
@@ -90,17 +85,20 @@ def conditional_cm_after_heterodyne(cm: TwoModeCM) -> tuple[float, float]:
     return vx, vp
 
 
+def _mutual_information(cm: TwoModeCM, vx: float, vp: float) -> float:
+    return 0.5 * (
+        math.log2((cm.vax + 1.0) / (vx + 1.0))
+        + math.log2((cm.vap + 1.0) / (vp + 1.0))
+    )
+
+
 def mutual_information(cm: TwoModeCM) -> float:
     """I_AB in bits for homodyne readouts of the effective state.
 
     Measured variances are (V+1)/2 (heterodyne-style vacuum penalty), so
     per quadrature I = log2[(V_A + 1) / (V_{A|B} + 1)] / 2.
     """
-    vx, vp = conditional_cm_after_heterodyne(cm)
-    return 0.5 * (
-        math.log2((cm.vax + 1.0) / (vx + 1.0))
-        + math.log2((cm.vap + 1.0) / (vp + 1.0))
-    )
+    return _mutual_information(cm, *conditional_cm_after_heterodyne(cm))
 
 
 def symplectic_eigenvalues(cm: TwoModeCM) -> tuple[float, float]:
@@ -152,6 +150,16 @@ def entropy_G(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
+def _holevo_bound(lam1: float, lam2: float, lam3: float) -> float:
+    if lam1 < 1.0 + _PURITY_EPS and lam2 < 1.0 + _PURITY_EPS:
+        return 0.0
+    return (
+        entropy_G(max(0.0, (lam1 - 1.0) / 2.0))
+        + entropy_G(max(0.0, (lam2 - 1.0) / 2.0))
+        - entropy_G(max(0.0, (lam3 - 1.0) / 2.0))
+    )
+
+
 def holevo_bound(cm: TwoModeCM) -> float:
     """Eavesdropper information bound chi_BE for reverse reconciliation.
 
@@ -161,15 +169,8 @@ def holevo_bound(cm: TwoModeCM) -> float:
     excursions below 1 are float noise and enter the G terms as 0.
     """
     lam1, lam2 = symplectic_eigenvalues(cm)
-    if lam1 < 1.0 + _PURITY_EPS and lam2 < 1.0 + _PURITY_EPS:
-        return 0.0
     vx, vp = conditional_cm_after_heterodyne(cm)
-    lam3 = math.sqrt(vx * vp)
-    return (
-        entropy_G(max(0.0, (lam1 - 1.0) / 2.0))
-        + entropy_G(max(0.0, (lam2 - 1.0) / 2.0))
-        - entropy_G(max(0.0, (lam3 - 1.0) / 2.0))
-    )
+    return _holevo_bound(lam1, lam2, math.sqrt(vx * vp))
 
 
 def secret_key_rate(
@@ -185,15 +186,14 @@ def secret_key_rate(
 
     Raises ZeroProbabilityError when the subtraction event cannot occur.
     """
-    cm = pstmsc_covariance(source, max_k)
-    p_ps = subtraction_probability(source, max_k)
+    p_ps, cm = source_stage(source, max_k)
     noise = noise_breakdown(channel)
     eff = effective_cm(cm, noise)
-    i_ab = mutual_information(eff)
-    chi_be = holevo_bound(eff)
-    lam1, lam2 = symplectic_eigenvalues(eff)
     vx, vp = conditional_cm_after_heterodyne(eff)
+    lam1, lam2 = symplectic_eigenvalues(eff)
     lam3 = math.sqrt(vx * vp)
+    i_ab = _mutual_information(eff, vx, vp)
+    chi_be = _holevo_bound(lam1, lam2, lam3)
     key = p_ps * (channel.beta * i_ab - chi_be)
     return KeyRateResult(
         p_ps=p_ps,

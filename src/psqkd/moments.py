@@ -8,7 +8,10 @@ polynomials at the non-positive argument
     w = -y,   y = d^2 (mu+nu)^2 / (4 nu^2 D),   D = mu^2 - tau nu^2,
 
 where every polynomial is an all-positive sum, so the evaluations below are
-cancellation-free. Stable algebraic rewrites used throughout:
+cancellation-free. All of them are one term sum, `scaled_laguerre`, of
+a**n L_n^alpha from a and a*x: a = A keeps the r -> 0 limit finite, and
+a = 1/y keeps the terms bounded where y is large. Stable algebraic rewrites
+used throughout:
 
     D = 1 + (1-tau) nu^2            E = mu^2 + tau nu^2 = cosh 2r - (1-tau) nu^2
     mu + nu = e^r                   A = nu^2 (1-tau) / D
@@ -29,6 +32,7 @@ __all__ = [
     "DEFAULT_SUBTRACTION_CAP",
     "TwoModeCM",
     "subtraction_probability",
+    "source_stage",
     "pstmsc_covariance",
     "low_order_moment",
 ]
@@ -37,14 +41,11 @@ __all__ = [
 # probabilities beyond it are negligible for the parameter ranges of interest
 DEFAULT_SUBTRACTION_CAP = 16
 
-# beyond this Laguerre argument the first-order asymptotic ratios are already
-# accurate to ~1e-24 relative, and term sums would need extended range
-_ASYMPTOTIC_Y = 1e16
-
-# above this argument (or degree) the positive term sums are evaluated in log
-# space to dodge float overflow; below it plain sums are exact enough
-_LOG_DOMAIN_Y = 1e8
-_LOG_DOMAIN_K = 24
+# above this argument (or degree, once y > 1) the plain term sums of the
+# Laguerre ratios could overflow, so each sum is scaled by a = 1/y; below it
+# the plain sums are left as they are, which keeps the golden outputs exact
+_SCALE_Y = 1e8
+_SCALE_K = 24
 
 
 @dataclass(frozen=True)
@@ -86,56 +87,22 @@ class TwoModeCM:
         return np.array([self.mean_x1, 0.0, self.mean_x2, 0.0])
 
 
-def _check_cap(k: int, max_k: int) -> None:
-    if k > max_k:
-        raise ValueError(
-            f"subtraction order k={k} exceeds the stability cap {max_k}; "
-            "raise max_k explicitly if you really need it"
-        )
-
-
-def _log_laguerre_neg(n: int, alpha: int, y: float) -> float:
-    """log of L_n^alpha(-y) for y > 0 (all terms positive)."""
-    logs = [
-        math.log(math.comb(n + alpha, n - j)) + j * math.log(y) - math.lgamma(j + 1)
-        for j in range(n + 1)
-    ]
-    top = max(logs)
-    return top + math.log(sum(math.exp(lg - top) for lg in logs))
-
-
-def _laguerre_neg(n: int, alpha: int, y: float) -> float:
-    """L_n^alpha(-y) for y >= 0 by its positive term sum."""
-    if n < 0:
-        return 0.0
-    total = 0.0
-    for j in range(n + 1):
-        total += math.comb(n + alpha, n - j) * y**j / math.factorial(j)
-    return total
-
-
 def _laguerre_ratios(k: int, y: float) -> tuple[float, float]:
     """(R1, R2) = (L^1_{k-1} / L_k, L^2_{k-2} / L_k), all at argument -y.
 
     R1 drives the first-derivative terms of the moment formulas and R2 the
-    second-derivative ones; R2 - R1^2 <= 0 always.
+    second-derivative ones; R2 - R1^2 <= 0 always. Each polynomial is the
+    positive sum a**n L_n^alpha(-y); with a = 1/y every term is at most
+    C(n+alpha, n-j), so no term overflows however large y gets.
     """
     if k == 0:
         return 0.0, 0.0
-    if y == 0.0:
-        # L_n^alpha(0) = C(n+alpha, n)
-        return float(k), k * (k - 1) / 2.0
-    if y > _ASYMPTOTIC_Y:
-        r1 = (k / y) * (1.0 - k / y)
-        r2 = (k * (k - 1) / (y * y)) * (1.0 - 2.0 * k / y)
-        return r1, r2
-    if y > _LOG_DOMAIN_Y or k > _LOG_DOMAIN_K:
-        l0 = _log_laguerre_neg(k, 0, y)
-        r1 = math.exp(_log_laguerre_neg(k - 1, 1, y) - l0)
-        r2 = math.exp(_log_laguerre_neg(k - 2, 2, y) - l0) if k >= 2 else 0.0
-        return r1, r2
-    l0 = _laguerre_neg(k, 0, y)
-    return _laguerre_neg(k - 1, 1, y) / l0, _laguerre_neg(k - 2, 2, y) / l0
+    scaled = y > _SCALE_Y or (k > _SCALE_K and y > 1.0)
+    a, ay = (1.0 / y, 1.0) if scaled else (1.0, y)
+    l0 = scaled_laguerre(k, a, -ay)
+    r1 = scaled_laguerre(k - 1, a, -ay, alpha=1) * a / l0
+    r2 = scaled_laguerre(k - 2, a, -ay, alpha=2) * a * a / l0 if k >= 2 else 0.0
+    return r1, r2
 
 
 def subtraction_probability(
@@ -148,7 +115,11 @@ def subtraction_probability(
     weights with mean (1-tau) d^2 / 4, and the empty source gives 1 for
     k = 0 and 0 otherwise.
     """
-    _check_cap(params.k, max_k)
+    if params.k > max_k:
+        raise ValueError(
+            f"subtraction order k={params.k} exceeds the stability cap {max_k}; "
+            "raise max_k explicitly if you really need it"
+        )
     nu = params.nu
     tau, d, k = params.tau, params.d, params.k
     big_d = 1.0 + (1.0 - tau) * nu * nu
@@ -160,16 +131,17 @@ def subtraction_probability(
     return min(max(p, 0.0), 1.0)
 
 
-def pstmsc_covariance(
+def source_stage(
     params: SqueezedSourceParams, max_k: int = DEFAULT_SUBTRACTION_CAP
-) -> TwoModeCM:
-    """Means and covariance matrix of the k-photon-subtracted state.
+) -> tuple[float, TwoModeCM]:
+    """(p_ps, cm): the source half of the key-rate pipeline, from one
+    probability evaluation; it depends on the source parameters only.
 
     Raises ZeroProbabilityError when the conditioning event has probability
     zero (tau = 1 with k >= 1, or r = 0 and d = 0 with k >= 1).
     """
-    _check_cap(params.k, max_k)
-    if subtraction_probability(params, max_k) <= 0.0:
+    p_ps = subtraction_probability(params, max_k)
+    if p_ps <= 0.0:
         raise ZeroProbabilityError(
             f"{params.k}-photon subtraction has probability 0 at "
             f"r={params.r}, d={params.d}, tau={params.tau}"
@@ -179,7 +151,7 @@ def pstmsc_covariance(
     if params.r == 0.0:
         # coherent product state: the tap sees a coherent beam, of which
         # photon subtraction is an eigen-operation, so the state is unchanged
-        return TwoModeCM(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, d, st * d)
+        return p_ps, TwoModeCM(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, d, st * d)
 
     mu, nu = params.mu, params.nu
     big_d = 1.0 + (1.0 - tau) * nu * nu
@@ -197,7 +169,17 @@ def pstmsc_covariance(
     vcx = -vcp + d * d * mu * er * er * st / (nu * big_d * big_d) * cur
     mean_x1 = d * (mu + tau * nu) / big_d + d * mu * er / (nu * big_d) * r1
     mean_x2 = d * st * er * (1.0 + r1) / big_d
-    return TwoModeCM(vax, vap, vbx, vbp, vcx, vcp, mean_x1, mean_x2)
+    return p_ps, TwoModeCM(vax, vap, vbx, vbp, vcx, vcp, mean_x1, mean_x2)
+
+
+def pstmsc_covariance(
+    params: SqueezedSourceParams, max_k: int = DEFAULT_SUBTRACTION_CAP
+) -> TwoModeCM:
+    """Means and covariance matrix of the k-photon-subtracted state.
+
+    Raises ZeroProbabilityError as `source_stage` does.
+    """
+    return source_stage(params, max_k)[1]
 
 
 def low_order_moment(

@@ -112,25 +112,28 @@ def laguerre(n: int, alpha: float, x: float) -> float:
     return cur
 
 
-def scaled_laguerre(k: int, a: float, ax):
-    """a**k * L_k(x) evaluated from a and the product a*x.
+def scaled_laguerre(k: int, a: float, ax, alpha: int = 0):
+    """a**k * L_k^alpha(x) evaluated from a and the product a*x.
 
     Needed where a -> 0 while x diverges with a*x finite (the r -> 0 limit of
     subtracted-state formulas). Terms are binomial:
 
-        a**k * L_k(x) = sum_j C(k, j) a**(k-j) (-a*x)**j / j!
+        a**k * L_k^alpha(x) = sum_j C(k+alpha, k-j) a**(k-j) (-a*x)**j / j!
 
-    `a` is a scalar >= 0; `ax` may be a scalar or numpy array.
+    At a negative argument x every term is positive, so the sum has no
+    cancellation. `a` is a scalar >= 0; `ax` may be a scalar or numpy array.
+
+    >>> scaled_laguerre(2, 1.0, 1.0)  # L_2(1) = (1 - 4 + 2) / 2
+    -0.5
+    >>> scaled_laguerre(1, 2.0, 1.0, alpha=1)  # 2 * L_1^1(0.5) = 2 * (2 - 0.5)
+    3.0
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
-    arr = np.asarray(ax, dtype=float)
-    total = np.zeros_like(arr)
+    total = 0.0
     for j in range(k + 1):
-        coef = math.comb(k, j) * a ** (k - j) / math.factorial(j)
-        total = total + coef * (-arr) ** j
-    if np.ndim(ax) == 0:
-        return float(total)
+        coef = math.comb(k + alpha, k - j) * a ** (k - j) / math.factorial(j)
+        total = total + coef * (-ax) ** j
     return total
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -162,12 +161,9 @@ def _evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
-    """Evaluate the grid; output order and values are independent of threads."""
-    values = spec.grid()
-    if threads <= 1:
-        return [_evaluate_point(spec, v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda v: _evaluate_point(spec, v), values))
+    """Evaluate the grid in order. `threads` is accepted and ignored: the
+    pipeline holds the GIL, so a thread pool only added CPU time."""
+    return [_evaluate_point(spec, v) for v in spec.grid()]
 
 
 def _rate_at_distance(
@@ -241,6 +237,8 @@ def optimize_scalar(
         raise ValueError(f"unknown objective {objective!r}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if family is not None:
+        resolve_family(family, source)  # an unknown name must not score -inf
 
     def score(value: float) -> float:
         try:

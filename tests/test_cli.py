@@ -1,5 +1,8 @@
 """Config parsing, CSV rendering, exit codes, and golden-file stability."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
@@ -8,9 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from psqkd import cli
 from psqkd.cli import CSV_HEADER, main, render_csv
 from psqkd.config import (
+    _KNOWN_KEYS,
     ConfigError,
     apply_overrides,
     build_sweep_spec,
@@ -88,6 +95,15 @@ class TestConfigParsing:
     def test_r_and_variance_are_mutually_exclusive(self, base_cfg):
         with pytest.raises(ConfigError, match="exactly one"):
             load_run_config(base_cfg, ["source.r=1.0"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_float_rejected(self, tmp_path, value):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"source.d = 1\nchannel.l_ac = {value}\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:2.*channel\.l_ac.*finite"):
+            parse_config_file(str(path))
+        with pytest.raises(ConfigError, match="source.variance.*finite"):
+            apply_overrides({}, [f"source.variance={value}"])
 
     def test_overrides_validated(self):
         with pytest.raises(ConfigError, match="expected key=value"):
@@ -277,6 +293,73 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keyrate", "--set", "source.k=20"],
+            ["keyrate", "--set", "channel.l_ac=inf"],
+            ["keyrate", "--set", "source.variance=nan"],
+            ["max-distance", "--set", "sweep.families=foo"],
+            ["optimize", "--set", "optimize.variable=eta",
+             "--set", "optimize.lo=0.5", "--set", "optimize.hi=1"],
+            ["optimize", "--set", "optimize.variable=d", "--set", "optimize.lo=0",
+             "--set", "optimize.hi=3", "--set", "optimize.family=foo"],
+        ],
+    )
+    def test_caller_error_is_one_error_line(self, base_cfg, argv, capsys):
+        assert main([argv[0], "--config", base_cfg, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_non_finite_result_is_not_printed_as_json(self, base_cfg, monkeypatch, capsys):
+        def nan_rate(source, channel):
+            result = secret_key_rate(source, channel)
+            return dataclasses.replace(result, key_rate=float("nan"))
+
+        monkeypatch.setattr(cli, "secret_key_rate", nan_rate)
+        assert main(["keyrate", "--config", base_cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+FUZZ_CFG = BASE_CFG + "optimize.variable = d\noptimize.lo = 0\noptimize.hi = 3\n"
+HOSTILE_VALUES = ("nan", "inf", "-1", "0", "1e400", "20", "foo")
+
+
+def _strict_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.fixture(scope="module")
+def fuzz_cfg(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    path.write_text(FUZZ_CFG)
+    return str(path)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    command=st.sampled_from(["keyrate", "max-distance", "optimize"]),
+    overrides=st.lists(
+        st.tuples(st.sampled_from(sorted(_KNOWN_KEYS)), st.sampled_from(HOSTILE_VALUES)),
+        max_size=3,
+    ),
+)
+def test_fuzzed_overrides_end_in_a_clean_exit(fuzz_cfg, command, overrides):
+    argv = [command, "--config", fuzz_cfg]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_strict_constant)
 
 
 class TestSweepCommand:

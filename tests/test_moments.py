@@ -8,6 +8,7 @@ reproduce them.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from psqkd.keyrate import symplectic_eigenvalues
 from psqkd.moments import (
     DEFAULT_SUBTRACTION_CAP,
     TwoModeCM,
+    _laguerre_ratios,
     low_order_moment,
     pstmsc_covariance,
     subtraction_probability,
@@ -115,6 +117,30 @@ class TestSubtractionProbability:
             subtraction_probability(params(k=DEFAULT_SUBTRACTION_CAP + 1))
         # explicit opt-in works
         subtraction_probability(params(k=DEFAULT_SUBTRACTION_CAP + 1), max_k=20)
+
+
+# both sides of 1 (where the degree rule can switch scaling on), 1e8 (the
+# argument rule) and 1e16, and on to where R2 underflows
+RATIO_ARGS = (
+    0.0, 1e-12, 1e-3, 0.5, 0.999, 1.0, 1.001, 7.0, 1e4,
+    9.9e7, 1e8, 1.01e8, 1e12, 9.9e15, 1e16, 1.01e16, 1e30, 1e100, 1e200,
+)
+
+
+@pytest.mark.parametrize("k", [*range(1, 17), 20, 24, 25, 30, 40])
+def test_laguerre_ratios_match_mpmath(k):
+    with mpmath.workdps(60):
+        for y in RATIO_ARGS:
+            l0 = mpmath.laguerre(k, 0, -y)
+            ref1 = mpmath.laguerre(k - 1, 1, -y) / l0
+            ref2 = mpmath.laguerre(k - 2, 2, -y) / l0 if k >= 2 else mpmath.mpf(0)
+            r1, r2 = _laguerre_ratios(k, y)
+            for got, ref in ((r1, ref1), (r2, ref2)):
+                if ref < 1e-300:  # the float result underflows
+                    continue
+                assert abs(got - ref) <= 1e-12 * ref, (k, y, got, float(ref))
+            if k == 1:
+                assert r2 == 0.0
 
 
 class TestCovariance:
