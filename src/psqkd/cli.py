@@ -154,7 +154,7 @@ def cmd_optimize(config: RunConfig) -> int:
 
 
 def cmd_oracle_check(config: RunConfig) -> int:
-    # imported here so that only this subcommand pays for scipy
+    # imported here so that only this subcommand loads the oracle
     from .fock_oracle import compare_random_grid
 
     points = config.get_int("oracle.points", 50)

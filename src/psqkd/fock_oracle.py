@@ -6,15 +6,15 @@ amplitude tensor, mix one mode with a vacuum ancilla on a beam splitter,
 project the ancilla on a photon-number outcome, and read moments off the
 surviving amplitudes with quadrature operators x = a + a', p = i(a' - a).
 
-Only the state preparation exponentiates a generator numerically. Because
-the ancilla starts in vacuum, the beam splitter is needed only on its
-|n, 0> input column, which has the binomial form
+The state comes from an exact two-term amplitude recurrence (see
+build_tmsc_fock). Because the ancilla starts in vacuum, the beam splitter
+is needed only on its |n, 0> input column, which has the binomial form
 <j, n-j| U |n, 0> = sqrt(C(n, j)) sqrt(tau)^j (-sqrt(1 - tau))^(n-j),
 so detecting k photons is one scaled slice of the amplitude tensor. Moments
 apply x and p to one tensor axis as shifted slices scaled by sqrt(n) and
-average over the distinct operator orderings (Weyl ordering). The dense
-expm-based `bs_pair_unitary` stays as the reference the column is tested
-against.
+average over the distinct operator orderings (Weyl ordering). No step
+exponentiates a generator; the tests pin the recurrence and the column
+against matrix exponentials.
 
 Test-time only; the production key-rate path never calls into here.
 """
@@ -26,9 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import TruncationError, ZeroProbabilityError
 from .moments import TwoModeCM
@@ -37,7 +34,6 @@ __all__ = [
     "FockTwoModeState",
     "build_tmsc_fock",
     "apply_bs_and_project",
-    "bs_pair_unitary",
     "fock_moment",
     "state_covariance",
     "oracle_covariance",
@@ -46,14 +42,13 @@ __all__ = [
     "compare_random_grid",
 ]
 
-_PAD = 10  # extra levels carried through the squeeze exponential, then cropped
 _LEAK_LEVELS = 5
 _LEAK_TOL = 1e-8
 
 
 @dataclass
 class FockTwoModeState:
-    """Normalized two-mode state as an (N+1) x (N+1) complex amplitude tensor."""
+    """Normalized two-mode state as an (N+1) x (N+1) amplitude tensor."""
 
     amps: np.ndarray
 
@@ -71,84 +66,43 @@ class FockTwoModeState:
         return float(probs[cut + 1 :, :].sum() + probs[:, cut + 1 :].sum())
 
 
-def _destroy(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-
-def _coherent(alpha: float, dim: int) -> np.ndarray:
-    """Fock amplitudes of |alpha> for real alpha."""
-    c = np.empty(dim)
-    c[0] = 1.0
-    for n in range(1, dim):
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
-    return c * math.exp(-0.5 * alpha * alpha)
-
-
 def build_tmsc_fock(r: float, d: float, n_max: int) -> FockTwoModeState:
     """Displaced two-mode squeezed state, truncated at n_max per mode.
 
     The displacement d is the x-quadrature mean of each mode before
-    squeezing, i.e. coherent amplitude d/2 in x = a + a' units. Squeezing is
-    the numerically exponentiated truncated generator r (a1' a2' - a1 a2),
-    computed with 10 extra levels of headroom and cropped back.
+    squeezing, i.e. coherent amplitude alpha = d/2 in x = a + a' units. The
+    state S(r) D(alpha) D(alpha)|00> is annihilated by
+    a1 cosh r - a2' sinh r - alpha and by its mode-swapped twin, which fix
+    the amplitudes exactly from psi(0, 0) = exp(-alpha^2 (1 + tanh r)) / cosh r:
+    psi(0, n+1) = alpha psi(0, n) / (cosh r sqrt(n+1)) along the first row,
+    then psi(n1+1, n2) = (alpha psi(n1, n2) + sinh r sqrt(n2) psi(n1, n2-1))
+    / (cosh r sqrt(n1+1)) row by row. Every term is non-negative, so nothing
+    cancels (the two-mode case of Miatto & Quesada, Quantum 4, 366 (2020)).
 
-    Raises TruncationError when more than 1e-8 of probability sits in the
-    top 5 retained levels (or was lost to the crop).
+    Raises TruncationError when more than 1e-8 of probability lies above
+    n_max or sits in the top 5 retained levels.
     """
     if n_max < _LEAK_LEVELS:
         raise ValueError(f"n_max={n_max} is too small to be meaningful")
-    dim = n_max + 1 + _PAD
-    vec = np.kron(_coherent(d / 2.0, dim), _coherent(d / 2.0, dim)).astype(complex)
-    if r != 0.0:
-        a = scipy.sparse.csc_matrix(_destroy(dim))
-        adag = a.conj().T
-        gen = r * (scipy.sparse.kron(adag, adag) - scipy.sparse.kron(a, a)).tocsc()
-        vec = expm_multiply(gen, vec)
-    amps = vec.reshape(dim, dim)[: n_max + 1, : n_max + 1].copy()
+    alpha = d / 2.0
+    ch, sh = math.cosh(r), math.sinh(r)
+    root = np.sqrt(np.arange(n_max + 1.0))
+    amps = np.empty((n_max + 1, n_max + 1))
+    amps[0, 0] = math.exp(-alpha * alpha * (1.0 + math.tanh(r))) / ch
+    amps[0, 1:] = amps[0, 0] * np.cumprod(alpha / (ch * root[1:]))
+    for n1 in range(n_max):
+        row = alpha * amps[n1]
+        row[1:] += sh * root[1:] * amps[n1, :-1]
+        amps[n1 + 1] = row / (ch * root[n1 + 1])
     kept = float(np.linalg.norm(amps))
     cropped = abs(1.0 - kept * kept)
     state = FockTwoModeState(amps / kept)
     if cropped + state.leakage() > _LEAK_TOL:
         raise TruncationError(
             f"truncation insufficient at n_max={n_max} for r={r}, d={d}: "
-            f"cropped mass {cropped:.3e}, top-level mass {state.leakage():.3e}"
+            f"mass above n_max {cropped:.3e}, top-level mass {state.leakage():.3e}"
         )
     return state
-
-
-def _bs_block(total_n: int, tau: float, lo: int, hi: int) -> np.ndarray:
-    """Beam-splitter unitary restricted to total photon number total_n.
-
-    Basis is |j photons kept, total_n - j tapped> for j in [lo, hi]. The
-    generator theta (b' c - c' b) with cos(theta) = sqrt(tau) is exponentiated
-    directly; the result is real orthogonal with the minus sign on the
-    reflected port.
-    """
-    theta = math.acos(math.sqrt(tau))
-    size = hi - lo + 1
-    gen = np.zeros((size, size))
-    for idx, j in enumerate(range(lo, hi)):
-        step = theta * math.sqrt((j + 1) * (total_n - j))
-        gen[idx + 1, idx] = step
-        gen[idx, idx + 1] = -step
-    return scipy.linalg.expm(gen)
-
-
-def bs_pair_unitary(tau: float, n_max: int) -> np.ndarray:
-    """Full beam-splitter unitary on a truncated two-mode space.
-
-    Returns the (n_max+1)^2 square matrix over basis |n2, n3>, exactly
-    orthogonal by construction (block exponentials of antisymmetric
-    generators); physically exact for total photon number <= n_max.
-    """
-    dim = n_max + 1
-    u = np.zeros((dim * dim, dim * dim))
-    for total_n in range(2 * n_max + 1):
-        lo, hi = max(0, total_n - n_max), min(total_n, n_max)
-        block = _bs_block(total_n, tau, lo, hi)
-        idx = [j * dim + (total_n - j) for j in range(lo, hi + 1)]
-        u[np.ix_(idx, idx)] = block
-    return u
 
 
 def apply_bs_and_project(
@@ -258,10 +212,10 @@ def suggested_truncation(r: float, d: float) -> int:
     """Photon-number cutoff that keeps state leakage under the check limit.
 
     Linear in r + d with a flat safety offset, calibrated so the leakage
-    guard in build_tmsc_fock stays silent over r <= 1, d <= 2; capped to
-    keep the squeezing exponential affordable.
+    guard in build_tmsc_fock stays silent over r <= 1, d <= 2. Outside that
+    box it can fall short; build_tmsc_fock then raises TruncationError.
     """
-    return min(96, 20 + math.ceil(24.0 * (r + d)))
+    return 20 + math.ceil(24.0 * (r + d))
 
 
 @dataclass(frozen=True)

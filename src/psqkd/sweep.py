@@ -179,10 +179,10 @@ def max_secure_distance(
 ) -> float:
     """Largest L_AC (km) with key rate >= k_target, to 0.01 km.
 
-    A 1 km pre-scan locates the final downward crossing, which also guards
-    against the non-monotone region some displaced states show near the
-    origin; bisection then refines the bracket. The returned endpoint is
-    certified: K(result) >= k_target.
+    A 1 km pre-scan stops at the first integer km where K < k_target, and
+    bisection then refines that first downward crossing; a secure region
+    beyond it is not searched. The returned endpoint is certified:
+    K(result) >= k_target.
     """
     if _rate_at_distance(source, channel, 0.0) <= k_target:
         raise TargetUnreachableError("target unreachable")
@@ -192,7 +192,7 @@ def max_secure_distance(
     while l_km <= _SCAN_LIMIT_KM:
         if _rate_at_distance(source, channel, l_km) >= k_target:
             last_ok = l_km
-        elif l_km > last_ok:
+        else:
             first_bad = l_km
             break
         l_km += 1.0
@@ -251,16 +251,18 @@ def optimize_scalar(
         except (PsqkdError, ValueError):
             return float("-inf")
 
-    grid = np.linspace(lo, hi, _GRID_POINTS)
+    # plain floats: an overflow in the math code of moments is then an inf,
+    # not a numpy RuntimeWarning on stderr
+    grid = np.linspace(lo, hi, _GRID_POINTS).tolist()
     scores = [score(v) for v in grid]
     best_i = int(np.argmax(scores))
-    best_v, best_s = float(grid[best_i]), scores[best_i]
+    best_v, best_s = grid[best_i], scores[best_i]
     insecure = best_s == float("-inf") or (objective == "key_rate" and best_s <= 0.0)
     if insecure:
         raise NoSecureRegionError("no secure region")
 
-    a = float(grid[max(best_i - 1, 0)])
-    b = float(grid[min(best_i + 1, _GRID_POINTS - 1)])
+    a = grid[max(best_i - 1, 0)]
+    b = grid[min(best_i + 1, _GRID_POINTS - 1)]
     c = b - _INVPHI * (b - a)
     d_ = a + _INVPHI * (b - a)
     fc, fd = score(c), score(d_)

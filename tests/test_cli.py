@@ -474,15 +474,46 @@ class TestGoldenFixtures:
         assert out.read_bytes() == golden, f"{name} drifted from its golden file"
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter in a new process, with this checkout's package."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        timeout=120,
+    )
+
+
 class TestImports:
+    # fresh interpreters: this one has scipy loaded by the test references
     def test_cli_import_leaves_scipy_unloaded(self):
-        # a fresh interpreter: this one has scipy loaded by other test modules
-        code = "import sys, psqkd.cli; assert 'scipy' not in sys.modules"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
-            timeout=120,
+        proc = _fresh_python(
+            "-c", "import sys, psqkd.cli; assert 'scipy' not in sys.modules"
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_fock_oracle_runs_without_scipy(self):
+        code = (
+            "import sys, psqkd, psqkd.fock_oracle; "
+            "psqkd.fock_oracle.compare_random_grid(points=1); "
+            "assert 'scipy' not in sys.modules"
+        )
+        proc = _fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestFreshRuns:
+    def test_optimize_over_overflowing_grid_writes_no_warnings(self):
+        # grid values near 1e300 overflow in the moments arithmetic; as numpy
+        # scalars they printed RuntimeWarnings on stderr
+        proc = _fresh_python(
+            "-m", "psqkd.cli", "optimize",
+            "--config", str(REPO / "configs" / "fig6.cfg"),
+            "--set", "optimize.variable=d",
+            "--set", "optimize.lo=0",
+            "--set", "optimize.hi=1e300",
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["best_value"] == 0.0

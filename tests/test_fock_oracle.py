@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 import psqkd.fock_oracle as fock_oracle
+from fock_reference import bs_block, bs_pair_unitary, destroy, expm_tmsc_fock
 from psqkd.errors import TruncationError, ZeroProbabilityError
 from psqkd.fock_oracle import (
     FockTwoModeState,
-    _bs_block,
-    _destroy,
+    _rel_dev,
     apply_bs_and_project,
-    bs_pair_unitary,
     build_tmsc_fock,
     compare_random_grid,
     fock_moment,
     oracle_covariance,
+    state_covariance,
     suggested_truncation,
 )
 from psqkd.moments import pstmsc_covariance, subtraction_probability
@@ -57,6 +57,15 @@ class TestBuildState:
         with pytest.raises(ValueError):
             build_tmsc_fock(0.3, 0.0, 3)
 
+    @pytest.mark.parametrize(
+        "r, d", [(0.0, 1.3), (0.05, 0.0), (0.4, 0.7), (1.0, 0.0), (1.0, 2.0)]
+    )
+    def test_recurrence_matches_squeezer_exponential(self, r, d):
+        n_max = suggested_truncation(r, d)
+        got = build_tmsc_fock(r, d, n_max).amps
+        reference = expm_tmsc_fock(r, d, n_max).amps
+        assert np.max(np.abs(got - reference)) < 1e-12
+
 
 class TestBeamSplitterUnitary:
     def test_orthogonal(self):
@@ -94,7 +103,7 @@ class TestClosedFormColumn:
     def test_matches_expm_blocks_up_to_96(self, tau):
         cols = _projected_columns(tau, 96)
         for n in range(97):
-            reference = _bs_block(n, tau, 0, n)[:, n]
+            reference = bs_block(n, tau, 0, n)[:, n]
             assert np.max(np.abs(cols[n, : n + 1] - reference)) < 1e-13, n
 
     @pytest.mark.parametrize("tau", [0.3, 0.77, 1.0])
@@ -191,7 +200,7 @@ class TestMoments:
         state = FockTwoModeState(
             state.amps * np.exp(0.4j * levels)[:, None] * np.exp(-0.7j * levels)
         )
-        a = _destroy(dim)
+        a = destroy(dim)
         x = a + a.T
         p = 1j * (a.T - a)
 
@@ -255,6 +264,33 @@ class TestOracleCovariance:
                 getattr(oracle, field), rel=1e-8
             ), field
 
+    def test_wide_random_grid(self):
+        # beyond compare_random_grid's box: k <= 4, r <= 1.5, d <= 3, where
+        # suggested_truncation can fall short and the cutoff grows until the
+        # leakage guard passes (the corner r = 1.5, d = 3 needs ~300 levels)
+        rng = np.random.default_rng(20261018)
+        for _ in range(30):
+            r = rng.uniform(0.05, 1.5)
+            d = rng.uniform(0.0, 3.0)
+            tau = rng.uniform(0.3, 0.95)
+            k = int(rng.integers(0, 5))
+            n_max = suggested_truncation(r, d)
+            while True:
+                try:
+                    state = build_tmsc_fock(r, d, n_max)
+                    break
+                except TruncationError:
+                    assert n_max < 300, (r, d, n_max)
+                    n_max += n_max // 2
+            state, prob = apply_bs_and_project(state, tau, k)
+            params = SqueezedSourceParams(r=r, d=d, tau=tau, k=k)
+            assert prob == pytest.approx(subtraction_probability(params), rel=1e-7)
+            oracle = state_covariance(state)
+            closed = pstmsc_covariance(params)
+            for field in CM_FIELDS:
+                dev = _rel_dev(getattr(closed, field), getattr(oracle, field))
+                assert dev < 1e-7, (field, r, d, tau, k, n_max)
+
     def test_stable_under_truncation_doubling(self):
         lo = oracle_covariance(0.4, 1.0, 0.8, 1, 40)
         hi = oracle_covariance(0.4, 1.0, 0.8, 1, 60)
@@ -265,9 +301,10 @@ class TestOracleCovariance:
 
 
 class TestSuggestedTruncation:
-    def test_floor_and_cap(self):
+    def test_floor_and_linear_growth(self):
         assert suggested_truncation(0.0, 0.0) == 20
-        assert suggested_truncation(5.0, 5.0) == 96
+        assert suggested_truncation(1.0, 2.0) == 92
+        assert suggested_truncation(5.0, 5.0) == 260
 
     def test_monotone(self):
         values = [suggested_truncation(r, 0.5) for r in (0.1, 0.5, 1.0)]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import psqkd.sweep as sweep
 from psqkd.channel import ChannelParams
 from psqkd.errors import NoSecureRegionError, TargetUnreachableError
 from psqkd.keyrate import secret_key_rate
@@ -192,6 +193,15 @@ class TestMaxSecureDistance:
         assert (
             secret_key_rate(source, base_channel(l_ac=d1)).key_rate >= 1e-3
         )
+
+    def test_stops_at_first_downward_crossing(self, monkeypatch):
+        # secure up to 12.3 km, insecure until 40 km, secure again beyond
+        def rate(source, channel, l_ac):
+            return 1.0 if l_ac <= 12.3 or l_ac >= 40.0 else -1.0
+
+        monkeypatch.setattr(sweep, "_rate_at_distance", rate)
+        dist = max_secure_distance(base_source(), base_channel())
+        assert 12.3 - 0.01 <= dist <= 12.3
 
     def test_unreachable_target(self):
         with pytest.raises(TargetUnreachableError):
