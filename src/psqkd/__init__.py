@@ -17,6 +17,7 @@ from .channel import (
     transmittance,
 )
 from .errors import (
+    NonFiniteError,
     NoSecureRegionError,
     PsqkdError,
     TargetUnreachableError,
@@ -69,6 +70,7 @@ __all__ = [
     "noise_breakdown",
     "thermal_excess",
     "transmittance",
+    "NonFiniteError",
     "NoSecureRegionError",
     "PsqkdError",
     "TargetUnreachableError",

@@ -167,6 +167,11 @@ def thermal_excess(params: ChannelParams) -> float:
 def noise_breakdown(params: ChannelParams) -> NoiseBreakdown:
     """All derived channel quantities for one configuration."""
     t_a, t_b = link_transmittances(params)
+    if t_a == 0.0:
+        raise ValueError(
+            f"fiber transmittance underflows to 0 over L_AC = {params.l_ac:g} km "
+            f"at {params.loss_db_per_km:g} dB/km"
+        )
     g = params.gain_override if params.gain_override is not None else gain(
         params.v_a, t_b
     )

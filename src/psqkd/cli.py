@@ -5,12 +5,13 @@ KeyRateResult as JSON, `sweep` writes the grid CSV consumed by plotting
 and the golden-file tests, `max-distance` and `optimize` report search
 results as JSON, and `oracle-check` runs the closed-form vs Fock-space
 comparison. Exit codes: 0 success, 1 usage/config error, 2 domain error
-(insecure region, unreachable target, zero-probability event).
+(insecure region, unreachable target, zero-probability event, overflow).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -174,6 +175,8 @@ def cmd_oracle_check(config: RunConfig) -> int:
     return 0 if report.passed else _DOMAIN_EXIT
 
 
+# parsing leaves the parser unchanged, so one parser per process serves every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psqkd",

@@ -167,7 +167,10 @@ def _build_source_channel(
         raise ConfigError("exactly one of source.r or source.variance is required")
     if has_r:
         r = float(values["source.r"])
-        v_a = math.cosh(2.0 * r)
+        try:
+            v_a = math.cosh(2.0 * r)
+        except OverflowError:
+            raise ConfigError(f"source.r = {r:g} overflows V_A = cosh 2r") from None
     else:
         v_a = float(values["source.variance"])
         if v_a < 1.0:

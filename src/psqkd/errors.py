@@ -18,6 +18,10 @@ class UnphysicalStateError(PsqkdError):
     """A covariance matrix stopped being physical (numerics or bad inputs)."""
 
 
+class NonFiniteError(PsqkdError):
+    """A pipeline stage overflowed or produced a non-finite value."""
+
+
 class TruncationError(PsqkdError):
     """Fock-space truncation too small for the requested state."""
 

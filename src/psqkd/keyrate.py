@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelParams, NoiseBreakdown, noise_breakdown
-from .errors import UnphysicalStateError
+from .errors import NonFiniteError, UnphysicalStateError
 from .moments import DEFAULT_SUBTRACTION_CAP, TwoModeCM, source_stage
 from .phase_space import SqueezedSourceParams
 
@@ -173,28 +173,36 @@ def holevo_bound(cm: TwoModeCM) -> float:
     return _holevo_bound(lam1, lam2, math.sqrt(vx * vp))
 
 
-def secret_key_rate(
-    source: SqueezedSourceParams,
-    channel: ChannelParams,
-    max_k: int = DEFAULT_SUBTRACTION_CAP,
+def _channel_stage(
+    p_ps: float, cm: TwoModeCM, noise: NoiseBreakdown, beta: float
 ) -> KeyRateResult:
-    """Full pipeline for one configuration.
+    """The channel half of the pipeline: the source stage's (p_ps, cm) sent
+    through the equivalent one-way channel `noise`, with efficiency beta.
 
-    K = P_detect * (beta * I_AB - chi_BE); negative K (insecure regime) is
-    returned as-is. channel.v_a should normally equal source.variance; the
-    sweep and CLI layers keep the two in sync.
-
-    Raises ZeroProbabilityError when the subtraction event cannot occur.
+    Raises NonFiniteError when the arithmetic overflows or a reported value
+    is not finite.
     """
-    p_ps, cm = source_stage(source, max_k)
-    noise = noise_breakdown(channel)
-    eff = effective_cm(cm, noise)
-    vx, vp = conditional_cm_after_heterodyne(eff)
-    lam1, lam2 = symplectic_eigenvalues(eff)
-    lam3 = math.sqrt(vx * vp)
-    i_ab = _mutual_information(eff, vx, vp)
-    chi_be = _holevo_bound(lam1, lam2, lam3)
-    key = p_ps * (channel.beta * i_ab - chi_be)
+    try:
+        eff = effective_cm(cm, noise)
+        vx, vp = conditional_cm_after_heterodyne(eff)
+        lam1, lam2 = symplectic_eigenvalues(eff)
+        lam3 = math.sqrt(vx * vp)
+        i_ab = _mutual_information(eff, vx, vp)
+        chi_be = _holevo_bound(lam1, lam2, lam3)
+        key = p_ps * (beta * i_ab - chi_be)
+        # named fields: vars(noise) would give the instance a dict of its own
+        values = (
+            key, i_ab, chi_be, lam1, lam2, lam3,
+            noise.t_a, noise.t_b, noise.g, noise.t, noise.eps_th,
+            noise.chi_line, noise.chi_homo, noise.chi_tot,
+        )
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NonFiniteError(
+            f"channel stage overflows at T={noise.t:g}, chi_tot={noise.chi_tot:g}"
+        )
     return KeyRateResult(
         p_ps=p_ps,
         i_ab=i_ab,
@@ -205,3 +213,22 @@ def secret_key_rate(
         lambda3=lam3,
         noise=noise,
     )
+
+
+def secret_key_rate(
+    source: SqueezedSourceParams,
+    channel: ChannelParams,
+    max_k: int = DEFAULT_SUBTRACTION_CAP,
+) -> KeyRateResult:
+    """Full pipeline for one configuration: the source stage, the channel
+    reduction, then the channel stage.
+
+    K = P_detect * (beta * I_AB - chi_BE); negative K (insecure regime) is
+    returned as-is. channel.v_a should normally equal source.variance; the
+    sweep and CLI layers keep the two in sync.
+
+    Raises ZeroProbabilityError when the subtraction event cannot occur, and
+    NonFiniteError when a stage overflows or yields a non-finite value.
+    """
+    p_ps, cm = source_stage(source, max_k)
+    return _channel_stage(p_ps, cm, noise_breakdown(channel), channel.beta)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroProbabilityError
+from .errors import NonFiniteError, ZeroProbabilityError
 from .phase_space import SqueezedSourceParams, scaled_laguerre
 
 __all__ = [
@@ -138,8 +138,26 @@ def source_stage(
     probability evaluation; it depends on the source parameters only.
 
     Raises ZeroProbabilityError when the conditioning event has probability
-    zero (tau = 1 with k >= 1, or r = 0 and d = 0 with k >= 1).
+    zero (tau = 1 with k >= 1, or r = 0 and d = 0 with k >= 1), and
+    NonFiniteError when the arithmetic overflows or a moment is not finite.
     """
+    try:
+        p_ps, cm = _source_moments(params, max_k)
+        # named fields: vars(cm) would give the instance a dict of its own
+        values = (
+            p_ps, cm.vax, cm.vap, cm.vbx, cm.vbp, cm.vcx, cm.vcp, cm.mean_x1, cm.mean_x2
+        )
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NonFiniteError(f"source stage overflows at {params}")
+    return p_ps, cm
+
+
+def _source_moments(
+    params: SqueezedSourceParams, max_k: int
+) -> tuple[float, TwoModeCM]:
     p_ps = subtraction_probability(params, max_k)
     if p_ps <= 0.0:
         raise ZeroProbabilityError(

@@ -16,13 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import ChannelParams, NoiseBreakdown, noise_breakdown
 from .errors import (
     NoSecureRegionError,
     PsqkdError,
     TargetUnreachableError,
 )
-from .keyrate import KeyRateResult, secret_key_rate
+from .keyrate import KeyRateResult, _channel_stage, secret_key_rate
+from .moments import TwoModeCM, source_stage
 from .phase_space import SqueezedSourceParams
 
 __all__ = [
@@ -106,17 +107,16 @@ def resolve_family(name: str, source: SqueezedSourceParams) -> SqueezedSourcePar
     >>> resolve_family("2-pstmsc", base).k
     2
     """
+    # the constructor, not dataclasses.replace: this runs once per sweep cell
     if name == "tmsv":
-        return replace(source, d=0.0, tau=1.0, k=0)
+        return SqueezedSourceParams(source.r, 0.0, 1.0, 0)
     m = _FAMILY_RE.match(name)
     if m is None:
         raise ValueError(
             f"unknown family {name!r}; expected 'tmsv', '<k>-pstmsv' or '<k>-pstmsc'"
         )
-    k = int(m.group(1))
-    if m.group(2) == "v":
-        return replace(source, d=0.0, k=k)
-    return replace(source, k=k)
+    d = 0.0 if m.group(2) == "v" else source.d
+    return SqueezedSourceParams(source.r, d, source.tau, int(m.group(1)))
 
 
 def _apply_value(
@@ -148,28 +148,73 @@ def _apply_value(
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
+def _stage_or_failure(fn, arg):
+    """fn(arg), or the failed cell that its caller-mistake or domain error
+    makes. Only the message is kept: a stored exception would keep its
+    traceback's frames, and with them the whole sweep, alive."""
+    try:
+        return fn(arg)
+    except (PsqkdError, ValueError) as exc:
+        return FamilyResult(None, str(exc))
+
+
+_Stage = tuple[float, TwoModeCM] | FamilyResult
+
+
+def _evaluate_point(
+    spec: SweepSpec, value: float, stages: dict[SqueezedSourceParams, _Stage]
+) -> SweepRow:
+    try:
+        src, ch = _apply_value(spec.source, spec.channel, spec.variable, value)
+    except (PsqkdError, ValueError) as exc:
+        return SweepRow(value, dict.fromkeys(spec.families, FamilyResult(None, str(exc))))
+    noise = _stage_or_failure(noise_breakdown, ch)
     out: dict[str, FamilyResult] = {}
     for name in spec.families:
-        try:
-            src, ch = _apply_value(spec.source, spec.channel, spec.variable, value)
-            src = resolve_family(name, src)
-            out[name] = FamilyResult(secret_key_rate(src, ch))
-        except (PsqkdError, ValueError) as exc:
-            out[name] = FamilyResult(None, str(exc))
-    return SweepRow(float(value), out)
+        fam = resolve_family(name, src)
+        stage = stages.get(fam)
+        if stage is None:
+            stage = stages[fam] = _stage_or_failure(source_stage, fam)
+        out[name] = _cell(stage, noise, ch.beta)
+    return SweepRow(value, out)
+
+
+def _cell(
+    stage: _Stage, noise: NoiseBreakdown | FamilyResult, beta: float
+) -> FamilyResult:
+    """One family at one point; the first failure in pipeline order wins:
+    the source stage's, then the channel reduction's, then the channel stage's."""
+    for part in (stage, noise):
+        if isinstance(part, FamilyResult):
+            return part
+    try:
+        return FamilyResult(_channel_stage(*stage, noise, beta))
+    except (PsqkdError, ValueError) as exc:
+        return FamilyResult(None, str(exc))
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
-    """Evaluate the grid in order. `threads` is accepted and ignored: the
-    pipeline holds the GIL, so a thread pool only added CPU time."""
-    return [_evaluate_point(spec, v) for v in spec.grid()]
+    """Evaluate the grid in order.
+
+    The swept value is applied and the channel reduction (`noise_breakdown`)
+    computed once per grid point; the source stage (`source_stage`) once per
+    distinct family source in the sweep, so an L_AC or eta sweep computes it
+    once per family; and the channel stage once per cell. Each cell reports
+    the first error of its own pipeline: the swept value's, then its
+    source's, then the channel's. `threads` is accepted and ignored: the
+    pipeline holds the GIL, so a thread pool only added CPU time.
+    """
+    stages: dict[SqueezedSourceParams, _Stage] = {}
+    # plain floats: numpy scalars would turn an overflow in the math code into
+    # a RuntimeWarning and an inf instead of an OverflowError
+    return [_evaluate_point(spec, v, stages) for v in spec.grid().tolist()]
 
 
 def _rate_at_distance(
-    source: SqueezedSourceParams, channel: ChannelParams, l_ac: float
+    stage: tuple[float, TwoModeCM], channel: ChannelParams, l_ac: float
 ) -> float:
-    return secret_key_rate(source, replace(channel, l_ac=l_ac)).key_rate
+    ch = replace(channel, l_ac=l_ac)
+    return _channel_stage(*stage, noise_breakdown(ch), ch.beta).key_rate
 
 
 def max_secure_distance(
@@ -179,18 +224,21 @@ def max_secure_distance(
 ) -> float:
     """Largest L_AC (km) with key rate >= k_target, to 0.01 km.
 
-    A 1 km pre-scan stops at the first integer km where K < k_target, and
+    The source stage is computed once per search; each probed distance
+    computes only the channel reduction and the channel stage. A 1 km
+    pre-scan stops at the first integer km where K < k_target, and
     bisection then refines that first downward crossing; a secure region
     beyond it is not searched. The returned endpoint is certified:
     K(result) >= k_target.
     """
-    if _rate_at_distance(source, channel, 0.0) <= k_target:
+    stage = source_stage(source)
+    if _rate_at_distance(stage, channel, 0.0) <= k_target:
         raise TargetUnreachableError("target unreachable")
     last_ok = 0.0
     first_bad = None
     l_km = 1.0
     while l_km <= _SCAN_LIMIT_KM:
-        if _rate_at_distance(source, channel, l_km) >= k_target:
+        if _rate_at_distance(stage, channel, l_km) >= k_target:
             last_ok = l_km
         else:
             first_bad = l_km
@@ -203,7 +251,7 @@ def max_secure_distance(
     lo, hi = last_ok, first_bad
     while hi - lo > _DISTANCE_TOL_KM:
         mid = 0.5 * (lo + hi)
-        if _rate_at_distance(source, channel, mid) >= k_target:
+        if _rate_at_distance(stage, channel, mid) >= k_target:
             lo = mid
         else:
             hi = mid
@@ -255,8 +303,12 @@ def optimize_scalar(
     # not a numpy RuntimeWarning on stderr
     grid = np.linspace(lo, hi, _GRID_POINTS).tolist()
     scores = [score(v) for v in grid]
-    best_i = int(np.argmax(scores))
-    best_v, best_s = grid[best_i], scores[best_i]
+    # first maximum; a NaN score compares false and never wins
+    best_i, best_s = 0, float("-inf")
+    for i, s in enumerate(scores):
+        if s > best_s:
+            best_i, best_s = i, s
+    best_v = grid[best_i]
     insecure = best_s == float("-inf") or (objective == "key_rate" and best_s <= 0.0)
     if insecure:
         raise NoSecureRegionError("no secure region")

@@ -8,10 +8,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psqkd import cli
@@ -95,6 +96,12 @@ class TestConfigParsing:
     def test_r_and_variance_are_mutually_exclusive(self, base_cfg):
         with pytest.raises(ConfigError, match="exactly one"):
             load_run_config(base_cfg, ["source.r=1.0"])
+
+    def test_overflowing_squeezing_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(BASE_CFG.replace("source.variance = 50", "source.r = 1000"))
+        with pytest.raises(ConfigError, match="source.r = 1000 overflows"):
+            load_run_config(str(path))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_float_rejected(self, tmp_path, value):
@@ -314,6 +321,32 @@ class TestMainExitCodes:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_overflowing_channel_is_one_domain_error_line(self, base_cfg, capsys):
+        code = main(["keyrate", "--config", base_cfg, "--set", "channel.eps_A=1e150"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: channel stage overflows")
+        assert captured.err.count("\n") == 1
+
+    def test_fiber_underflow_names_the_distance_and_loss(self, base_cfg, capsys):
+        assert main(["keyrate", "--config", base_cfg, "--set", "channel.l_ac=1e6"]) == 1
+        err = capsys.readouterr().err
+        assert "L_AC = 1e+06 km" in err and "0.2 dB/km" in err
+
+    def test_calls_in_one_process_share_no_parsed_state(self, base_cfg, tmp_path, capsys):
+        # the parser is built once per process; --set must not leak across calls
+        assert main(["keyrate", "--config", base_cfg, "--set", "channel.l_ac=0"]) == 0
+        near = json.loads(capsys.readouterr().out)
+        assert main(["keyrate", "--config", base_cfg]) == 0
+        again = json.loads(capsys.readouterr().out)
+        expect = load_run_config(base_cfg)
+        assert again["key_rate"] == secret_key_rate(expect.source, expect.channel).key_rate
+        assert again["key_rate"] < near["key_rate"]
+        args = ["sweep", "--config", base_cfg, "--set", "sweep.variable=L_AC",
+                "--set", "sweep.lo=0", "--set", "sweep.hi=1", "--set", "sweep.points=1"]
+        assert main(args + ["--out", str(tmp_path / "g.csv"), "--threads", "3"]) == 0
+
     def test_non_finite_result_is_not_printed_as_json(self, base_cfg, monkeypatch, capsys):
         def nan_rate(source, channel):
             result = secret_key_rate(source, channel)
@@ -326,8 +359,11 @@ class TestMainExitCodes:
         assert captured.err.startswith("error: ")
 
 
-FUZZ_CFG = BASE_CFG + "optimize.variable = d\noptimize.lo = 0\noptimize.hi = 3\n"
-HOSTILE_VALUES = ("nan", "inf", "-1", "0", "1e400", "20", "foo")
+FUZZ_CFG = BASE_CFG + (
+    "optimize.variable = d\noptimize.lo = 0\noptimize.hi = 3\n"
+    "sweep.variable = L_AC\nsweep.lo = 0\nsweep.hi = 40\nsweep.points = 3\n"
+)
+HOSTILE_VALUES = ("nan", "inf", "-1", "0", "1e400", "1e300", "1e-300", "1e150", "20", "foo")
 
 
 def _strict_constant(name):
@@ -343,14 +379,25 @@ def fuzz_cfg(tmp_path_factory):
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(
-    command=st.sampled_from(["keyrate", "max-distance", "optimize"]),
+    command=st.sampled_from(["keyrate", "max-distance", "optimize", "sweep"]),
     overrides=st.lists(
         st.tuples(st.sampled_from(sorted(_KNOWN_KEYS)), st.sampled_from(HOSTILE_VALUES)),
         max_size=3,
     ),
 )
+# the overflow and non-finite cases the stage guards turn into typed errors
+@example(command="keyrate", overrides=[("channel.eps_A", "1e150")])
+@example(command="keyrate", overrides=[("channel.v_el", "1e300")])
+@example(command="keyrate", overrides=[("channel.eta", "1e-300")])
+@example(command="keyrate", overrides=[("source.variance", "1e300")])
+@example(command="max-distance", overrides=[("channel.eps_B", "1e150")])
+@example(command="max-distance", overrides=[("source.d", "1e150")])
+@example(command="sweep", overrides=[("source.d", "1e150")])
 def test_fuzzed_overrides_end_in_a_clean_exit(fuzz_cfg, command, overrides):
     argv = [command, "--config", fuzz_cfg]
+    grid = Path(fuzz_cfg).with_name("grid.csv")
+    if command == "sweep":
+        argv += ["--out", str(grid)]
     for key, value in overrides:
         argv += ["--set", f"{key}={value}"]
     out, err = io.StringIO(), io.StringIO()
@@ -358,7 +405,9 @@ def test_fuzzed_overrides_end_in_a_clean_exit(fuzz_cfg, command, overrides):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    if code == 0:
+    if code == 0 and command == "sweep":
+        assert grid.read_text().startswith(CSV_HEADER + "\n")
+    elif code == 0:
         json.loads(out.getvalue(), parse_constant=_strict_constant)
 
 
@@ -428,6 +477,23 @@ class TestSweepCommand:
         assert main(args + ["--out", str(one), "--threads", "1"]) == 0
         assert main(args + ["--out", str(many), "--threads", "8"]) == 0
         assert one.read_bytes() == many.read_bytes()
+
+    def test_overflowing_cells_are_nan_rows_without_warnings(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        args = ["sweep", "--config", str(REPO / "configs" / "fig8.cfg"),
+                "--set", "source.d=1e150", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 1 + 41 * 5
+        for line in lines[1:]:
+            family, fields = line.split(",")[1], line.split(",")[2:]
+            if family.endswith("pstmsc"):  # d = 1e150 only reaches these
+                assert fields == ["nan"] * 7
+            else:
+                assert "nan" not in fields
 
     def test_unwritable_output_is_usage_error(self, base_cfg, capsys):
         args = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psqkd.channel import ChannelParams, NoiseBreakdown, noise_breakdown
-from psqkd.errors import UnphysicalStateError, ZeroProbabilityError
+from psqkd.errors import NonFiniteError, UnphysicalStateError, ZeroProbabilityError
 from psqkd.keyrate import (
     conditional_cm_after_heterodyne,
     effective_cm,
@@ -273,6 +273,27 @@ class TestSecretKeyRate:
                 SqueezedSourceParams(r=0.5, d=0.0, tau=1.0, k=1),
                 reference_channel(),
             )
+
+    @pytest.mark.parametrize(
+        "source, channel",
+        [
+            # OverflowError in the source stage's Laguerre terms
+            (SqueezedSourceParams(r=1.0, d=1e150, tau=0.9, k=2), reference_channel()),
+            # a NaN source covariance
+            (
+                SqueezedSourceParams(r=0.5 * math.acosh(1e300), d=2.0, tau=0.9, k=1),
+                reference_channel(v_a=1e300),
+            ),
+            # OverflowError in the symplectic eigenvalues
+            (tmsv_source(50.0), reference_channel(eps_a=1e150)),
+            # a NaN key rate
+            (tmsv_source(50.0), reference_channel(eps_a=1e300)),
+            (tmsv_source(50.0), reference_channel(eta=1e-300)),
+        ],
+    )
+    def test_overflow_and_non_finite_values_are_typed_errors(self, source, channel):
+        with pytest.raises(NonFiniteError):
+            secret_key_rate(source, channel)
 
     def test_rate_decreases_with_distance_on_secure_tail(self):
         acosh50 = 0.5 * math.acosh(50.0)

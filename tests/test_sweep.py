@@ -8,7 +8,7 @@ import pytest
 
 import psqkd.sweep as sweep
 from psqkd.channel import ChannelParams
-from psqkd.errors import NoSecureRegionError, TargetUnreachableError
+from psqkd.errors import NoSecureRegionError, PsqkdError, TargetUnreachableError
 from psqkd.keyrate import secret_key_rate
 from psqkd.phase_space import SqueezedSourceParams
 from psqkd.sweep import (
@@ -166,6 +166,84 @@ class TestRunSweep:
         assert "V_A" in rows[0].results["tmsv"].error
 
 
+def _unstaged_row(spec, value):
+    """One grid row the way the unstaged pipeline computes it, cell by cell."""
+    out = {}
+    for name in spec.families:
+        try:
+            src, ch = sweep._apply_value(spec.source, spec.channel, spec.variable, value)
+            out[name] = (secret_key_rate(resolve_family(name, src), ch), None)
+        except (PsqkdError, ValueError) as exc:
+            out[name] = (None, str(exc))
+    return out
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(sweep, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, name, counted)
+    return calls
+
+
+class TestStagedSweep:
+    @pytest.mark.parametrize(
+        "variable, lo, hi, channel",
+        [
+            # L_AC = 250000 km: the fiber transmittance underflows to 0
+            ("L_AC", 0.0, 1e6, base_channel()),
+            ("V_A", 0.5, 200.0, base_channel()),  # V_A < 1 is rejected
+            ("d", 0.0, 1e150, base_channel()),  # the source stage overflows
+            # tau = 1: zero-probability subtraction for every k >= 1 family
+            ("tau", 0.0, 1.0, base_channel(geometry="symmetric")),
+            # source and channel fail together: the source error wins
+            ("tau", 0.0, 1.0, base_channel(l_ac=1e6)),
+            ("eta", 0.0, 1.0, base_channel(v_el=0.01)),  # eta = 0 is rejected
+        ],
+    )
+    def test_matches_cell_by_cell_pipeline(self, variable, lo, hi, channel):
+        spec = SweepSpec(variable, lo, hi, 5, base_source(), channel)
+        rows = run_sweep(spec)
+        assert [row.swept_value for row in rows] == list(spec.grid())
+        errors = 0
+        for row in rows:
+            expect = _unstaged_row(spec, row.swept_value)
+            assert list(row.results) == list(spec.families)
+            for name, cell in row.results.items():
+                assert (cell.result, cell.error) == expect[name]
+                errors += cell.error is not None
+        assert errors > 0
+
+    def test_l_ac_sweep_runs_each_stage_once(self, monkeypatch):
+        sources = _counting(monkeypatch, "source_stage")
+        channels = _counting(monkeypatch, "noise_breakdown")
+        spec = SweepSpec("L_AC", 0.0, 40.0, 9, base_source(), base_channel())
+        rows = run_sweep(spec)
+        assert all(cell.result for row in rows for cell in row.results.values())
+        assert len(sources) == 5
+        assert len(channels) == 9
+
+    def test_tmsv_source_is_shared_across_a_tau_sweep(self, monkeypatch):
+        sources = _counting(monkeypatch, "source_stage")
+        spec = SweepSpec(
+            "tau", 0.5, 0.9, 5, base_source(), base_channel(),
+            families=("tmsv", "1-pstmsc"),
+        )
+        run_sweep(spec)
+        assert len(sources) == 1 + 5
+
+    def test_search_runs_the_source_stage_once(self, monkeypatch):
+        sources = _counting(monkeypatch, "source_stage")
+        channels = _counting(monkeypatch, "noise_breakdown")
+        max_secure_distance(base_source(), base_channel())
+        assert sources == [(base_source(),)]
+        assert len(channels) > 50
+
+
 class TestMaxSecureDistance:
     def test_tmsv_anchor(self):
         dist = max_secure_distance(
@@ -266,6 +344,22 @@ class TestOptimizeScalar:
                 0.5,
                 0.99,
             )
+
+    def test_nan_scoring_grid_point_is_not_chosen(self, monkeypatch):
+        # a NaN at the grid's last point must neither win the grid nor move
+        # the result; np.argmax picked it
+        expect = optimize_scalar(base_source(), base_channel(), "d", 0.0, 3.0)
+
+        def rate(source, channel):
+            result = secret_key_rate(source, channel)
+            if source.d == 3.0:
+                return replace(result, key_rate=float("nan"))
+            return result
+
+        monkeypatch.setattr(sweep, "secret_key_rate", rate)
+        v, s = optimize_scalar(base_source(), base_channel(), "d", 0.0, 3.0)
+        assert (v, s) == expect
+        assert not math.isnan(s)
 
     def test_rejects_unknown_variable_and_objective(self):
         with pytest.raises(ValueError, match="cannot optimize"):
