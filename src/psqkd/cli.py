@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
-from .config import ConfigError, RunConfig, build_sweep_spec, load_run_config
+from .config import RunConfig, build_sweep_spec, load_run_config
 from .errors import PsqkdError
 from .keyrate import KeyRateResult, secret_key_rate
 from .sweep import (
+    DEFAULT_FAMILIES,
     SweepRow,
     max_secure_distance,
     optimize_scalar,
-    resolve_family,
+    resolve_families,
     run_sweep,
 )
 
@@ -111,43 +113,38 @@ def cmd_sweep(config: RunConfig, out_path: str) -> int:
 
 
 def cmd_max_distance(config: RunConfig) -> int:
-    families = config.families()
-    k_target = config.get_float("max_distance.k_target", 0.0)
+    families = config.section("sweep").get("families", DEFAULT_FAMILIES)
+    sources = resolve_families(families, config.source)
+    search = config.section("max_distance")
     payload: dict[str, float | None] = {}
-    failed = False
-    for family in families:
-        source = resolve_family(family, config.source)
+    failures = []
+    for family, source in zip(families, sources):
         try:
-            km = max_secure_distance(source, config.channel, k_target)
+            km = max_secure_distance(source, config.channel, **search)
             payload[family] = round(km, 4)
-        except PsqkdError:
+        except PsqkdError as exc:
             payload[family] = None
-            failed = True
+            failures.append(f"error: {family}: {exc}")
+    # after every search: a caller error of a later family stays the only line
+    for line in failures:
+        print(line, file=sys.stderr)
     _print_json(payload)
-    return _DOMAIN_EXIT if failed else 0
+    return _DOMAIN_EXIT if failures else 0
 
 
 def cmd_optimize(config: RunConfig) -> int:
-    variable = config.get("optimize.variable")
-    if variable is None:
-        raise ConfigError("missing required key: optimize.variable")
-    if config.get("optimize.lo") is None or config.get("optimize.hi") is None:
-        raise ConfigError("missing required keys: optimize.lo, optimize.hi")
-    best, value = optimize_scalar(
+    call = inspect.signature(optimize_scalar).bind(
         config.source,
         config.channel,
-        variable,
-        lo=config.get_float("optimize.lo", 0.0),
-        hi=config.get_float("optimize.hi", 1.0),
-        objective=config.get("optimize.objective", "key_rate") or "key_rate",
-        family=config.get("optimize.family"),
-        k_target=config.get_float("optimize.k_target", 0.0),
+        **config.section("optimize", required=("variable", "lo", "hi")),
     )
+    call.apply_defaults()  # the JSON reports the objective actually used
+    best, value = optimize_scalar(*call.args, **call.kwargs)
     _print_json(
         {
-            "variable": variable,
+            "variable": call.arguments["variable"],
             "best_value": best,
-            "objective": config.get("optimize.objective", "key_rate"),
+            "objective": call.arguments["objective"],
             "objective_value": value,
         }
     )
@@ -158,14 +155,7 @@ def cmd_oracle_check(config: RunConfig) -> int:
     # imported here so that only this subcommand loads the oracle
     from .fock_oracle import compare_random_grid
 
-    points = config.get_int("oracle.points", 50)
-    seed = config.get_int("oracle.seed", 20240817)
-    try:
-        report = compare_random_grid(
-            points=points, seed=seed, rel_tol=config.get_float("oracle.rel_tol", 1e-5)
-        )
-    except ValueError as exc:  # an empty grid or an unusable seed
-        raise ConfigError(f"oracle.points={points}, oracle.seed={seed}: {exc}") from exc
+    report = compare_random_grid(**config.section("oracle"))
     status = "PASS" if report.passed else "FAIL"
     print(f"points: {report.points}  seed: {report.seed}  rel_tol: {report.rel_tol:g}")
     print(f"max deviation probability: {report.max_dev_probability:.3e}")

@@ -4,6 +4,16 @@ Format: UTF-8 text, one `key = value` per line, `#` starts a comment.
 Keys are whitelisted; anything unknown is rejected with its line number so
 fixture typos fail loudly instead of silently using defaults. `--set`
 overrides reuse the same validation with a synthetic source location.
+
+Each section configures one library call: `source`, `channel`, `sweep`,
+`max_distance`, `optimize` and `oracle` configure SqueezedSourceParams,
+ChannelParams, SweepSpec, max_secure_distance, optimize_scalar and
+compare_random_grid. `prefix.name` is keyword `name` of that call, an
+absent key takes that call's default, and the call checks the value. The
+exceptions: `source.r` or `source.variance` is resolved here into r and the
+channel's v_a; `source.k` and `channel.l_ac`, which the calls require,
+default to 0 here; `channel.eps_A`/`eps_B` are `eps_a`/`eps_b`; and
+`max-distance` takes its family list from `sweep.families`.
 """
 
 from __future__ import annotations
@@ -11,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import GEOMETRIES, ChannelParams
+from .channel import ChannelParams
 from .phase_space import SqueezedSourceParams
-from .sweep import DEFAULT_FAMILIES, SWEEP_VARIABLES, SweepSpec, resolve_family
+from .sweep import SweepSpec
 
 __all__ = [
     "ConfigError",
@@ -29,7 +39,7 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration; message carries file:line."""
 
 
-# key -> expected type tag, used both for validation and parsing
+# key -> type tag, used both for validation and conversion
 _KNOWN_KEYS: dict[str, str] = {
     "source.r": "float",
     "source.variance": "float",
@@ -61,62 +71,54 @@ _KNOWN_KEYS: dict[str, str] = {
     "oracle.rel_tol": "float",
 }
 
-_REQUIRED = (
-    "source.d",
-    "source.tau",
-    "channel.geometry",
-    "channel.eps_A",
-    "channel.eps_B",
-    "channel.beta",
-)
+# type tag -> conversion of a raw value
+_CONVERT = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "list": lambda raw: tuple(name.strip() for name in raw.split(",") if name.strip()),
+}
+
+_CHANNEL_RENAMES = {"eps_A": "eps_a", "eps_B": "eps_b"}
+
+
+def _section(
+    values: dict[str, str], prefix: str, required: tuple[str, ...] = ()
+) -> dict[str, object]:
+    head = prefix + "."
+    missing = [head + name for name in required if head + name not in values]
+    if missing:
+        raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    return {
+        key[len(head):]: _CONVERT[_KNOWN_KEYS[key]](raw)
+        for key, raw in values.items()
+        if key.startswith(head)
+    }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated physical parameters plus raw access to command sections."""
+    """Validated physical parameters plus typed access to command sections."""
 
     source: SqueezedSourceParams
     channel: ChannelParams
     values: dict[str, str]
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self.values.get(key)
-        return default if raw is None else float(raw)
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self.values.get(key)
-        return default if raw is None else int(raw)
-
-    def families(self) -> tuple[str, ...]:
-        """The `sweep.families` list (default: all five), each name validated."""
-        raw = self.values.get("sweep.families", ",".join(DEFAULT_FAMILIES))
-        names = tuple(name.strip() for name in raw.split(",") if name.strip())
-        if not names:
-            raise ConfigError("sweep.families must name at least one family")
-        for name in names:
-            try:
-                resolve_family(name, self.source)
-            except ValueError as exc:
-                raise ConfigError(f"sweep.families: {exc}") from None
-        return names
+    def section(self, prefix: str, required: tuple[str, ...] = ()) -> dict[str, object]:
+        """The `prefix.*` entries as keyword arguments, each converted by its
+        type tag; raises ConfigError when a `required` name is absent."""
+        return _section(self.values, prefix, required)
 
 
 def _check_entry(key: str, value: str, where: str) -> None:
     if key not in _KNOWN_KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     kind = _KNOWN_KEYS[key]
-    finite = True
     try:
-        if kind == "float":
-            finite = math.isfinite(float(value))
-        elif kind == "int":
-            int(value)
+        converted = _CONVERT[kind](value)
     except ValueError:
         raise ConfigError(f"{where}: expected {kind} for {key!r}, got {value!r}") from None
-    if not finite:
+    if kind == "float" and not math.isfinite(converted):
         raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
     if not value:
         raise ConfigError(f"{where}: empty value for {key!r}")
@@ -158,50 +160,30 @@ def apply_overrides(values: dict[str, str], overrides: list[str]) -> dict[str, s
 def _build_source_channel(
     values: dict[str, str],
 ) -> tuple[SqueezedSourceParams, ChannelParams]:
-    missing = [key for key in _REQUIRED if key not in values]
-    if missing:
-        raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    has_r = "source.r" in values
-    has_v = "source.variance" in values
-    if has_r == has_v:
+    source = _section(values, "source", required=("d", "tau"))
+    channel = _section(values, "channel", required=("geometry", "eps_A", "eps_B", "beta"))
+    has_r = "r" in source
+    if has_r == ("variance" in source):
         raise ConfigError("exactly one of source.r or source.variance is required")
     if has_r:
-        r = float(values["source.r"])
+        r = source.pop("r")
         try:
             v_a = math.cosh(2.0 * r)
         except OverflowError:
             raise ConfigError(f"source.r = {r:g} overflows V_A = cosh 2r") from None
     else:
-        v_a = float(values["source.variance"])
+        v_a = source.pop("variance")
         if v_a < 1.0:
             raise ConfigError(f"source.variance must be >= 1, got {v_a}")
         r = 0.5 * math.acosh(v_a)
-    geometry = values["channel.geometry"]
-    if geometry not in GEOMETRIES:
-        raise ConfigError(
-            f"channel.geometry must be one of {GEOMETRIES}, got {geometry!r}"
-        )
+    channel = {_CHANNEL_RENAMES.get(name, name): value for name, value in channel.items()}
     try:
-        source = SqueezedSourceParams(
-            r=r,
-            d=float(values["source.d"]),
-            tau=float(values["source.tau"]),
-            k=int(values.get("source.k", "0")),
-        )
-        channel = ChannelParams(
-            geometry=geometry,
-            l_ac=float(values.get("channel.l_ac", "0")),
-            v_a=v_a,
-            beta=float(values["channel.beta"]),
-            eps_a=float(values["channel.eps_A"]),
-            eps_b=float(values["channel.eps_B"]),
-            eta=float(values.get("channel.eta", "1")),
-            v_el=float(values.get("channel.v_el", "0")),
-            loss_db_per_km=float(values.get("channel.loss_db_per_km", "0.2")),
+        return (
+            SqueezedSourceParams(r=r, **{"k": 0, **source}),
+            ChannelParams(v_a=v_a, **{"l_ac": 0.0, **channel}),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return source, channel
 
 
 def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
@@ -213,26 +195,8 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
 
 
 def build_sweep_spec(config: RunConfig) -> SweepSpec:
-    values = config.values
-    if "sweep.variable" not in values:
-        raise ConfigError("missing required key: sweep.variable")
-    variable = values["sweep.variable"]
-    if variable not in SWEEP_VARIABLES:
-        raise ConfigError(
-            f"sweep.variable must be one of {SWEEP_VARIABLES}, got {variable!r}"
-        )
-    for key in ("sweep.lo", "sweep.hi", "sweep.points"):
-        if key not in values:
-            raise ConfigError(f"missing required key: {key}")
-    try:
-        return SweepSpec(
-            variable=variable,
-            lo=float(values["sweep.lo"]),
-            hi=float(values["sweep.hi"]),
-            points=int(values["sweep.points"]),
-            source=config.source,
-            channel=config.channel,
-            families=config.families(),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SweepSpec(
+        source=config.source,
+        channel=config.channel,
+        **config.section("sweep", required=("variable", "lo", "hi", "points")),
+    )

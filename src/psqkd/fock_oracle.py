@@ -258,13 +258,16 @@ def compare_random_grid(
     closed forms produce. Probabilities compare fully relatively; CM and
     means use a unit-floored denominator. Each point's state is built and
     projected once. Raises ValueError when points < 1, so that no report
-    passes over an empty grid.
+    passes over an empty grid, and when seed or rel_tol is negative.
     """
     from .moments import pstmsc_covariance, subtraction_probability
     from .phase_space import SqueezedSourceParams
 
-    if points < 1:
-        raise ValueError(f"need at least one grid point, got points={points}")
+    if points < 1 or seed < 0 or rel_tol < 0:
+        raise ValueError(
+            "need points >= 1, seed >= 0 and rel_tol >= 0, "
+            f"got points={points}, seed={seed}, rel_tol={rel_tol:g}"
+        )
     rng = np.random.default_rng(seed)
     worst_p = worst_cm = worst_mean = 0.0
     worst_params = (0.0, 0.0, 0.0, 0)

@@ -47,6 +47,13 @@ DEFAULT_SUBTRACTION_CAP = 16
 _SCALE_Y = 1e8
 _SCALE_K = 24
 
+# three moment terms carry 1/nu^2 and grow like y; where nu < _NU_MIN (nu^2
+# leaves the normal range) or y > _LIMIT_Y they are evaluated without 1/nu^2,
+# and for y > _LIMIT_Y (r -> 0 at fixed d > 0) at their y -> inf limits;
+# elsewhere the 1/nu^2 forms stay, as they give the golden outputs bit for bit
+_NU_MIN = 1e-150
+_LIMIT_Y = 1e200
+
 
 @dataclass(frozen=True)
 class TwoModeCM:
@@ -175,17 +182,37 @@ def _source_moments(
     big_d = 1.0 + (1.0 - tau) * nu * nu
     big_e = math.cosh(2.0 * params.r) - (1.0 - tau) * nu * nu
     er = math.exp(params.r)  # mu + nu
-    y = d * d * er * er / (4.0 * nu * nu * big_d)
-    r1, r2 = _laguerre_ratios(k, y)
-    cur = r2 - r1 * r1
+    g = d * er / (2.0 * nu)  # sqrt(y D), with no nu^2 to underflow
+    if nu >= _NU_MIN and g * g <= _LIMIT_Y * big_d:
+        y = d * d * er * er / (4.0 * nu * nu * big_d)
+        r1, r2 = _laguerre_ratios(k, y)
+        cur = r2 - r1 * r1
+        ax = d * d * mu * mu * er * er / (nu * nu * big_d * big_d) * cur
+        cx = d * d * mu * er * er * st / (nu * big_d * big_d) * cur
+        x1 = d * mu * er / (nu * big_d) * r1
+    else:
+        # the same three terms without 1/nu^2, as 4 mu^2 (y cur) / D,
+        # 4 mu nu st (y cur) / D and 2 mu (g R1) / D; past _LIMIT_Y, where
+        # R1 = k/y and y cur = -k/y to double precision, at their limits
+        y = g * g / big_d
+        if y > _LIMIT_Y:
+            r1 = cur = y_cur = 0.0
+            g_r1 = k * big_d / g
+        else:
+            r1, r2 = _laguerre_ratios(k, y)
+            cur = r2 - r1 * r1
+            y_cur, g_r1 = y * cur, g * r1
+        ax = 4.0 * mu * mu * y_cur / big_d
+        cx = 4.0 * mu * nu * st * y_cur / big_d
+        x1 = 2.0 * mu * g_r1 / big_d
 
     vap = (big_e + 2.0 * mu * mu * r1) / big_d
-    vax = vap + d * d * mu * mu * er * er / (nu * nu * big_d * big_d) * cur
+    vax = vap + ax
     vbp = (big_e + 2.0 * tau * nu * nu * r1) / big_d
     vbx = vbp + d * d * tau * er * er / (big_d * big_d) * cur
     vcp = -2.0 * mu * nu * st * (1.0 + r1) / big_d
-    vcx = -vcp + d * d * mu * er * er * st / (nu * big_d * big_d) * cur
-    mean_x1 = d * (mu + tau * nu) / big_d + d * mu * er / (nu * big_d) * r1
+    vcx = -vcp + cx
+    mean_x1 = d * (mu + tau * nu) / big_d + x1
     mean_x2 = d * st * er * (1.0 + r1) / big_d
     return p_ps, TwoModeCM(vax, vap, vbx, vbp, vcx, vcp, mean_x1, mean_x2)
 

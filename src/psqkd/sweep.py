@@ -14,8 +14,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .channel import ChannelParams, NoiseBreakdown, noise_breakdown
 from .errors import (
     NoSecureRegionError,
@@ -33,6 +31,7 @@ __all__ = [
     "FamilyResult",
     "SweepRow",
     "resolve_family",
+    "resolve_families",
     "run_sweep",
     "max_secure_distance",
     "optimize_scalar",
@@ -69,17 +68,19 @@ class SweepSpec:
             raise ValueError(f"points must be >= 0, got {self.points}")
         if self.points > 1 and not self.lo < self.hi:
             raise ValueError(f"need lo < hi for a multi-point grid, got [{self.lo}, {self.hi}]")
-        if not self.families:
-            raise ValueError("family list must not be empty")
-        for name in self.families:
-            resolve_family(name, self.source)
+        resolve_families(self.families, self.source)
 
-    def grid(self) -> np.ndarray:
-        if self.points == 0:
-            return np.array([])
-        if self.points == 1:
-            return np.array([self.lo])
-        return np.linspace(self.lo, self.hi, self.points)
+    def grid(self) -> list[float]:
+        return _grid(self.lo, self.hi, self.points)
+
+
+def _grid(lo: float, hi: float, points: int) -> list[float]:
+    """np.linspace(lo, hi, points) bit for bit, in plain floats: lo + i*step,
+    the last point hi."""
+    if points < 2:
+        return [float(lo)] * points
+    step = (hi - lo) / (points - 1)
+    return [lo + i * step for i in range(points - 1)] + [float(hi)]
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,18 @@ def resolve_family(name: str, source: SqueezedSourceParams) -> SqueezedSourcePar
         )
     d = 0.0 if m.group(2) == "v" else source.d
     return SqueezedSourceParams(source.r, d, source.tau, int(m.group(1)))
+
+
+def resolve_families(
+    names: tuple[str, ...], source: SqueezedSourceParams
+) -> list[SqueezedSourceParams]:
+    """`resolve_family` of each name; the list must be non-empty and name
+    each family once."""
+    if not names:
+        raise ValueError("family list must not be empty")
+    if len(set(names)) < len(names):
+        raise ValueError(f"family list names a family twice: {', '.join(names)}")
+    return [resolve_family(name, source) for name in names]
 
 
 def _apply_value(
@@ -193,7 +206,7 @@ def _cell(
         return FamilyResult(None, str(exc))
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the grid in order.
 
     The swept value is applied and the channel reduction (`noise_breakdown`)
@@ -201,13 +214,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     distinct family source in the sweep, so an L_AC or eta sweep computes it
     once per family; and the channel stage once per cell. Each cell reports
     the first error of its own pipeline: the swept value's, then its
-    source's, then the channel's. `threads` is accepted and ignored: the
-    pipeline holds the GIL, so a thread pool only added CPU time.
+    source's, then the channel's.
     """
     stages: dict[SqueezedSourceParams, _Stage] = {}
-    # plain floats: numpy scalars would turn an overflow in the math code into
-    # a RuntimeWarning and an inf instead of an OverflowError
-    return [_evaluate_point(spec, v, stages) for v in spec.grid().tolist()]
+    return [_evaluate_point(spec, v, stages) for v in spec.grid()]
 
 
 def _rate_at_distance(
@@ -299,9 +309,7 @@ def optimize_scalar(
         except (PsqkdError, ValueError):
             return float("-inf")
 
-    # plain floats: an overflow in the math code of moments is then an inf,
-    # not a numpy RuntimeWarning on stderr
-    grid = np.linspace(lo, hi, _GRID_POINTS).tolist()
+    grid = _grid(lo, hi, _GRID_POINTS)
     scores = [score(v) for v in grid]
     # first maximum; a NaN score compares false and never wins
     best_i, best_s = 0, float("-inf")

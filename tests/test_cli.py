@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 from psqkd import cli
 from psqkd.cli import CSV_HEADER, main, render_csv
+from psqkd.channel import ChannelParams
 from psqkd.config import (
+    _CHANNEL_RENAMES,
     _KNOWN_KEYS,
     ConfigError,
     apply_overrides,
@@ -25,8 +28,10 @@ from psqkd.config import (
     load_run_config,
     parse_config_file,
 )
+from psqkd.fock_oracle import compare_random_grid
 from psqkd.keyrate import secret_key_rate
-from psqkd.sweep import SweepSpec, run_sweep
+from psqkd.phase_space import SqueezedSourceParams
+from psqkd.sweep import SweepSpec, max_secure_distance, optimize_scalar, run_sweep
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -146,6 +151,27 @@ class TestConfigParsing:
         assert spec.families == ("tmsv", "1-pstmsc")
 
 
+# the library call each config section configures
+SECTION_CALLS = {
+    "source": SqueezedSourceParams,
+    "channel": ChannelParams,
+    "sweep": SweepSpec,
+    "max_distance": max_secure_distance,
+    "optimize": optimize_scalar,
+    "oracle": compare_random_grid,
+}
+
+
+def test_every_config_key_is_a_keyword_of_its_library_call():
+    for key in _KNOWN_KEYS:
+        if key == "source.variance":  # resolved here into r and the channel's v_a
+            continue
+        prefix, name = key.split(".")
+        if prefix == "channel":
+            name = _CHANNEL_RENAMES.get(name, name)
+        assert name in inspect.signature(SECTION_CALLS[prefix]).parameters, key
+
+
 class TestRenderCsv:
     def make_rows(self, base_cfg, points=3, families=("tmsv", "1-pstmsc")):
         config = load_run_config(
@@ -239,13 +265,17 @@ class TestMainExitCodes:
                 "--config",
                 base_cfg,
                 "--set",
-                "sweep.families=tmsv",
+                "sweep.families=tmsv,1-pstmsc",
                 "--set",
                 "max_distance.k_target=10",
             ]
         )
         assert code == 2
-        assert json.loads(capsys.readouterr().out)["tmsv"] is None
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"tmsv": None, "1-pstmsc": None}
+        assert captured.err == (
+            "error: tmsv: target unreachable\nerror: 1-pstmsc: target unreachable\n"
+        )
 
     def test_optimize_json(self, base_cfg, capsys):
         code = main(
@@ -292,7 +322,8 @@ class TestMainExitCodes:
         assert "oracle check: PASS" in out
 
     @pytest.mark.parametrize(
-        "setting", ["oracle.points=0", "oracle.points=-3", "oracle.seed=-1"]
+        "setting",
+        ["oracle.points=0", "oracle.points=-3", "oracle.seed=-1", "oracle.rel_tol=-1"],
     )
     def test_oracle_check_bad_grid_is_usage_error(self, base_cfg, setting, capsys):
         assert main(["oracle-check", "--config", base_cfg, "--set", setting]) == 1
@@ -312,6 +343,7 @@ class TestMainExitCodes:
              "--set", "optimize.lo=0.5", "--set", "optimize.hi=1"],
             ["optimize", "--set", "optimize.variable=d", "--set", "optimize.lo=0",
              "--set", "optimize.hi=3", "--set", "optimize.family=foo"],
+            ["max-distance", "--set", "sweep.families=tmsv,tmsv"],
         ],
     )
     def test_caller_error_is_one_error_line(self, base_cfg, argv, capsys):

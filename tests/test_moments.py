@@ -21,6 +21,7 @@ from psqkd.fock_oracle import (
     oracle_covariance,
     suggested_truncation,
 )
+import psqkd.moments as moments
 from psqkd.keyrate import symplectic_eigenvalues
 from psqkd.moments import (
     DEFAULT_SUBTRACTION_CAP,
@@ -28,6 +29,7 @@ from psqkd.moments import (
     _laguerre_ratios,
     low_order_moment,
     pstmsc_covariance,
+    source_stage,
     subtraction_probability,
 )
 from psqkd.phase_space import SqueezedSourceParams
@@ -227,6 +229,37 @@ class TestCovariance:
             assert getattr(closed, field) == pytest.approx(
                 getattr(oracle, field), abs=1e-8
             )
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_vanishing_squeezing_tends_to_the_coherent_product(self, k):
+        # 1/nu^2 underflows below r ~ 1e-162 and y overflows below ~1e-154
+        limit = source_stage(params(r=0.0, d=2.0, tau=0.9, k=k))
+        ref = (limit[0], *(getattr(limit[1], f) for f in CM_FIELDS))
+        for j in range(301):
+            p_ps, cm = source_stage(params(r=10.0**-j, d=2.0, tau=0.9, k=k))
+            got = (p_ps, *(getattr(cm, f) for f in CM_FIELDS))
+            assert all(map(math.isfinite, got)), j
+            if j >= 14:  # the moments leave the limit at O(r)
+                for value, expect in zip(got, ref):
+                    assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect)), j
+
+    def test_forms_without_inverse_nu_squared_agree(self, monkeypatch):
+        grid = [
+            params(r=r, d=d, tau=tau, k=k)
+            for r in (0.05, 0.5, 1.5)
+            for d in (0.0, 0.3, 2.0)
+            for tau in (0.3, 0.9)
+            for k in (0, 1, 2, 3)
+        ]
+        expect = [pstmsc_covariance(p) for p in grid]
+        monkeypatch.setattr(moments, "_NU_MIN", math.inf)
+        for p, want in zip(grid, expect):
+            got = pstmsc_covariance(p)
+            for field in CM_FIELDS:
+                ref = getattr(want, field)
+                assert abs(getattr(got, field) - ref) <= 1e-12 * max(1.0, abs(ref)), (
+                    p, field
+                )
 
     def test_zero_probability_event_raises(self):
         with pytest.raises(ZeroProbabilityError):

@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import psqkd.sweep as sweep
 from psqkd.channel import ChannelParams
+from psqkd.config import build_sweep_spec, load_run_config
 from psqkd.errors import NoSecureRegionError, PsqkdError, TargetUnreachableError
 from psqkd.keyrate import secret_key_rate
 from psqkd.phase_space import SqueezedSourceParams
@@ -22,6 +24,7 @@ from psqkd.sweep import (
 )
 
 R50 = 0.5 * math.acosh(50.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_source(**kw) -> SqueezedSourceParams:
@@ -81,11 +84,18 @@ class TestSweepSpecValidation:
 
     def test_zero_points_is_empty(self):
         spec = SweepSpec("L_AC", 0, 1, 0, base_source(), base_channel())
-        assert spec.grid().size == 0
+        assert spec.grid() == []
 
     def test_empty_families(self):
         with pytest.raises(ValueError, match="family list"):
             SweepSpec("L_AC", 0, 1, 2, base_source(), base_channel(), families=())
+
+    def test_duplicate_family_rejected(self):
+        with pytest.raises(ValueError, match="names a family twice"):
+            SweepSpec(
+                "L_AC", 0, 1, 2, base_source(), base_channel(),
+                families=("tmsv", "1-pstmsc", "tmsv"),
+            )
 
     def test_bad_family_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -104,6 +114,23 @@ class TestSweepSpecValidation:
         }
 
 
+class TestGrid:
+    def test_fixture_grids_match_linspace(self):
+        for path in sorted(CONFIGS.glob("fig*.cfg")):
+            spec = build_sweep_spec(load_run_config(str(path)))
+            expect = np.linspace(spec.lo, spec.hi, spec.points).tolist()
+            assert spec.grid() == expect, path.name
+
+    def test_random_grids_match_linspace(self):
+        rng = np.random.default_rng(20240817)
+        for _ in range(2000):
+            lo = float(rng.uniform(-1e3, 1e3)) * 10.0 ** int(rng.integers(-8, 8))
+            hi = lo + float(rng.exponential(10.0)) * 10.0 ** int(rng.integers(-8, 8))
+            points = int(rng.integers(0, 300))
+            expect = np.linspace(lo, hi, points).tolist()
+            assert sweep._grid(lo, hi, points) == expect, (lo, hi, points)
+
+
 class TestRunSweep:
     def test_single_point_matches_direct_evaluation(self):
         spec = SweepSpec(
@@ -119,8 +146,8 @@ class TestRunSweep:
 
     def test_thread_count_does_not_change_results(self):
         spec = SweepSpec("L_AC", 0.0, 40.0, 9, base_source(), base_channel())
-        seq = run_sweep(spec, threads=1)
-        par = run_sweep(spec, threads=8)
+        seq = run_sweep(spec)
+        par = run_sweep(spec)
         assert len(seq) == len(par) == 9
         for a, b in zip(seq, par):
             assert a.swept_value == b.swept_value
