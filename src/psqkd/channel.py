@@ -65,19 +65,20 @@ class ChannelParams:
             raise ValueError(
                 f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}"
             )
-        if self.l_ac < 0:
+        # each check is written so that NaN fails it
+        if not self.l_ac >= 0:
             raise ValueError(f"l_ac must be >= 0 km, got {self.l_ac}")
-        if self.v_a <= 1.0:
+        if not self.v_a > 1.0:
             raise ValueError(f"v_a must exceed 1 SNU, got {self.v_a}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.eps_a < 0 or self.eps_b < 0:
+        if not (self.eps_a >= 0 and self.eps_b >= 0):
             raise ValueError("excess noises must be >= 0")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.v_el < 0:
+        if not self.v_el >= 0:
             raise ValueError(f"v_el must be >= 0, got {self.v_el}")
-        if self.loss_db_per_km < 0:
+        if not self.loss_db_per_km >= 0:
             raise ValueError("loss must be >= 0 dB/km")
 
     @property
@@ -108,9 +109,9 @@ def transmittance(length_km: float, loss_db_per_km: float = 0.2) -> float:
     >>> transmittance(50.0, 0.2)
     0.1
     """
-    if length_km < 0:
+    if not length_km >= 0:
         raise ValueError(f"length must be >= 0 km, got {length_km}")
-    if loss_db_per_km < 0:
+    if not loss_db_per_km >= 0:
         raise ValueError("loss must be >= 0 dB/km")
     return 10.0 ** (-loss_db_per_km * length_km / 10.0)
 
@@ -121,7 +122,7 @@ def gain(v_a: float, t_b: float) -> float:
     >>> gain(1.0, 1.0)
     0.0
     """
-    if v_a < 1.0:
+    if not v_a >= 1.0:
         raise ValueError(f"v_a must be >= 1 SNU, got {v_a}")
     if not 0.0 < t_b <= 1.0:
         raise ValueError(f"t_b must lie in (0, 1], got {t_b}")
@@ -145,11 +146,14 @@ def thermal_excess(params: ChannelParams) -> float:
     (relay-quadrature variance S plus the displacement cross term); it
     reduces to the closed form exactly at the minimizer.
     """
-    t_a, t_b = link_transmittances(params)
+    return _thermal_excess(params, *link_transmittances(params))
+
+
+def _thermal_excess(params: ChannelParams, t_a: float, t_b: float) -> float:
     if params.gain_override is None:
         return (t_b / t_a) * (params.eps_b - 2.0) + params.eps_a + 2.0 / t_a
     g = params.gain_override
-    if g <= 0:
+    if not g > 0:
         raise ValueError("gain override must be positive")
     v = params.v_a
     s = 0.5 * (
@@ -178,7 +182,7 @@ def noise_breakdown(params: ChannelParams) -> NoiseBreakdown:
     t = t_a * g * g / 2.0
     if t <= 0.0:
         raise ValueError("effective transmittance T must be positive; raise v_a")
-    eps_th = thermal_excess(params)
+    eps_th = _thermal_excess(params, t_a, t_b)
     chi_line = (1.0 - t) / t + eps_th
     chi_homo = (params.v_el + 1.0 - params.eta) / params.eta
     chi_tot = chi_line + 2.0 * chi_homo / t_a

@@ -11,14 +11,17 @@ comparison. Exit codes: 0 success, 1 usage/config error, 2 domain error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import json
+import math
+import operator
 import sys
 
 from .config import RunConfig, build_sweep_spec, load_run_config
 from .errors import PsqkdError
-from .keyrate import KeyRateResult, secret_key_rate
+from .keyrate import secret_key_rate
 from .sweep import (
     DEFAULT_FAMILIES,
     SweepRow,
@@ -30,89 +33,56 @@ from .sweep import (
 
 __all__ = ["main"]
 
-CSV_HEADER = "swept_value,family,p_ps,i_ab,chi_be,key_rate,lambda1,lambda2,lambda3"
+# the KeyRateResult fields of each CSV row, after the swept value and family
+_CSV_FIELDS = ("p_ps", "i_ab", "chi_be", "key_rate", "lambda1", "lambda2", "lambda3")
+CSV_HEADER = ",".join(("swept_value", "family") + _CSV_FIELDS)
+_CSV_ROW = "%.12g,%s" + ",%.12g" * len(_CSV_FIELDS)
+_FAILED_FIELDS = (math.nan,) * len(_CSV_FIELDS)  # a failed cell prints "nan"
+_csv_fields = operator.attrgetter(*_CSV_FIELDS)
 
 _USAGE_EXIT = 1
 _DOMAIN_EXIT = 2
-
-
-def _fmt(value: float) -> str:
-    return "%.12g" % value
-
-
-def _result_payload(result: KeyRateResult) -> dict:
-    noise = result.noise
-    return {
-        "p_ps": result.p_ps,
-        "i_ab": result.i_ab,
-        "chi_be": result.chi_be,
-        "key_rate": result.key_rate,
-        "lambda1": result.lambda1,
-        "lambda2": result.lambda2,
-        "lambda3": result.lambda3,
-        "noise": {
-            "t_a": noise.t_a,
-            "t_b": noise.t_b,
-            "g": noise.g,
-            "t": noise.t,
-            "eps_th": noise.eps_th,
-            "chi_line": noise.chi_line,
-            "chi_homo": noise.chi_homo,
-            "chi_tot": noise.chi_tot,
-        },
-    }
 
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
-def cmd_keyrate(config: RunConfig) -> int:
+def cmd_keyrate(config: RunConfig, args: argparse.Namespace) -> int:
     result = secret_key_rate(config.source, config.channel)
-    _print_json(_result_payload(result))
+    _print_json(dataclasses.asdict(result))
     return 0
 
 
 def render_csv(rows: list[SweepRow]) -> str:
     """Deterministic CSV: 12 significant digits, sorted by (value, family)."""
+    cells = sorted(
+        (
+            (row.swept_value, family, cell.result)
+            for row in rows
+            for family, cell in row.results.items()
+        ),
+        key=lambda item: item[:2],
+    )
     lines = [CSV_HEADER]
-    flat = []
-    for row in rows:
-        for family, cell in row.results.items():
-            flat.append((row.swept_value, family, cell))
-    flat.sort(key=lambda item: (item[0], item[1]))
-    for value, family, cell in flat:
-        if cell.result is None:
-            fields = ["nan"] * 7
-        else:
-            res = cell.result
-            fields = [
-                _fmt(res.p_ps),
-                _fmt(res.i_ab),
-                _fmt(res.chi_be),
-                _fmt(res.key_rate),
-                _fmt(res.lambda1),
-                _fmt(res.lambda2),
-                _fmt(res.lambda3),
-            ]
-        lines.append(",".join([_fmt(value), family] + fields))
+    for value, family, result in cells:
+        fields = _FAILED_FIELDS if result is None else _csv_fields(result)
+        lines.append(_CSV_ROW % (value, family, *fields))
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(config: RunConfig, out_path: str) -> int:
-    spec = build_sweep_spec(config)
-    rows = run_sweep(spec)
-    text = render_csv(rows)
+def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
+    text = render_csv(run_sweep(build_sweep_spec(config)))
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     return 0
 
 
-def cmd_max_distance(config: RunConfig) -> int:
+def cmd_max_distance(config: RunConfig, args: argparse.Namespace) -> int:
     families = config.section("sweep").get("families", DEFAULT_FAMILIES)
     sources = resolve_families(families, config.source)
     search = config.section("max_distance")
@@ -132,7 +102,7 @@ def cmd_max_distance(config: RunConfig) -> int:
     return _DOMAIN_EXIT if failures else 0
 
 
-def cmd_optimize(config: RunConfig) -> int:
+def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
     call = inspect.signature(optimize_scalar).bind(
         config.source,
         config.channel,
@@ -151,7 +121,7 @@ def cmd_optimize(config: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle_check(config: RunConfig) -> int:
+def cmd_oracle_check(config: RunConfig, args: argparse.Namespace) -> int:
     # imported here so that only this subcommand loads the oracle
     from .fock_oracle import compare_random_grid
 
@@ -165,6 +135,16 @@ def cmd_oracle_check(config: RunConfig) -> int:
     return 0 if report.passed else _DOMAIN_EXIT
 
 
+# each handler takes the loaded config and the parsed arguments
+_COMMANDS = {
+    "keyrate": cmd_keyrate,
+    "sweep": cmd_sweep,
+    "max-distance": cmd_max_distance,
+    "optimize": cmd_optimize,
+    "oracle-check": cmd_oracle_check,
+}
+
+
 # parsing leaves the parser unchanged, so one parser per process serves every call
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Key-rate calculator for photon-subtracted squeezed-state QKD.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("keyrate", "sweep", "max-distance", "optimize", "oracle-check"):
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="dotted-key config file")
         cmd.add_argument(
@@ -194,15 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_run_config(args.config, args.set)
-        if args.command == "keyrate":
-            return cmd_keyrate(config)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.out)
-        if args.command == "max-distance":
-            return cmd_max_distance(config)
-        if args.command == "optimize":
-            return cmd_optimize(config)
-        return cmd_oracle_check(config)
+        return _COMMANDS[args.command](config, args)
     except ValueError as exc:  # caller mistakes, ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

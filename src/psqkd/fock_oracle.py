@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TruncationError, ZeroProbabilityError
-from .moments import TwoModeCM
+from .moments import TwoModeCM, source_stage
+from .phase_space import SqueezedSourceParams
 
 __all__ = [
     "FockTwoModeState",
@@ -44,6 +46,11 @@ __all__ = [
 
 _LEAK_LEVELS = 5
 _LEAK_TOL = 1e-8
+
+# the compared TwoModeCM fields: six covariance entries, then the two means
+_compared = operator.attrgetter(
+    "vax", "vap", "vbx", "vbp", "vcx", "vcp", "mean_x1", "mean_x2"
+)
 
 
 @dataclass
@@ -258,12 +265,10 @@ def compare_random_grid(
     closed forms produce. Probabilities compare fully relatively; CM and
     means use a unit-floored denominator. Each point's state is built and
     projected once. Raises ValueError when points < 1, so that no report
-    passes over an empty grid, and when seed or rel_tol is negative.
+    passes over an empty grid, when seed is negative, and when rel_tol is
+    negative or NaN.
     """
-    from .moments import pstmsc_covariance, subtraction_probability
-    from .phase_space import SqueezedSourceParams
-
-    if points < 1 or seed < 0 or rel_tol < 0:
+    if points < 1 or seed < 0 or not rel_tol >= 0:
         raise ValueError(
             "need points >= 1, seed >= 0 and rel_tol >= 0, "
             f"got points={points}, seed={seed}, rel_tol={rel_tol:g}"
@@ -276,27 +281,13 @@ def compare_random_grid(
         d = rng.uniform(0.0, 2.0)
         tau = rng.uniform(0.3, 0.95)
         k = int(rng.integers(0, 3))
-        params = SqueezedSourceParams(r=r, d=d, tau=tau, k=k)
         n_max = suggested_truncation(r, d)
 
         state, prob = apply_bs_and_project(build_tmsc_fock(r, d, n_max), tau, k)
-        closed_p = subtraction_probability(params)
+        closed_p, closed = source_stage(SqueezedSourceParams(r=r, d=d, tau=tau, k=k))
         dev_p = abs(closed_p - prob) / abs(prob)
-
-        oracle = state_covariance(state)
-        closed = pstmsc_covariance(params)
-        dev_cm = max(
-            _rel_dev(closed.vax, oracle.vax),
-            _rel_dev(closed.vap, oracle.vap),
-            _rel_dev(closed.vbx, oracle.vbx),
-            _rel_dev(closed.vbp, oracle.vbp),
-            _rel_dev(closed.vcx, oracle.vcx),
-            _rel_dev(closed.vcp, oracle.vcp),
-        )
-        dev_mean = max(
-            _rel_dev(closed.mean_x1, oracle.mean_x1),
-            _rel_dev(closed.mean_x2, oracle.mean_x2),
-        )
+        devs = list(map(_rel_dev, _compared(closed), _compared(state_covariance(state))))
+        dev_cm, dev_mean = max(devs[:6]), max(devs[6:])
         if max(dev_p, dev_cm, dev_mean) > max(worst_p, worst_cm, worst_mean):
             worst_params = (r, d, tau, k)
         worst_p = max(worst_p, dev_p)

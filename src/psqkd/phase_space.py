@@ -50,13 +50,13 @@ class SqueezedSourceParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.r < 0:
+        if not self.r >= 0:  # written so that NaN fails it
             raise ValueError(f"squeezing r must be >= 0, got {self.r}")
-        if self.d < 0:
+        if not self.d >= 0:
             raise ValueError(f"displacement d must be >= 0, got {self.d}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        if self.k < 0 or self.k != int(self.k):
+        if not (self.k >= 0 and float(self.k).is_integer()):
             raise ValueError(f"k must be a non-negative integer, got {self.k}")
 
     @property

@@ -227,6 +227,11 @@ def _rate_at_distance(
     return _channel_stage(*stage, noise_breakdown(ch), ch.beta).key_rate
 
 
+def _check_k_target(k_target: float) -> None:
+    if math.isnan(k_target):
+        raise ValueError("k_target must be a number, got nan")
+
+
 def max_secure_distance(
     source: SqueezedSourceParams,
     channel: ChannelParams,
@@ -239,8 +244,10 @@ def max_secure_distance(
     pre-scan stops at the first integer km where K < k_target, and
     bisection then refines that first downward crossing; a secure region
     beyond it is not searched. The returned endpoint is certified:
-    K(result) >= k_target.
+    K(result) >= k_target. Raises ValueError for a NaN k_target, which no
+    rate can meet.
     """
+    _check_k_target(k_target)
     stage = source_stage(source)
     if _rate_at_distance(stage, channel, 0.0) <= k_target:
         raise TargetUnreachableError("target unreachable")
@@ -297,6 +304,7 @@ def optimize_scalar(
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if family is not None:
         resolve_family(family, source)  # an unknown name must not score -inf
+    _check_k_target(k_target)  # nor may a NaN target
 
     def score(value: float) -> float:
         try:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import psqkd.channel as channel_module
 from psqkd.channel import (
     ChannelParams,
     NoiseBreakdown,
@@ -14,6 +15,7 @@ from psqkd.channel import (
     thermal_excess,
     transmittance,
 )
+from psqkd.phase_space import SqueezedSourceParams
 
 
 def channel(geometry="asymmetric", l_ac=20.0, v_a=50.0, beta=0.96, **kw):
@@ -34,6 +36,12 @@ class TestTransmittance:
         with pytest.raises(ValueError):
             transmittance(-1.0, 0.2)
 
+    def test_nan_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            transmittance(math.nan)
+        with pytest.raises(ValueError):
+            transmittance(1.0, math.nan)
+
 
 class TestGain:
     def test_no_squeezing_gives_zero(self):
@@ -52,6 +60,8 @@ class TestGain:
             gain(0.5, 1.0)
         with pytest.raises(ValueError):
             gain(50.0, 0.0)
+        with pytest.raises(ValueError):
+            gain(math.nan, 1.0)
 
 
 class TestGeometry:
@@ -195,11 +205,51 @@ class TestNoiseBreakdown:
         )
         with pytest.raises(ValueError, match="gain override"):
             noise_breakdown(negative_gain)
+        nan_gain = ChannelParams(
+            geometry="symmetric", l_ac=5.0, v_a=50.0, beta=0.96, gain_override=math.nan
+        )
+        with pytest.raises(ValueError, match="gain override"):
+            noise_breakdown(nan_gain)
         zero_gain = ChannelParams(
             geometry="symmetric", l_ac=5.0, v_a=50.0, beta=0.96, gain_override=0.0
         )
         with pytest.raises(ValueError, match="transmittance"):
             noise_breakdown(zero_gain)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(SqueezedSourceParams, f) for f in ("r", "d", "tau", "k")]
+        + [
+            (ChannelParams, f)
+            for f in ("l_ac", "v_a", "beta", "eps_a", "eps_b", "eta", "v_el", "loss_db_per_km")
+        ],
+    )
+    def test_nan_in_any_parameter_field_is_rejected(self, record, field):
+        valid = {
+            SqueezedSourceParams: dict(r=0.5, d=1.0, tau=0.9, k=1),
+            ChannelParams: dict(geometry="symmetric", l_ac=5.0, v_a=50.0, beta=0.96),
+        }[record]
+        with pytest.raises(ValueError, match="must"):
+            record(**{**valid, field: math.nan})
+
+    def test_transmittances_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transmittance(*args)
+
+        monkeypatch.setattr(channel_module, "transmittance", counted)
+        noise_breakdown(channel(geometry="symmetric", l_ac=12.0))
+        assert len(calls) == 2  # one per link
+
+    @pytest.mark.parametrize("gain_override", [None, 1.3])
+    def test_breakdown_thermal_excess_is_thermal_excess(self, gain_override):
+        ch = channel(
+            geometry="symmetric", l_ac=17.3, eps_a=0.01, eps_b=0.003,
+            gain_override=gain_override,
+        )
+        assert noise_breakdown(ch).eps_th == thermal_excess(ch)  # bit for bit
 
     def test_breakdown_is_plain_data(self):
         nb = noise_breakdown(channel())

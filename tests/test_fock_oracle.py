@@ -327,6 +327,11 @@ class TestRandomGridComparison:
         with pytest.raises(ValueError):
             compare_random_grid(points=points)
 
+    @pytest.mark.parametrize("rel_tol", [-1.0, math.nan])
+    def test_tolerance_no_deviation_can_meet_is_rejected(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            compare_random_grid(points=1, rel_tol=rel_tol)
+
     def test_each_point_built_and_projected_once(self, monkeypatch):
         calls = {"build_tmsc_fock": 0, "apply_bs_and_project": 0}
 

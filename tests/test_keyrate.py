@@ -1,13 +1,16 @@
 """Effective covariance, information quantities, and the key-rate pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import psqkd.moments as moments
 from psqkd.channel import ChannelParams, NoiseBreakdown, noise_breakdown
 from psqkd.errors import NonFiniteError, UnphysicalStateError, ZeroProbabilityError
 from psqkd.keyrate import (
+    _channel_stage,
     conditional_cm_after_heterodyne,
     effective_cm,
     entropy_G,
@@ -16,7 +19,7 @@ from psqkd.keyrate import (
     secret_key_rate,
     symplectic_eigenvalues,
 )
-from psqkd.moments import TwoModeCM, pstmsc_covariance
+from psqkd.moments import TwoModeCM, pstmsc_covariance, source_stage
 from psqkd.phase_space import SqueezedSourceParams
 
 OMEGA = np.array(
@@ -321,3 +324,30 @@ class TestSecretKeyRate:
             for v in (8.0, 50.0, 200.0)
         ]
         assert 0.0 < rates[0] < rates[1] < rates[2]
+
+
+class TestStageGuards:
+    """The finiteness guards list their fields by hand; each field must be in."""
+
+    SOURCE = SqueezedSourceParams(r=0.5 * math.acosh(50.0), d=2.0, tau=0.9, k=1)
+
+    @pytest.mark.parametrize(
+        "field", ["p_ps"] + [f.name for f in dataclasses.fields(TwoModeCM)]
+    )
+    def test_source_stage_rejects_inf_in_any_field(self, monkeypatch, field):
+        p_ps, cm = source_stage(self.SOURCE)
+        if field == "p_ps":
+            p_ps = math.inf
+        else:
+            cm = dataclasses.replace(cm, **{field: math.inf})
+        monkeypatch.setattr(moments, "_source_moments", lambda params, max_k: (p_ps, cm))
+        with pytest.raises(NonFiniteError, match="source stage"):
+            source_stage(self.SOURCE)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NoiseBreakdown)])
+    def test_channel_stage_rejects_inf_in_any_noise_field(self, field):
+        noise = dataclasses.replace(
+            noise_breakdown(reference_channel()), **{field: math.inf}
+        )
+        with pytest.raises(NonFiniteError, match="channel stage"):
+            _channel_stage(*source_stage(self.SOURCE), noise, 0.96)

@@ -314,6 +314,11 @@ class TestMaxSecureDistance:
                 resolve_family("tmsv", base_source()), base_channel(), k_target=10.0
             )
 
+    def test_nan_target_is_a_caller_error(self):
+        # no rate compares >= NaN, so a search would certify nothing
+        with pytest.raises(ValueError, match="k_target"):
+            max_secure_distance(base_source(), base_channel(), k_target=math.nan)
+
     def test_detector_efficiency_monotonicity(self):
         source = resolve_family("tmsv", base_source())
         dists = [
@@ -397,6 +402,15 @@ class TestOptimizeScalar:
             )
         with pytest.raises(ValueError, match="lo < hi"):
             optimize_scalar(base_source(), base_channel(), "d", 1.0, 0.0)
+
+    def test_nan_target_is_rejected_up_front(self, monkeypatch):
+        searches = _counting(monkeypatch, "max_secure_distance")
+        with pytest.raises(ValueError, match="k_target"):
+            optimize_scalar(
+                base_source(), base_channel(), "d", 0.0, 3.0,
+                objective="max_distance", k_target=math.nan,
+            )
+        assert searches == []
 
     def test_score_improves_on_grid_winner(self):
         # golden refinement should do at least as well as the coarse grid
