@@ -65,26 +65,26 @@ class ChannelParams:
             raise ValueError(
                 f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}"
             )
-        # each check is written so that NaN fails it
-        if not self.l_ac >= 0:
-            raise ValueError(f"l_ac must be >= 0 km, got {self.l_ac}")
-        if not self.v_a > 1.0:
-            raise ValueError(f"v_a must exceed 1 SNU, got {self.v_a}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if not (self.eps_a >= 0 and self.eps_b >= 0):
-            raise ValueError("excess noises must be >= 0")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not self.v_el >= 0:
-            raise ValueError(f"v_el must be >= 0, got {self.v_el}")
-        if not self.loss_db_per_km >= 0:
-            raise ValueError("loss must be >= 0 dB/km")
+        # each check is written so that NaN and inf fail it
+        for name in ("l_ac", "eps_a", "eps_b", "v_el", "loss_db_per_km"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 1.0 < self.v_a < math.inf:
+            raise ValueError(f"v_a must be finite and exceed 1 SNU, got {self.v_a}")
+        for name in ("beta", "eta"):
+            value = getattr(self, name)
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
     @property
     def l_bc(self) -> float:
         """Bob-relay fiber length implied by the geometry."""
-        return self.l_ac if self.geometry == "symmetric" else 0.0
+        return _bob_length(self.geometry, self.l_ac)
+
+
+def _bob_length(geometry: str, l_ac: float) -> float:
+    return l_ac if geometry == "symmetric" else 0.0
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ def _thermal_excess(params: ChannelParams, t_a: float, t_b: float) -> float:
     if params.gain_override is None:
         return (t_b / t_a) * (params.eps_b - 2.0) + params.eps_a + 2.0 / t_a
     g = params.gain_override
-    if not g > 0:
-        raise ValueError("gain override must be positive")
+    if not 0 < g < math.inf:
+        raise ValueError("gain override must be finite and positive")
     v = params.v_a
     s = 0.5 * (
         t_b * (v + params.eps_b) + 1.0 - t_b + t_a * (v + params.eps_a) + 1.0 - t_a
@@ -169,12 +169,19 @@ def _thermal_excess(params: ChannelParams, t_a: float, t_b: float) -> float:
 
 
 def noise_breakdown(params: ChannelParams) -> NoiseBreakdown:
-    """All derived channel quantities for one configuration."""
-    t_a, t_b = link_transmittances(params)
+    """All derived channel quantities for one configuration, one
+    `transmittance` call per link. Search probes run this body at their L_AC."""
+    return _breakdown_at(params, params.l_ac)
+
+
+def _breakdown_at(params: ChannelParams, l_ac: float) -> NoiseBreakdown:
+    loss = params.loss_db_per_km
+    t_a = transmittance(l_ac, loss)
+    t_b = transmittance(_bob_length(params.geometry, l_ac), loss)
     if t_a == 0.0:
         raise ValueError(
-            f"fiber transmittance underflows to 0 over L_AC = {params.l_ac:g} km "
-            f"at {params.loss_db_per_km:g} dB/km"
+            f"fiber transmittance underflows to 0 over L_AC = {l_ac:g} km "
+            f"at {loss:g} dB/km"
         )
     g = params.gain_override if params.gain_override is not None else gain(
         params.v_a, t_b

@@ -13,6 +13,7 @@ scalar divisions, never a general Schur complement.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .channel import ChannelParams, NoiseBreakdown, noise_breakdown
@@ -49,6 +50,15 @@ class KeyRateResult:
     noise: NoiseBreakdown
 
 
+_variances = operator.attrgetter("vax", "vap", "vbx", "vbp", "vcx", "vcp")
+
+
+def _effective(cm: TwoModeCM, noise: NoiseBreakdown) -> tuple[float, ...]:
+    t, chi = noise.t, noise.chi_tot
+    st = math.sqrt(t)
+    return cm.vax, cm.vap, t * (cm.vbx + chi), t * (cm.vbp + chi), st * cm.vcx, st * cm.vcp
+
+
 def effective_cm(source_cm: TwoModeCM, noise: NoiseBreakdown) -> TwoModeCM:
     """Alice-Bob covariance after the equivalent one-way channel.
 
@@ -56,18 +66,21 @@ def effective_cm(source_cm: TwoModeCM, noise: NoiseBreakdown) -> TwoModeCM:
     block becomes T * (V_B + chi_tot). Means ride along for completeness
     (Bob's scaled by sqrt(T)); nothing downstream consumes them.
     """
-    t, chi = noise.t, noise.chi_tot
-    st = math.sqrt(t)
     return TwoModeCM(
-        vax=source_cm.vax,
-        vap=source_cm.vap,
-        vbx=t * (source_cm.vbx + chi),
-        vbp=t * (source_cm.vbp + chi),
-        vcx=st * source_cm.vcx,
-        vcp=st * source_cm.vcp,
-        mean_x1=source_cm.mean_x1,
-        mean_x2=st * source_cm.mean_x2,
+        *_effective(source_cm, noise),
+        source_cm.mean_x1,
+        math.sqrt(noise.t) * source_cm.mean_x2,
     )
+
+
+def _conditional(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
+    vx = vax - vcx * vcx / (vbx + 1.0)
+    vp = vap - vcp * vcp / (vbp + 1.0)
+    if vx <= 0.0 or vp <= 0.0:
+        raise UnphysicalStateError(
+            f"non-positive conditional variance ({vx}, {vp}); CM is unphysical"
+        )
+    return vx, vp
 
 
 def conditional_cm_after_heterodyne(cm: TwoModeCM) -> tuple[float, float]:
@@ -76,13 +89,7 @@ def conditional_cm_after_heterodyne(cm: TwoModeCM) -> tuple[float, float]:
     The heterodyne vacuum unit shows up as the +1 in the denominator:
     V_{A|B} = V_A - V_C^2 / (V_B + 1), separately per quadrature.
     """
-    vx = cm.vax - cm.vcx * cm.vcx / (cm.vbx + 1.0)
-    vp = cm.vap - cm.vcp * cm.vcp / (cm.vbp + 1.0)
-    if vx <= 0.0 or vp <= 0.0:
-        raise UnphysicalStateError(
-            f"non-positive conditional variance ({vx}, {vp}); CM is unphysical"
-        )
-    return vx, vp
+    return _conditional(*_variances(cm))
 
 
 def _mutual_information(cm: TwoModeCM, vx: float, vp: float) -> float:
@@ -101,24 +108,16 @@ def mutual_information(cm: TwoModeCM) -> float:
     return _mutual_information(cm, *conditional_cm_after_heterodyne(cm))
 
 
-def symplectic_eigenvalues(cm: TwoModeCM) -> tuple[float, float]:
-    """The two symplectic eigenvalues of a diagonal-block two-mode CM.
-
-    Uses the invariant form lambda^2 = (Delta +/- sqrt(Delta^2 - 4 det)) / 2
-    with Delta = det A + det B + 2 det C. Both are >= 1 iff the CM is
-    physical.
-    """
-    det_a = cm.vax * cm.vap
-    det_b = cm.vbx * cm.vbp
-    det_c = cm.vcx * cm.vcp
-    det_s = (cm.vax * cm.vbx - cm.vcx**2) * (cm.vap * cm.vbp - cm.vcp**2)
+def _eigenvalues(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
+    det_a = vax * vap
+    det_b = vbx * vbp
+    det_c = vcx * vcp
+    det_s = (vax * vbx - vcx**2) * (vap * vbp - vcp**2)
     delta = det_a + det_b + 2.0 * det_c
     # factored discriminant: algebraically equal to delta^2 - 4 det_s but
     # free of the near-total cancellation that form suffers when the two
     # eigenvalues nearly coincide (e.g. weakly squeezed pure states)
-    disc = (det_a - det_b) ** 2 + 4.0 * (cm.vax * cm.vcp + cm.vbp * cm.vcx) * (
-        cm.vap * cm.vcx + cm.vbx * cm.vcp
-    )
+    disc = (det_a - det_b) ** 2 + 4.0 * (vax * vcp + vbp * vcx) * (vap * vcx + vbx * vcp)
     if disc < -1e-9:
         raise UnphysicalStateError(
             f"symplectic discriminant {disc} is negative beyond tolerance"
@@ -130,6 +129,16 @@ def symplectic_eigenvalues(cm: TwoModeCM) -> tuple[float, float]:
     # cancels catastrophically for near-pure states
     lam2 = math.sqrt(max(det_s, 0.0) / lam1_sq) if lam1_sq > 0.0 else 0.0
     return lam1, lam2
+
+
+def symplectic_eigenvalues(cm: TwoModeCM) -> tuple[float, float]:
+    """The two symplectic eigenvalues of a diagonal-block two-mode CM.
+
+    Uses the invariant form lambda^2 = (Delta +/- sqrt(Delta^2 - 4 det)) / 2
+    with Delta = det A + det B + 2 det C. Both are >= 1 iff the CM is
+    physical.
+    """
+    return _eigenvalues(*_variances(cm))
 
 
 def entropy_G(x: float) -> float:
@@ -183,11 +192,11 @@ def _channel_stage(
     is not finite.
     """
     try:
-        eff = effective_cm(cm, noise)
-        vx, vp = conditional_cm_after_heterodyne(eff)
-        lam1, lam2 = symplectic_eigenvalues(eff)
+        eff = _effective(cm, noise)
+        vx, vp = _conditional(*eff)
+        lam1, lam2 = _eigenvalues(*eff)
         lam3 = math.sqrt(vx * vp)
-        i_ab = _mutual_information(eff, vx, vp)
+        i_ab = _mutual_information(cm, vx, vp)  # Alice's block is the source's
         chi_be = _holevo_bound(lam1, lam2, lam3)
         key = p_ps * (beta * i_ab - chi_be)
         # named fields: vars(noise) would give the instance a dict of its own
@@ -203,16 +212,7 @@ def _channel_stage(
         raise NonFiniteError(
             f"channel stage overflows at T={noise.t:g}, chi_tot={noise.chi_tot:g}"
         )
-    return KeyRateResult(
-        p_ps=p_ps,
-        i_ab=i_ab,
-        chi_be=chi_be,
-        key_rate=key,
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda3=lam3,
-        noise=noise,
-    )
+    return KeyRateResult(p_ps, i_ab, chi_be, key, lam1, lam2, lam3, noise)
 
 
 def secret_key_rate(

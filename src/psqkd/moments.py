@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonFiniteError, ZeroProbabilityError
 from .phase_space import SqueezedSourceParams, scaled_laguerre
 
@@ -59,15 +57,10 @@ _LIMIT_Y = 1e200
 class TwoModeCM:
     """Two-mode covariance data: diagonal-block variances plus x means.
 
-    The 4x4 matrix over (x1, p1, x2, p2) has zeros on every x-p cross term:
-
-        [[vax, 0,   vcx, 0  ],
-         [0,   vap, 0,   vcp],
-         [vcx, 0,   vbx, 0  ],
-         [0,   vcp, 0,   vbp]]
-
-    Means along p vanish identically; the x means are carried separately
-    because the security analysis consumes centered moments only.
+    The 4x4 matrix over (x1, p1, x2, p2), `as_matrix`, has zeros on every
+    x-p cross term. Means along p vanish identically; the x means are
+    carried separately because the security analysis consumes centered
+    moments only.
     """
 
     vax: float
@@ -79,18 +72,23 @@ class TwoModeCM:
     mean_x1: float = 0.0
     mean_x2: float = 0.0
 
-    def as_matrix(self) -> np.ndarray:
-        """The full 4x4 covariance matrix over (x1, p1, x2, p2)."""
-        return np.array(
-            [
-                [self.vax, 0.0, self.vcx, 0.0],
-                [0.0, self.vap, 0.0, self.vcp],
-                [self.vcx, 0.0, self.vbx, 0.0],
-                [0.0, self.vcp, 0.0, self.vbp],
-            ]
+    def _rows(self) -> tuple[tuple[float, ...], ...]:
+        return (
+            (self.vax, 0.0, self.vcx, 0.0),
+            (0.0, self.vap, 0.0, self.vcp),
+            (self.vcx, 0.0, self.vbx, 0.0),
+            (0.0, self.vcp, 0.0, self.vbp),
         )
 
+    def as_matrix(self) -> np.ndarray:
+        """The full 4x4 covariance matrix over (x1, p1, x2, p2)."""
+        import numpy as np
+
+        return np.array(self._rows())
+
     def mean_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.mean_x1, 0.0, self.mean_x2, 0.0])
 
 
@@ -244,9 +242,9 @@ def low_order_moment(
     if total == 0:
         return 1.0
     cm = pstmsc_covariance(params)
-    mean = cm.mean_vector()
+    mean = (cm.mean_x1, 0.0, cm.mean_x2, 0.0)
     active = [axis for axis, o in enumerate(orders) for _ in range(o)]
     if total == 1:
-        return float(mean[active[0]])
+        return mean[active[0]]
     a, b = active
-    return float(cm.as_matrix()[a, b] + mean[a] * mean[b])
+    return cm._rows()[a][b] + mean[a] * mean[b]

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ZeroProbabilityError
 
 __all__ = [
@@ -50,14 +48,14 @@ class SqueezedSourceParams:
     k: int
 
     def __post_init__(self) -> None:
-        if not self.r >= 0:  # written so that NaN fails it
-            raise ValueError(f"squeezing r must be >= 0, got {self.r}")
-        if not self.d >= 0:
-            raise ValueError(f"displacement d must be >= 0, got {self.d}")
+        for name in ("r", "d"):  # written so that NaN and inf fail it
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        if not (self.k >= 0 and float(self.k).is_integer()):
-            raise ValueError(f"k must be a non-negative integer, got {self.k}")
+        if not (isinstance(self.k, int) and self.k >= 0):
+            raise ValueError(f"k must be a non-negative integer, got {self.k!r}")
 
     @property
     def mu(self) -> float:
@@ -157,6 +155,8 @@ def wigner_tmsc(pt: PhasePoint, params: SqueezedSourceParams):
     Both modes carry the same pre-squeeze x displacement d; the squeezer
     amplifies the mean to d*(mu+nu) on each x quadrature.
     """
+    import numpy as np
+
     mu, nu, d = params.mu, params.nu, params.d
     x1, p1, x2, p2 = pt.x1, pt.p1, pt.x2, pt.p2
     quad = (
@@ -176,6 +176,8 @@ def bs_symplectic(tau: float) -> np.ndarray:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    import numpy as np
+
     t = math.sqrt(tau)
     rfl = math.sqrt(1.0 - tau)
     eye = np.eye(2)
@@ -188,6 +190,8 @@ def wigner_pstmsc(pt: PhasePoint, params: SqueezedSourceParams):
     Raises ZeroProbabilityError when the k-photon detection event cannot
     occur (tau = 1 with k >= 1, or r = 0 and d = 0 with k >= 1).
     """
+    import numpy as np
+
     from .moments import subtraction_probability
 
     p_ps = subtraction_probability(params)

@@ -10,11 +10,12 @@ than aborting the sweep, so grid output shape is always predictable.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, NoiseBreakdown, noise_breakdown
+from .channel import ChannelParams, NoiseBreakdown, _breakdown_at, noise_breakdown
 from .errors import (
     NoSecureRegionError,
     PsqkdError,
@@ -108,7 +109,6 @@ def resolve_family(name: str, source: SqueezedSourceParams) -> SqueezedSourcePar
     >>> resolve_family("2-pstmsc", base).k
     2
     """
-    # the constructor, not dataclasses.replace: this runs once per sweep cell
     if name == "tmsv":
         return SqueezedSourceParams(source.r, 0.0, 1.0, 0)
     m = _FAMILY_RE.match(name)
@@ -161,35 +161,17 @@ def _apply_value(
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _stage_or_failure(fn, arg):
-    """fn(arg), or the failed cell that its caller-mistake or domain error
+def _or_failure(fn, *args):
+    """fn(*args), or the failed cell its caller-mistake or domain error
     makes. Only the message is kept: a stored exception would keep its
     traceback's frames, and with them the whole sweep, alive."""
     try:
-        return fn(arg)
+        return fn(*args)
     except (PsqkdError, ValueError) as exc:
         return FamilyResult(None, str(exc))
 
 
 _Stage = tuple[float, TwoModeCM] | FamilyResult
-
-
-def _evaluate_point(
-    spec: SweepSpec, value: float, stages: dict[SqueezedSourceParams, _Stage]
-) -> SweepRow:
-    try:
-        src, ch = _apply_value(spec.source, spec.channel, spec.variable, value)
-    except (PsqkdError, ValueError) as exc:
-        return SweepRow(value, dict.fromkeys(spec.families, FamilyResult(None, str(exc))))
-    noise = _stage_or_failure(noise_breakdown, ch)
-    out: dict[str, FamilyResult] = {}
-    for name in spec.families:
-        fam = resolve_family(name, src)
-        stage = stages.get(fam)
-        if stage is None:
-            stage = stages[fam] = _stage_or_failure(source_stage, fam)
-        out[name] = _cell(stage, noise, ch.beta)
-    return SweepRow(value, out)
 
 
 def _cell(
@@ -200,31 +182,41 @@ def _cell(
     for part in (stage, noise):
         if isinstance(part, FamilyResult):
             return part
-    try:
-        return FamilyResult(_channel_stage(*stage, noise, beta))
-    except (PsqkdError, ValueError) as exc:
-        return FamilyResult(None, str(exc))
+    result = _or_failure(_channel_stage, *stage, noise, beta)
+    return result if isinstance(result, FamilyResult) else FamilyResult(result)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the grid in order.
 
-    The swept value is applied and the channel reduction (`noise_breakdown`)
-    computed once per grid point; the source stage (`source_stage`) once per
-    distinct family source in the sweep, so an L_AC or eta sweep computes it
-    once per family; and the channel stage once per cell. Each cell reports
-    the first error of its own pipeline: the swept value's, then its
-    source's, then the channel's.
+    Per sweep, `source_stage` runs once per distinct family source (a tau
+    sweep shares the tmsv stage). Per point, `noise_breakdown` runs, and the
+    families are resolved only if the point's source changed (never in an
+    L_AC or eta sweep). Per cell, the channel stage runs. A cell reports its
+    pipeline's first error: the swept value's, the source's, the channel's.
     """
-    stages: dict[SqueezedSourceParams, _Stage] = {}
-    return [_evaluate_point(spec, v, stages) for v in spec.grid()]
+    stage_of = functools.cache(functools.partial(_or_failure, source_stage))
+    rows = []
+    src_of_stages = stages = None
+    for value in spec.grid():
+        point = _or_failure(_apply_value, spec.source, spec.channel, spec.variable, value)
+        if isinstance(point, FamilyResult):
+            rows.append(SweepRow(value, dict.fromkeys(spec.families, point)))
+            continue
+        src, ch = point
+        if src is not src_of_stages:
+            src_of_stages = src
+            stages = [stage_of(fam) for fam in resolve_families(spec.families, src)]
+        noise = _or_failure(noise_breakdown, ch)
+        cells = [_cell(stage, noise, ch.beta) for stage in stages]
+        rows.append(SweepRow(value, dict(zip(spec.families, cells))))
+    return rows
 
 
 def _rate_at_distance(
     stage: tuple[float, TwoModeCM], channel: ChannelParams, l_ac: float
 ) -> float:
-    ch = replace(channel, l_ac=l_ac)
-    return _channel_stage(*stage, noise_breakdown(ch), ch.beta).key_rate
+    return _channel_stage(*stage, _breakdown_at(channel, l_ac), channel.beta).key_rate
 
 
 def _check_k_target(k_target: float) -> None:
@@ -239,8 +231,8 @@ def max_secure_distance(
 ) -> float:
     """Largest L_AC (km) with key rate >= k_target, to 0.01 km.
 
-    The source stage is computed once per search; each probed distance
-    computes only the channel reduction and the channel stage. A 1 km
+    The source stage is computed once per search; each probe computes only
+    the channel reduction at its L_AC and the channel stage. A 1 km
     pre-scan stops at the first integer km where K < k_target, and
     bisection then refines that first downward crossing; a secure region
     beyond it is not searched. The returned endpoint is certified:
@@ -251,21 +243,14 @@ def max_secure_distance(
     stage = source_stage(source)
     if _rate_at_distance(stage, channel, 0.0) <= k_target:
         raise TargetUnreachableError("target unreachable")
-    last_ok = 0.0
-    first_bad = None
-    l_km = 1.0
-    while l_km <= _SCAN_LIMIT_KM:
-        if _rate_at_distance(stage, channel, l_km) >= k_target:
-            last_ok = l_km
-        else:
-            first_bad = l_km
-            break
-        l_km += 1.0
-    if first_bad is None:
-        raise PsqkdError(
-            f"key rate never drops below target within {_SCAN_LIMIT_KM:.0f} km"
-        )
-    lo, hi = last_ok, first_bad
+    hi = 1.0
+    while _rate_at_distance(stage, channel, hi) >= k_target:
+        hi += 1.0
+        if hi > _SCAN_LIMIT_KM:
+            raise PsqkdError(
+                f"key rate never drops below target within {_SCAN_LIMIT_KM:.0f} km"
+            )
+    lo = hi - 1.0
     while hi - lo > _DISTANCE_TOL_KM:
         mid = 0.5 * (lo + hi)
         if _rate_at_distance(stage, channel, mid) >= k_target:

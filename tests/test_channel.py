@@ -232,6 +232,31 @@ class TestNoiseBreakdown:
         with pytest.raises(ValueError, match="must"):
             record(**{**valid, field: math.nan})
 
+    @pytest.mark.parametrize(
+        "record, field",
+        [(SqueezedSourceParams, f) for f in ("r", "d")]
+        + [
+            (ChannelParams, f)
+            for f in (
+                "l_ac", "v_a", "eps_a", "eps_b", "v_el", "loss_db_per_km", "gain_override"
+            )
+        ],
+    )
+    def test_inf_in_any_parameter_field_is_rejected(self, record, field):
+        valid = {
+            SqueezedSourceParams: dict(r=0.5, d=1.0, tau=0.9, k=1),
+            ChannelParams: dict(geometry="symmetric", l_ac=5.0, v_a=50.0, beta=0.96),
+        }[record]
+        with pytest.raises(ValueError, match="finite"):
+            params = record(**{**valid, field: math.inf})
+            if record is ChannelParams:
+                noise_breakdown(params)  # a set gain override is checked where used
+
+    @pytest.mark.parametrize("k", [1.0, 2.5, "1"])
+    def test_non_integer_k_is_rejected(self, k):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            SqueezedSourceParams(r=0.5, d=1.0, tau=0.9, k=k)
+
     def test_transmittances_computed_once(self, monkeypatch):
         calls = []
 

@@ -588,6 +588,34 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_runs_leave_numpy_unloaded(self, tmp_path):
+        # numpy is loaded only by the array helpers and the Fock oracle
+        cfg = REPO / "configs" / "fig6.cfg"
+        code = f"""
+import sys, psqkd, psqkd.cli
+from psqkd.cli import main
+base = ["--config", {str(cfg)!r}]
+opt = ["--set", "optimize.variable=tau", "--set", "optimize.lo=0.5",
+       "--set", "optimize.hi=0.95"]
+assert main(["keyrate", *base]) == 0
+assert main(["sweep", *base, "--out", {str(tmp_path / "fig6.csv")!r}]) == 0
+assert main(["max-distance", *base]) == 0
+assert main(["optimize", *base, *opt]) == 0
+assert "numpy" not in sys.modules, "numpy loaded"
+import numpy as np
+source = psqkd.SqueezedSourceParams(r=0.5, d=1.0, tau=0.9, k=1)
+arrays = (
+    psqkd.pstmsc_covariance(source).as_matrix(),
+    psqkd.wigner_tmsc(psqkd.PhasePoint(0.1, 0.2, 0.3, np.zeros(3)), source),
+    psqkd.bs_symplectic(0.9),
+)
+assert all(isinstance(a, np.ndarray) for a in arrays)
+assert main(["oracle-check", *base, "--set", "oracle.points=2"]) == 0
+"""
+        proc = _fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert "oracle check: PASS" in proc.stdout
+
     def test_fock_oracle_runs_without_scipy(self):
         code = (
             "import sys, psqkd, psqkd.fock_oracle; "

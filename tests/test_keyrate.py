@@ -5,11 +5,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psqkd.moments as moments
-from psqkd.channel import ChannelParams, NoiseBreakdown, noise_breakdown
-from psqkd.errors import NonFiniteError, UnphysicalStateError, ZeroProbabilityError
+from psqkd.channel import (
+    GEOMETRIES,
+    ChannelParams,
+    NoiseBreakdown,
+    gain,
+    link_transmittances,
+    noise_breakdown,
+)
+from psqkd.errors import (
+    NonFiniteError,
+    PsqkdError,
+    UnphysicalStateError,
+    ZeroProbabilityError,
+)
 from psqkd.keyrate import (
+    KeyRateResult,
     _channel_stage,
     conditional_cm_after_heterodyne,
     effective_cm,
@@ -351,3 +366,79 @@ class TestStageGuards:
         )
         with pytest.raises(NonFiniteError, match="channel stage"):
             _channel_stage(*source_stage(self.SOURCE), noise, 0.96)
+
+
+def _composed(source: SqueezedSourceParams, channel: ChannelParams) -> KeyRateResult:
+    """secret_key_rate spelled out through the public stage functions."""
+    p_ps, cm = source_stage(source)
+    noise = noise_breakdown(channel)
+    eff = effective_cm(cm, noise)
+    vx, vp = conditional_cm_after_heterodyne(eff)
+    lam1, lam2 = symplectic_eigenvalues(eff)
+    i_ab, chi_be = mutual_information(eff), holevo_bound(eff)
+    key = p_ps * (channel.beta * i_ab - chi_be)
+    return KeyRateResult(p_ps, i_ab, chi_be, key, lam1, lam2, math.sqrt(vx * vp), noise)
+
+
+def test_channel_stage_equals_the_public_composition_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for i in range(300):
+        v_a = float(rng.uniform(3.0, 200.0))
+        geometry = GEOMETRIES[i % 2]
+        l_ac = float(rng.uniform(0.0, 60.0))
+        channel = reference_channel(
+            geometry=geometry,
+            l_ac=l_ac,
+            v_a=v_a,
+            eps_a=float(rng.uniform(0.0, 0.05)),
+            eps_b=float(rng.uniform(0.0, 0.05)),
+            eta=float(rng.uniform(0.5, 0.99)),
+            v_el=float(rng.uniform(0.001, 0.1)),
+        )
+        if i % 3 == 0:
+            g = gain(v_a, link_transmittances(channel)[1]) * float(rng.uniform(0.8, 1.2))
+            channel = dataclasses.replace(channel, gain_override=g)
+        source = SqueezedSourceParams(
+            r=0.5 * math.acosh(v_a),
+            d=float(rng.uniform(0.0, 3.0)),
+            tau=float(rng.uniform(0.5, 0.99)),
+            k=i % 5,
+        )
+        assert secret_key_rate(source, channel) == _composed(source, channel), (source, channel)
+
+
+_RECORD_FIELDS = [
+    (record, f.name)
+    for record in (SqueezedSourceParams, ChannelParams)
+    for f in dataclasses.fields(record)
+    if f.name != "geometry"
+]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    field=st.sampled_from(_RECORD_FIELDS),
+    exponent=st.floats(-300.0, 300.0),
+    geometry=st.sampled_from(GEOMETRIES),
+)
+def test_any_field_at_any_magnitude_gives_a_finite_rate_or_a_typed_error(
+    field, exponent, geometry
+):
+    record, name = field
+    records = {
+        SqueezedSourceParams: dict(r=0.5 * math.acosh(50.0), d=2.0, tau=0.9, k=1),
+        ChannelParams: dict(
+            geometry=geometry, l_ac=20.0, v_a=50.0, beta=0.96,
+            eps_a=0.002, eps_b=0.002, eta=0.9, v_el=0.01,
+        ),
+    }
+    records[record][name] = 10.0**exponent
+    try:
+        result = secret_key_rate(
+            SqueezedSourceParams(**records[SqueezedSourceParams]),
+            ChannelParams(**records[ChannelParams]),
+        )
+    except (PsqkdError, ValueError):
+        return
+    values = dataclasses.astuple(result)
+    assert all(map(math.isfinite, values[:-1] + values[-1]))

@@ -6,6 +6,7 @@ force and measures quadrature operators directly; the closed forms must
 reproduce them.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -358,6 +359,25 @@ class TestLowOrderMoments:
         assert low_order_moment(params(), 0, 2, 0, 0) == pytest.approx(
             cm.vap, rel=1e-12
         )
+
+    def test_every_order_matches_the_matrix_and_means(self):
+        p = params(r=0.7, d=1.5, tau=0.85, k=2)
+        cm = pstmsc_covariance(p)
+        cov, mean = cm.as_matrix(), cm.mean_vector()
+        orders = [o for o in itertools.product(range(3), repeat=4) if sum(o) <= 2]
+        assert len(orders) == 15
+        for order in orders:
+            active = [axis for axis, o in enumerate(order) for _ in range(o)]
+            if len(active) == 0:
+                expect = 1.0
+            elif len(active) == 1:
+                expect = mean[active[0]]
+            else:
+                a, b = active
+                expect = cov[a, b] + mean[a] * mean[b]
+            got = low_order_moment(p, *order)
+            assert type(got) is float
+            assert got == expect, order
 
     def test_order_cap(self):
         with pytest.raises(ValueError, match="unsupported order"):

@@ -265,7 +265,7 @@ class TestStagedSweep:
 
     def test_search_runs_the_source_stage_once(self, monkeypatch):
         sources = _counting(monkeypatch, "source_stage")
-        channels = _counting(monkeypatch, "noise_breakdown")
+        channels = _counting(monkeypatch, "_breakdown_at")
         max_secure_distance(base_source(), base_channel())
         assert sources == [(base_source(),)]
         assert len(channels) > 50
