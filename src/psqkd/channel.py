@@ -170,11 +170,11 @@ def _thermal_excess(params: ChannelParams, t_a: float, t_b: float) -> float:
 
 def noise_breakdown(params: ChannelParams) -> NoiseBreakdown:
     """All derived channel quantities for one configuration, one
-    `transmittance` call per link. Search probes run this body at their L_AC."""
-    return _breakdown_at(params, params.l_ac)
+    `transmittance` call per link."""
+    return NoiseBreakdown(*_breakdown_at(params, params.l_ac))
 
 
-def _breakdown_at(params: ChannelParams, l_ac: float) -> NoiseBreakdown:
+def _breakdown_at(params: ChannelParams, l_ac: float) -> tuple[float, ...]:
     loss = params.loss_db_per_km
     t_a = transmittance(l_ac, loss)
     t_b = transmittance(_bob_length(params.geometry, l_ac), loss)
@@ -193,4 +193,4 @@ def _breakdown_at(params: ChannelParams, l_ac: float) -> NoiseBreakdown:
     chi_line = (1.0 - t) / t + eps_th
     chi_homo = (params.v_el + 1.0 - params.eta) / params.eta
     chi_tot = chi_line + 2.0 * chi_homo / t_a
-    return NoiseBreakdown(t_a, t_b, g, t, eps_th, chi_line, chi_homo, chi_tot)
+    return t_a, t_b, g, t, eps_th, chi_line, chi_homo, chi_tot

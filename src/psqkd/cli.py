@@ -19,7 +19,7 @@ import math
 import operator
 import sys
 
-from .config import RunConfig, build_sweep_spec, load_run_config
+from .config import ConfigError, RunConfig, build_sweep_spec, load_run_config
 from .errors import PsqkdError
 from .keyrate import secret_key_rate
 from .sweep import (
@@ -145,17 +145,29 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a caller mistake: exit 1, not argparse's exit 2
+        raise ConfigError(message)
+
+
+class _Once(argparse.Action):
+    def __call__(self, parser, namespace, value, option=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option} given twice")
+        setattr(namespace, self.dest, value)
+
+
 # parsing leaves the parser unchanged, so one parser per process serves every call
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psqkd",
         description="Key-rate calculator for photon-subtracted squeezed-state QKD.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="dotted-key config file")
+        cmd.add_argument("--config", required=True, action=_Once, help="dotted-key config file")
         cmd.add_argument(
             "--set",
             action="append",
@@ -164,23 +176,19 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override one config entry (repeatable)",
         )
         if name == "sweep":
-            cmd.add_argument("--out", required=True, help="output CSV path")
+            cmd.add_argument("--out", required=True, action=_Once, help="output CSV path")
             cmd.add_argument("--threads", type=int, default=4, help="ignored")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = load_run_config(args.config, args.set)
         return _COMMANDS[args.command](config, args)
-    except ValueError as exc:  # caller mistakes, ConfigError included
+    except (ValueError, PsqkdError) as exc:  # a caller mistake or a domain outcome
         print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    except PsqkdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _DOMAIN_EXIT
+        return _DOMAIN_EXIT if isinstance(exc, PsqkdError) else _USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .channel import ChannelParams, NoiseBreakdown, noise_breakdown
+from .channel import ChannelParams, NoiseBreakdown, _breakdown_at
 from .errors import NonFiniteError, UnphysicalStateError
-from .moments import DEFAULT_SUBTRACTION_CAP, TwoModeCM, source_stage
+from .moments import DEFAULT_SUBTRACTION_CAP, TwoModeCM, _source_stage
 from .phase_space import SqueezedSourceParams
 
 __all__ = [
@@ -53,10 +53,9 @@ class KeyRateResult:
 _variances = operator.attrgetter("vax", "vap", "vbx", "vbp", "vcx", "vcp")
 
 
-def _effective(cm: TwoModeCM, noise: NoiseBreakdown) -> tuple[float, ...]:
-    t, chi = noise.t, noise.chi_tot
+def _effective(vax, vap, vbx, vbp, vcx, vcp, t, chi) -> tuple[float, ...]:
     st = math.sqrt(t)
-    return cm.vax, cm.vap, t * (cm.vbx + chi), t * (cm.vbp + chi), st * cm.vcx, st * cm.vcp
+    return vax, vap, t * (vbx + chi), t * (vbp + chi), st * vcx, st * vcp
 
 
 def effective_cm(source_cm: TwoModeCM, noise: NoiseBreakdown) -> TwoModeCM:
@@ -67,7 +66,7 @@ def effective_cm(source_cm: TwoModeCM, noise: NoiseBreakdown) -> TwoModeCM:
     (Bob's scaled by sqrt(T)); nothing downstream consumes them.
     """
     return TwoModeCM(
-        *_effective(source_cm, noise),
+        *_effective(*_variances(source_cm), noise.t, noise.chi_tot),
         source_cm.mean_x1,
         math.sqrt(noise.t) * source_cm.mean_x2,
     )
@@ -92,11 +91,8 @@ def conditional_cm_after_heterodyne(cm: TwoModeCM) -> tuple[float, float]:
     return _conditional(*_variances(cm))
 
 
-def _mutual_information(cm: TwoModeCM, vx: float, vp: float) -> float:
-    return 0.5 * (
-        math.log2((cm.vax + 1.0) / (vx + 1.0))
-        + math.log2((cm.vap + 1.0) / (vp + 1.0))
-    )
+def _mutual_information(vax: float, vap: float, vx: float, vp: float) -> float:
+    return 0.5 * (math.log2((vax + 1.0) / (vx + 1.0)) + math.log2((vap + 1.0) / (vp + 1.0)))
 
 
 def mutual_information(cm: TwoModeCM) -> float:
@@ -105,7 +101,7 @@ def mutual_information(cm: TwoModeCM) -> float:
     Measured variances are (V+1)/2 (heterodyne-style vacuum penalty), so
     per quadrature I = log2[(V_A + 1) / (V_{A|B} + 1)] / 2.
     """
-    return _mutual_information(cm, *conditional_cm_after_heterodyne(cm))
+    return _mutual_information(cm.vax, cm.vap, *conditional_cm_after_heterodyne(cm))
 
 
 def _eigenvalues(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
@@ -183,36 +179,30 @@ def holevo_bound(cm: TwoModeCM) -> float:
 
 
 def _channel_stage(
-    p_ps: float, cm: TwoModeCM, noise: NoiseBreakdown, beta: float
-) -> KeyRateResult:
-    """The channel half of the pipeline: the source stage's (p_ps, cm) sent
-    through the equivalent one-way channel `noise`, with efficiency beta.
-
-    Raises NonFiniteError when the arithmetic overflows or a reported value
-    is not finite.
+    stage: tuple[float, ...], noise: tuple[float, ...], beta: float
+) -> tuple[float, ...]:
+    """The channel half of the pipeline on floats: the source stage (p_ps,
+    then the TwoModeCM fields) through the channel reduction `noise` (the
+    NoiseBreakdown fields), with efficiency beta. Returns the KeyRateResult
+    fields i_ab to lambda3. Raises NonFiniteError when the arithmetic
+    overflows or one of these or of `noise` is not finite.
     """
+    p_ps, vax, vap, vbx, vbp, vcx, vcp, _, _ = stage
+    t, chi_tot = noise[3], noise[7]
     try:
-        eff = _effective(cm, noise)
+        eff = _effective(vax, vap, vbx, vbp, vcx, vcp, t, chi_tot)
         vx, vp = _conditional(*eff)
         lam1, lam2 = _eigenvalues(*eff)
         lam3 = math.sqrt(vx * vp)
-        i_ab = _mutual_information(cm, vx, vp)  # Alice's block is the source's
+        i_ab = _mutual_information(vax, vap, vx, vp)  # Alice's block is the source's
         chi_be = _holevo_bound(lam1, lam2, lam3)
-        key = p_ps * (beta * i_ab - chi_be)
-        # named fields: vars(noise) would give the instance a dict of its own
-        values = (
-            key, i_ab, chi_be, lam1, lam2, lam3,
-            noise.t_a, noise.t_b, noise.g, noise.t, noise.eps_th,
-            noise.chi_line, noise.chi_homo, noise.chi_tot,
-        )
-        finite = all(map(math.isfinite, values))
+        rate = (i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3)
+        finite = all(map(math.isfinite, rate + noise))
     except OverflowError:
         finite = False
     if not finite:
-        raise NonFiniteError(
-            f"channel stage overflows at T={noise.t:g}, chi_tot={noise.chi_tot:g}"
-        )
-    return KeyRateResult(p_ps, i_ab, chi_be, key, lam1, lam2, lam3, noise)
+        raise NonFiniteError(f"channel stage overflows at T={t:g}, chi_tot={chi_tot:g}")
+    return rate
 
 
 def secret_key_rate(
@@ -230,5 +220,7 @@ def secret_key_rate(
     Raises ZeroProbabilityError when the subtraction event cannot occur, and
     NonFiniteError when a stage overflows or yields a non-finite value.
     """
-    p_ps, cm = source_stage(source, max_k)
-    return _channel_stage(p_ps, cm, noise_breakdown(channel), channel.beta)
+    stage = _source_stage(source, max_k)
+    noise = _breakdown_at(channel, channel.l_ac)
+    rate = _channel_stage(stage, noise, channel.beta)
+    return KeyRateResult(stage[0], *rate, NoiseBreakdown(*noise))

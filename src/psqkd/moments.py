@@ -146,23 +146,24 @@ def source_stage(
     zero (tau = 1 with k >= 1, or r = 0 and d = 0 with k >= 1), and
     NonFiniteError when the arithmetic overflows or a moment is not finite.
     """
+    p_ps, *moments = _source_stage(params, max_k)
+    return p_ps, TwoModeCM(*moments)
+
+
+def _source_stage(
+    params: SqueezedSourceParams, max_k: int = DEFAULT_SUBTRACTION_CAP
+) -> tuple[float, ...]:
     try:
-        p_ps, cm = _source_moments(params, max_k)
-        # named fields: vars(cm) would give the instance a dict of its own
-        values = (
-            p_ps, cm.vax, cm.vap, cm.vbx, cm.vbp, cm.vcx, cm.vcp, cm.mean_x1, cm.mean_x2
-        )
-        finite = all(map(math.isfinite, values))
+        stage = _source_moments(params, max_k)
+        finite = all(map(math.isfinite, stage))
     except OverflowError:
         finite = False
     if not finite:
         raise NonFiniteError(f"source stage overflows at {params}")
-    return p_ps, cm
+    return stage
 
 
-def _source_moments(
-    params: SqueezedSourceParams, max_k: int
-) -> tuple[float, TwoModeCM]:
+def _source_moments(params: SqueezedSourceParams, max_k: int) -> tuple[float, ...]:
     p_ps = subtraction_probability(params, max_k)
     if p_ps <= 0.0:
         raise ZeroProbabilityError(
@@ -174,7 +175,7 @@ def _source_moments(
     if params.r == 0.0:
         # coherent product state: the tap sees a coherent beam, of which
         # photon subtraction is an eigen-operation, so the state is unchanged
-        return p_ps, TwoModeCM(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, d, st * d)
+        return p_ps, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, d, st * d
 
     mu, nu = params.mu, params.nu
     big_d = 1.0 + (1.0 - tau) * nu * nu
@@ -212,7 +213,7 @@ def _source_moments(
     vcx = -vcp + cx
     mean_x1 = d * (mu + tau * nu) / big_d + x1
     mean_x2 = d * st * er * (1.0 + r1) / big_d
-    return p_ps, TwoModeCM(vax, vap, vbx, vbp, vcx, vcp, mean_x1, mean_x2)
+    return p_ps, vax, vap, vbx, vbp, vcx, vcp, mean_x1, mean_x2
 
 
 def pstmsc_covariance(

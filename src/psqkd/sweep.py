@@ -13,16 +13,16 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .channel import ChannelParams, NoiseBreakdown, _breakdown_at, noise_breakdown
+from .channel import ChannelParams, NoiseBreakdown, _breakdown_at
 from .errors import (
     NoSecureRegionError,
     PsqkdError,
     TargetUnreachableError,
 )
 from .keyrate import KeyRateResult, _channel_stage, secret_key_rate
-from .moments import TwoModeCM, source_stage
+from .moments import _source_stage
 from .phase_space import SqueezedSourceParams
 
 __all__ = [
@@ -144,21 +144,23 @@ def _apply_value(
     which keeps the source variance and the channel reduction consistent.
     """
     if variable == "L_AC":
-        return source, replace(channel, l_ac=value)
+        return source, _rebuilt(channel, l_ac=value)
     if variable == "V_A":
         if value < 1.0:
             raise ValueError(f"V_A must be >= 1, got {value}")
-        return (
-            replace(source, r=0.5 * math.acosh(value)),
-            replace(channel, v_a=value),
-        )
+        return _rebuilt(source, r=0.5 * math.acosh(value)), _rebuilt(channel, v_a=value)
     if variable == "d":
-        return replace(source, d=value), channel
+        return _rebuilt(source, d=value), channel
     if variable == "tau":
-        return replace(source, tau=value), channel
+        return _rebuilt(source, tau=value), channel
     if variable == "eta":
-        return source, replace(channel, eta=value)
+        return source, _rebuilt(channel, eta=value)
     raise ValueError(f"unknown sweep variable {variable!r}")
+
+
+def _rebuilt(record, **changes):
+    """dataclasses.replace, cheaper; __post_init__ still checks every value."""
+    return type(record)(**vars(record) | changes)
 
 
 def _or_failure(fn, *args):
@@ -171,33 +173,31 @@ def _or_failure(fn, *args):
         return FamilyResult(None, str(exc))
 
 
-_Stage = tuple[float, TwoModeCM] | FamilyResult
-
-
-def _cell(
-    stage: _Stage, noise: NoiseBreakdown | FamilyResult, beta: float
-) -> FamilyResult:
+def _cell(stage, noise, record: NoiseBreakdown, beta: float) -> FamilyResult:
     """One family at one point; the first failure in pipeline order wins:
     the source stage's, then the channel reduction's, then the channel stage's."""
     for part in (stage, noise):
         if isinstance(part, FamilyResult):
             return part
-    result = _or_failure(_channel_stage, *stage, noise, beta)
-    return result if isinstance(result, FamilyResult) else FamilyResult(result)
+    rate = _or_failure(_channel_stage, stage, noise, beta)
+    if isinstance(rate, FamilyResult):
+        return rate
+    return FamilyResult(KeyRateResult(stage[0], *rate, record))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the grid in order.
 
-    Per sweep, `source_stage` runs once per distinct family source (a tau
-    sweep shares the tmsv stage). Per point, `noise_breakdown` runs, and the
-    families are resolved only if the point's source changed (never in an
-    L_AC or eta sweep). Per cell, the channel stage runs. A cell reports its
-    pipeline's first error: the swept value's, the source's, the channel's.
+    The source stage runs once per distinct family source (a tau sweep
+    shares the tmsv stage), the channel reduction once per distinct channel
+    (once per d or tau sweep), and the families are resolved only if the
+    point's source changed. Per cell, the channel stage runs on floats. A
+    cell reports its pipeline's first error: the swept value's, the
+    source's, the channel's.
     """
-    stage_of = functools.cache(functools.partial(_or_failure, source_stage))
+    stage_of = functools.cache(functools.partial(_or_failure, _source_stage))
     rows = []
-    src_of_stages = stages = None
+    src_of_stages = stages = ch_of_noise = None
     for value in spec.grid():
         point = _or_failure(_apply_value, spec.source, spec.channel, spec.variable, value)
         if isinstance(point, FamilyResult):
@@ -207,16 +207,17 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         if src is not src_of_stages:
             src_of_stages = src
             stages = [stage_of(fam) for fam in resolve_families(spec.families, src)]
-        noise = _or_failure(noise_breakdown, ch)
-        cells = [_cell(stage, noise, ch.beta) for stage in stages]
+        if ch is not ch_of_noise:
+            ch_of_noise = ch
+            noise = _or_failure(_breakdown_at, ch, ch.l_ac)
+            record = None if isinstance(noise, FamilyResult) else NoiseBreakdown(*noise)
+        cells = [_cell(stage, noise, record, ch.beta) for stage in stages]
         rows.append(SweepRow(value, dict(zip(spec.families, cells))))
     return rows
 
 
-def _rate_at_distance(
-    stage: tuple[float, TwoModeCM], channel: ChannelParams, l_ac: float
-) -> float:
-    return _channel_stage(*stage, _breakdown_at(channel, l_ac), channel.beta).key_rate
+def _rate_at_distance(stage: tuple[float, ...], channel: ChannelParams, l_ac: float) -> float:
+    return _channel_stage(stage, _breakdown_at(channel, l_ac), channel.beta)[2]
 
 
 def _check_k_target(k_target: float) -> None:
@@ -232,15 +233,15 @@ def max_secure_distance(
     """Largest L_AC (km) with key rate >= k_target, to 0.01 km.
 
     The source stage is computed once per search; each probe computes only
-    the channel reduction at its L_AC and the channel stage. A 1 km
-    pre-scan stops at the first integer km where K < k_target, and
-    bisection then refines that first downward crossing; a secure region
-    beyond it is not searched. The returned endpoint is certified:
-    K(result) >= k_target. Raises ValueError for a NaN k_target, which no
-    rate can meet.
+    the channel reduction at its L_AC and the channel stage, on floats, and
+    builds no record. A 1 km pre-scan stops at the first integer km where
+    K < k_target, and bisection then refines that first downward crossing;
+    a secure region beyond it is not searched. The returned endpoint is
+    certified: K(result) >= k_target. Raises ValueError for a NaN k_target,
+    which no rate can meet.
     """
     _check_k_target(k_target)
-    stage = source_stage(source)
+    stage = _source_stage(source)
     if _rate_at_distance(stage, channel, 0.0) <= k_target:
         raise TargetUnreachableError("target unreachable")
     hi = 1.0

@@ -440,6 +440,53 @@ def test_fuzzed_overrides_end_in_a_clean_exit(fuzz_cfg, command, overrides):
         json.loads(out.getvalue(), parse_constant=_strict_constant)
 
 
+ARGV_MISTAKES = (
+    "no command", "unknown command", "missing flag", "repeated flag", "unknown flag",
+    "bad threads",
+)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(
+    command=st.sampled_from(sorted(cli._COMMANDS)),
+    mistake=st.sampled_from(ARGV_MISTAKES),
+    data=st.data(),
+)
+def test_malformed_argv_is_one_usage_error_line(fuzz_cfg, command, mistake, data):
+    pairs = [["--config", fuzz_cfg]]
+    if command == "sweep":
+        pairs += [["--out", str(Path(fuzz_cfg).with_name("argv.csv"))], ["--threads", "2"]]
+    required = pairs[: 1 + (command == "sweep")]
+    if mistake == "missing flag":
+        pairs.remove(data.draw(st.sampled_from(required)))
+    elif mistake == "repeated flag":
+        pairs.append(list(data.draw(st.sampled_from(required))))
+    elif mistake == "unknown flag":
+        # a lone --set lacks its value
+        pairs.append(data.draw(st.sampled_from([["--bogus"], ["-x", "1"], ["--set"]])))
+    elif mistake == "bad threads":  # an unknown flag outside `sweep`
+        pairs.append(["--threads", data.draw(st.sampled_from(["x", "1.5", "", "nan", "0x10"]))])
+    argv = [arg for pair in data.draw(st.permutations(pairs)) for arg in pair]
+    if mistake == "unknown command":
+        argv.insert(0, data.draw(st.sampled_from(["bogus", "key-rate", "Keyrate", ""])))
+    elif mistake != "no command":
+        argv.insert(0, command)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 1, argv
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["keyrate", "-h"], ["sweep", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: psqkd")
+
+
 class TestSweepCommand:
     def test_writes_csv(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "grid.csv"

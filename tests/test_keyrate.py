@@ -13,6 +13,7 @@ from psqkd.channel import (
     GEOMETRIES,
     ChannelParams,
     NoiseBreakdown,
+    _breakdown_at,
     gain,
     link_transmittances,
     noise_breakdown,
@@ -346,26 +347,27 @@ class TestStageGuards:
 
     SOURCE = SqueezedSourceParams(r=0.5 * math.acosh(50.0), d=2.0, tau=0.9, k=1)
 
-    @pytest.mark.parametrize(
-        "field", ["p_ps"] + [f.name for f in dataclasses.fields(TwoModeCM)]
-    )
+    SOURCE_FIELDS = ["p_ps"] + [f.name for f in dataclasses.fields(TwoModeCM)]
+    NOISE_FIELDS = [f.name for f in dataclasses.fields(NoiseBreakdown)]
+
+    @pytest.mark.parametrize("field", SOURCE_FIELDS)
     def test_source_stage_rejects_inf_in_any_field(self, monkeypatch, field):
         p_ps, cm = source_stage(self.SOURCE)
-        if field == "p_ps":
-            p_ps = math.inf
-        else:
-            cm = dataclasses.replace(cm, **{field: math.inf})
-        monkeypatch.setattr(moments, "_source_moments", lambda params, max_k: (p_ps, cm))
+        stage = [p_ps] + [getattr(cm, name) for name in self.SOURCE_FIELDS[1:]]
+        assert tuple(stage) == moments._source_stage(self.SOURCE)  # in field order
+        stage[self.SOURCE_FIELDS.index(field)] = math.inf
+        monkeypatch.setattr(moments, "_source_moments", lambda params, max_k: tuple(stage))
         with pytest.raises(NonFiniteError, match="source stage"):
             source_stage(self.SOURCE)
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NoiseBreakdown)])
+    @pytest.mark.parametrize("field", NOISE_FIELDS)
     def test_channel_stage_rejects_inf_in_any_noise_field(self, field):
-        noise = dataclasses.replace(
-            noise_breakdown(reference_channel()), **{field: math.inf}
-        )
+        record = noise_breakdown(reference_channel())
+        noise = [getattr(record, name) for name in self.NOISE_FIELDS]
+        assert tuple(noise) == _breakdown_at(reference_channel(), reference_channel().l_ac)
+        noise[self.NOISE_FIELDS.index(field)] = math.inf
         with pytest.raises(NonFiniteError, match="channel stage"):
-            _channel_stage(*source_stage(self.SOURCE), noise, 0.96)
+            _channel_stage(moments._source_stage(self.SOURCE), tuple(noise), 0.96)
 
 
 def _composed(source: SqueezedSourceParams, channel: ChannelParams) -> KeyRateResult:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import psqkd.sweep as sweep
-from psqkd.channel import ChannelParams
+from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown
 from psqkd.config import build_sweep_spec, load_run_config
 from psqkd.errors import NoSecureRegionError, PsqkdError, TargetUnreachableError
-from psqkd.keyrate import secret_key_rate
+from psqkd.keyrate import KeyRateResult, secret_key_rate
 from psqkd.phase_space import SqueezedSourceParams
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
@@ -217,6 +217,32 @@ def _counting(monkeypatch, name):
     return calls
 
 
+@pytest.mark.parametrize(
+    "variable, value",
+    [("L_AC", 12.5), ("L_AC", -1.0), ("V_A", 30.0), ("d", 1.5), ("d", math.inf),
+     ("tau", 0.7), ("tau", 1.5), ("eta", 0.8), ("eta", 0.0)],
+)
+def test_apply_value_rebuilds_each_record_as_replace_does(variable, value):
+    source, channel = base_source(), base_channel(eta=0.9)
+    try:
+        if variable == "V_A":
+            expect = replace(source, r=0.5 * math.acosh(value)), replace(channel, v_a=value)
+        elif variable in ("d", "tau"):
+            expect = replace(source, **{variable: value}), channel
+        else:
+            expect = source, replace(channel, **{variable.lower(): value})
+    except ValueError as exc:
+        with pytest.raises(ValueError) as error:
+            sweep._apply_value(source, channel, variable, value)
+        assert str(error.value) == str(exc)
+    else:
+        got = sweep._apply_value(source, channel, variable, value)
+        assert got == expect
+        # the record the variable leaves alone is passed through, not copied
+        assert (got[0] is source) == (expect[0] is source)
+        assert (got[1] is channel) == (expect[1] is channel)
+
+
 class TestStagedSweep:
     @pytest.mark.parametrize(
         "variable, lo, hi, channel",
@@ -246,8 +272,8 @@ class TestStagedSweep:
         assert errors > 0
 
     def test_l_ac_sweep_runs_each_stage_once(self, monkeypatch):
-        sources = _counting(monkeypatch, "source_stage")
-        channels = _counting(monkeypatch, "noise_breakdown")
+        sources = _counting(monkeypatch, "_source_stage")
+        channels = _counting(monkeypatch, "_breakdown_at")
         spec = SweepSpec("L_AC", 0.0, 40.0, 9, base_source(), base_channel())
         rows = run_sweep(spec)
         assert all(cell.result for row in rows for cell in row.results.values())
@@ -255,7 +281,7 @@ class TestStagedSweep:
         assert len(channels) == 9
 
     def test_tmsv_source_is_shared_across_a_tau_sweep(self, monkeypatch):
-        sources = _counting(monkeypatch, "source_stage")
+        sources = _counting(monkeypatch, "_source_stage")
         spec = SweepSpec(
             "tau", 0.5, 0.9, 5, base_source(), base_channel(),
             families=("tmsv", "1-pstmsc"),
@@ -263,12 +289,57 @@ class TestStagedSweep:
         run_sweep(spec)
         assert len(sources) == 1 + 5
 
+    @pytest.mark.parametrize("variable, lo, hi", [("d", 0.0, 3.0), ("tau", 0.5, 0.99)])
+    def test_source_sweep_runs_the_channel_reduction_once(self, monkeypatch, variable, lo, hi):
+        channels = _counting(monkeypatch, "_breakdown_at")
+        rows = run_sweep(SweepSpec(variable, lo, hi, 7, base_source(), base_channel()))
+        assert all(cell.result for row in rows for cell in row.results.values())
+        assert channels == [(base_channel(), base_channel().l_ac)]
+
     def test_search_runs_the_source_stage_once(self, monkeypatch):
-        sources = _counting(monkeypatch, "source_stage")
+        sources = _counting(monkeypatch, "_source_stage")
         channels = _counting(monkeypatch, "_breakdown_at")
         max_secure_distance(base_source(), base_channel())
         assert sources == [(base_source(),)]
         assert len(channels) > 50
+
+    def test_search_probes_build_no_records(self, monkeypatch):
+        built = []
+        for record in (NoiseBreakdown, KeyRateResult):
+            def counted(self, *args, _init=record.__init__):
+                built.append(type(self).__name__)
+                _init(self, *args)
+
+            monkeypatch.setattr(record, "__init__", counted)
+        max_secure_distance(base_source(), base_channel())
+        assert built == []
+        secret_key_rate(base_source(), base_channel())  # the count does count
+        assert sorted(built) == ["KeyRateResult", "NoiseBreakdown"]
+
+    def test_every_probe_rate_is_the_pipeline_rate_bit_for_bit(self, monkeypatch):
+        probes = []
+        probe = sweep._rate_at_distance
+
+        def recorded(stage, channel, l_ac):
+            probes.append((channel, l_ac, probe(stage, channel, l_ac)))
+            return probes[-1][2]
+
+        monkeypatch.setattr(sweep, "_rate_at_distance", recorded)
+        rng = np.random.default_rng(11)
+        for i in range(12):
+            v_a = float(rng.uniform(5.0, 100.0))
+            source = SqueezedSourceParams(
+                0.5 * math.acosh(v_a), float(rng.uniform(0.0, 3.0)),
+                float(rng.uniform(0.5, 0.99)), i % 3,
+            )
+            channel = base_channel(geometry=GEOMETRIES[i % 2], l_ac=0.0, v_a=v_a)
+            try:
+                max_secure_distance(source, channel, k_target=(0.0, 1e-4)[i // 2 % 2])
+            except TargetUnreachableError:
+                pass
+            for ch, l_ac, key in probes:
+                assert key == secret_key_rate(source, replace(ch, l_ac=l_ac)).key_rate
+            probes.clear()
 
 
 class TestMaxSecureDistance:
