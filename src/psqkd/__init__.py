@@ -41,16 +41,7 @@ from .moments import (
     pstmsc_covariance,
     subtraction_probability,
 )
-from .phase_space import (
-    PhasePoint,
-    SqueezedSourceParams,
-    bs_symplectic,
-    laguerre,
-    scaled_laguerre,
-    wigner_fock,
-    wigner_pstmsc,
-    wigner_tmsc,
-)
+from .phase_space import SqueezedSourceParams, scaled_laguerre
 from .sweep import (
     SweepRow,
     SweepSpec,
@@ -89,14 +80,8 @@ __all__ = [
     "low_order_moment",
     "pstmsc_covariance",
     "subtraction_probability",
-    "PhasePoint",
     "SqueezedSourceParams",
-    "bs_symplectic",
-    "laguerre",
     "scaled_laguerre",
-    "wigner_fock",
-    "wigner_pstmsc",
-    "wigner_tmsc",
     "SweepRow",
     "SweepSpec",
     "max_secure_distance",

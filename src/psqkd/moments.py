@@ -57,10 +57,10 @@ _LIMIT_Y = 1e200
 class TwoModeCM:
     """Two-mode covariance data: diagonal-block variances plus x means.
 
-    The 4x4 matrix over (x1, p1, x2, p2), `as_matrix`, has zeros on every
-    x-p cross term. Means along p vanish identically; the x means are
-    carried separately because the security analysis consumes centered
-    moments only.
+    The covariance matrix over (x1, p1, x2, p2) has zeros on every x-p
+    cross term, so these six entries are all of it. Means along p vanish
+    identically; the x means are carried separately because the security
+    analysis consumes centered moments only.
     """
 
     vax: float
@@ -79,17 +79,6 @@ class TwoModeCM:
             (self.vcx, 0.0, self.vbx, 0.0),
             (0.0, self.vcp, 0.0, self.vbp),
         )
-
-    def as_matrix(self) -> np.ndarray:
-        """The full 4x4 covariance matrix over (x1, p1, x2, p2)."""
-        import numpy as np
-
-        return np.array(self._rows())
-
-    def mean_vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.mean_x1, 0.0, self.mean_x2, 0.0])
 
 
 def _laguerre_ratios(k: int, y: float) -> tuple[float, float]:

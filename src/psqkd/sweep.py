@@ -41,7 +41,8 @@ __all__ = [
 SWEEP_VARIABLES = ("L_AC", "V_A", "d", "tau", "eta")
 DEFAULT_FAMILIES = ("tmsv", "1-pstmsv", "2-pstmsv", "1-pstmsc", "2-pstmsc")
 
-_FAMILY_RE = re.compile(r"^(\d+)-pstms([cv])$")
+# ASCII digits without leading zeros, so each family has one spelling
+_FAMILY_RE = re.compile(r"(0|[1-9][0-9]*)-pstms([cv])")
 
 # distance search: 1 km pre-scan cap and bisection tolerance
 _SCAN_LIMIT_KM = 1000.0
@@ -111,7 +112,7 @@ def resolve_family(name: str, source: SqueezedSourceParams) -> SqueezedSourcePar
     """
     if name == "tmsv":
         return SqueezedSourceParams(source.r, 0.0, 1.0, 0)
-    m = _FAMILY_RE.match(name)
+    m = _FAMILY_RE.fullmatch(name)
     if m is None:
         raise ValueError(
             f"unknown family {name!r}; expected 'tmsv', '<k>-pstmsv' or '<k>-pstmsc'"

@@ -14,12 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phase_space_reference import laguerre
 from psqkd.channel import ChannelParams
 from psqkd.cli import render_csv
 from psqkd.fock_oracle import compare_random_grid
 from psqkd.keyrate import secret_key_rate, symplectic_eigenvalues
 from psqkd.moments import pstmsc_covariance, subtraction_probability
-from psqkd.phase_space import SqueezedSourceParams, laguerre
+from psqkd.phase_space import SqueezedSourceParams, scaled_laguerre
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
     SweepSpec,
@@ -352,21 +353,14 @@ def test_acceptance_7_property_suite(capsys):
         ):
             chi_ok = False
 
-    # polynomial recurrence agrees with the direct binomial sum
-    def direct_sum(n, alpha, x):
-        return sum(
-            (-x) ** m * math.comb(n + alpha, n - m) / math.factorial(m)
-            for m in range(n + 1)
-        )
-
+    # polynomial recurrence agrees with the package's binomial sum (a = 1)
     lag_ok = True
     for _ in range(150):
         n = int(rng.integers(0, 11))
         alpha = int(rng.integers(0, 3))
         x = float(rng.uniform(-40.0, 10.0))
-        if not math.isclose(
-            laguerre(n, alpha, x), direct_sum(n, alpha, x), rel_tol=1e-9, abs_tol=1e-12
-        ):
+        direct = scaled_laguerre(n, 1.0, x, alpha=alpha)
+        if not math.isclose(laguerre(n, alpha, x), direct, rel_tol=1e-9, abs_tol=1e-12):
             lag_ok = False
 
     # deterministic sweeps: a second run must not change a single byte

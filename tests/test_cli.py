@@ -1,5 +1,6 @@
 """Config parsing, CSV rendering, exit codes, and golden-file stability."""
 
+import ast
 import contextlib
 import dataclasses
 import inspect
@@ -341,6 +342,9 @@ class TestMainExitCodes:
             ["optimize", "--set", "optimize.variable=d", "--set", "optimize.lo=0",
              "--set", "optimize.hi=3", "--set", "optimize.family=foo"],
             ["max-distance", "--set", "sweep.families=tmsv,tmsv"],
+            ["sweep", "--set", "sweep.variable=L_AC", "--set", "sweep.lo=0",
+             "--set", "sweep.hi=1", "--set", "sweep.points=2",
+             "--set", "sweep.families=1-pstmsc,01-pstmsc", "--out", os.devnull],
         ],
     )
     def test_caller_error_is_one_error_line(self, base_cfg, argv, capsys):
@@ -635,8 +639,25 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_graph(self):
+        # every import statement at any scope, as absolute or dotted names
+        imported = {}
+        for path in sorted((REPO / "src" / "psqkd").glob("*.py")):
+            names = imported[path.name] = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    names.add("." * node.level + (node.module or ""))
+        numpy_users = {
+            name for name, mods in imported.items()
+            if any(mod.split(".")[0] == "numpy" for mod in mods)
+        }
+        assert numpy_users == {"fock_oracle.py"}
+        assert imported["phase_space.py"] <= sys.stdlib_module_names
+
     def test_cli_runs_leave_numpy_unloaded(self, tmp_path):
-        # numpy is loaded only by the array helpers and the Fock oracle
+        # numpy is loaded only by the Fock oracle behind oracle-check
         cfg = REPO / "configs" / "fig6.cfg"
         code = f"""
 import sys, psqkd, psqkd.cli
@@ -648,16 +669,14 @@ assert main(["keyrate", *base]) == 0
 assert main(["sweep", *base, "--out", {str(tmp_path / "fig6.csv")!r}]) == 0
 assert main(["max-distance", *base]) == 0
 assert main(["optimize", *base, *opt]) == 0
-assert "numpy" not in sys.modules, "numpy loaded"
-import numpy as np
 source = psqkd.SqueezedSourceParams(r=0.5, d=1.0, tau=0.9, k=1)
-arrays = (
-    psqkd.pstmsc_covariance(source).as_matrix(),
-    psqkd.wigner_tmsc(psqkd.PhasePoint(0.1, 0.2, 0.3, np.zeros(3)), source),
-    psqkd.bs_symplectic(0.9),
-)
-assert all(isinstance(a, np.ndarray) for a in arrays)
+psqkd.pstmsc_covariance(source)
+psqkd.low_order_moment(source, 1, 0, 1, 0)
+channel = psqkd.ChannelParams("asymmetric", 20.0, source.variance, 0.96)
+psqkd.secret_key_rate(source, channel)
+assert "numpy" not in sys.modules, "numpy loaded"
 assert main(["oracle-check", *base, "--set", "oracle.points=2"]) == 0
+assert "numpy" in sys.modules
 """
         proc = _fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr

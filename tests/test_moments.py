@@ -16,6 +16,7 @@ import pytest
 from psqkd.errors import ZeroProbabilityError
 from psqkd.fock_oracle import (
     FockTwoModeState,
+    _rel_dev,
     apply_bs_and_project,
     build_tmsc_fock,
     fock_moment,
@@ -23,6 +24,7 @@ from psqkd.fock_oracle import (
     suggested_truncation,
 )
 import psqkd.moments as moments
+from phase_space_reference import cm_matrix, cm_means, gauss_hermite_moments
 from psqkd.keyrate import symplectic_eigenvalues
 from psqkd.moments import (
     DEFAULT_SUBTRACTION_CAP,
@@ -144,6 +146,28 @@ def test_laguerre_ratios_match_mpmath(k):
                 assert abs(got - ref) <= 1e-12 * ref, (k, y, got, float(ref))
             if k == 1:
                 assert r2 == 0.0
+
+
+def test_source_stage_matches_gauss_hermite_past_the_fock_box():
+    # the Fock oracle's checked box stops at r <= 1.5, d <= 3. The reference
+    # integrates the Wigner density itself; past tau = 0.99 its own rounding
+    # grows (up to 2.6e-10 for tau in [0.99, 0.999], r <= 4)
+    rng = np.random.default_rng(20261018)
+    seeded = [
+        (
+            4.0 - float(rng.uniform(0.0, 4.0)),  # r in (0, 4]
+            float(rng.uniform(0.0, 20.0)),
+            float(rng.uniform(0.3, 0.99)),
+            int(rng.integers(0, 9)),
+        )
+        for _ in range(100)
+    ]
+    for r, d, tau, k in [(4.0, 20.0, 0.5, 5), (1.5, 3.0, 0.3, 8), *seeded]:
+        p = params(r=r, d=d, tau=tau, k=k)
+        closed, ref = pstmsc_covariance(p), gauss_hermite_moments(p)
+        for field in CM_FIELDS:
+            dev = _rel_dev(getattr(closed, field), getattr(ref, field))
+            assert dev <= 1e-10, (p, field, dev)
 
 
 class TestCovariance:
@@ -328,11 +352,11 @@ class TestCovariance:
 
     def test_matrix_layout(self):
         cm = pstmsc_covariance(params())
-        mat = cm.as_matrix()
+        mat = cm_matrix(cm)
         assert np.allclose(mat, mat.T)
         # x-p cross terms vanish
         assert mat[0, 1] == mat[0, 3] == mat[2, 1] == mat[2, 3] == 0.0
-        assert np.allclose(cm.mean_vector(), [cm.mean_x1, 0.0, cm.mean_x2, 0.0])
+        assert np.allclose(cm_means(cm), [cm.mean_x1, 0.0, cm.mean_x2, 0.0])
 
 
 class TestLowOrderMoments:
@@ -363,7 +387,7 @@ class TestLowOrderMoments:
     def test_every_order_matches_the_matrix_and_means(self):
         p = params(r=0.7, d=1.5, tau=0.85, k=2)
         cm = pstmsc_covariance(p)
-        cov, mean = cm.as_matrix(), cm.mean_vector()
+        cov, mean = cm_matrix(cm), cm_means(cm)
         orders = [o for o in itertools.product(range(3), repeat=4) if sum(o) <= 2]
         assert len(orders) == 15
         for order in orders:

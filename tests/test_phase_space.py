@@ -1,6 +1,8 @@
 """Wigner densities, Laguerre recurrence, and beam-splitter matrix checks.
 
-The independent routes used here:
+The Wigner layer and the recurrence live in `phase_space_reference`, next
+to these tests; the package keeps only the source parameters and
+`scaled_laguerre`. The independent routes used here:
   * Laguerre recurrence vs. the explicit binomial term sum.
   * Fock-state Wigner vs. a numerically integrated Hermite-function
     Wigner transform.
@@ -15,19 +17,18 @@ import math
 import numpy as np
 import pytest
 
-from psqkd.errors import ZeroProbabilityError
-from psqkd.fock_oracle import apply_bs_and_project, build_tmsc_fock
-from psqkd.moments import pstmsc_covariance
-from psqkd.phase_space import (
+from phase_space_reference import (
     PhasePoint,
-    SqueezedSourceParams,
     bs_symplectic,
     laguerre,
-    scaled_laguerre,
     wigner_fock,
     wigner_pstmsc,
     wigner_tmsc,
 )
+from psqkd.errors import ZeroProbabilityError
+from psqkd.fock_oracle import apply_bs_and_project, build_tmsc_fock
+from psqkd.moments import pstmsc_covariance
+from psqkd.phase_space import SqueezedSourceParams, scaled_laguerre
 
 ORIGIN = PhasePoint(0.0, 0.0, 0.0, 0.0)
 
@@ -282,6 +283,8 @@ class TestSourceParamsValidation:
             SqueezedSourceParams(r=0.5, d=0.0, tau=1.2, k=0)
         with pytest.raises(ValueError):
             SqueezedSourceParams(r=0.5, d=0.0, tau=1.0, k=-1)
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            SqueezedSourceParams(r=0.5, d=0.0, tau=1.0, k=True)
 
     def test_derived_quantities(self):
         params = SqueezedSourceParams(r=0.5, d=0.0, tau=1.0, k=0)

@@ -61,8 +61,10 @@ class TestResolveFamily:
         assert (out.d, out.tau, out.k) == (2.0, 0.9, 3)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            resolve_family("epr", base_source())
+        # one spelling per family: ASCII digits, no leading zeros
+        for name in ("epr", "01-pstmsc", "00-pstmsv", "\u0661-pstmsc", "1-pstmsc\n"):
+            with pytest.raises(ValueError, match="unknown family"):
+                resolve_family(name, base_source())
 
 
 class TestSweepSpecValidation:
@@ -95,6 +97,12 @@ class TestSweepSpecValidation:
             SweepSpec(
                 "L_AC", 0, 1, 2, base_source(), base_channel(),
                 families=("tmsv", "1-pstmsc", "tmsv"),
+            )
+        # a second spelling of the same family is no longer a second label
+        with pytest.raises(ValueError, match="unknown family '01-pstmsc'"):
+            SweepSpec(
+                "L_AC", 0, 1, 2, base_source(), base_channel(),
+                families=("1-pstmsc", "01-pstmsc"),
             )
 
     def test_bad_family_rejected_up_front(self):
