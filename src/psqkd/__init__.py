@@ -7,15 +7,7 @@ a Gaussian key-rate pipeline; a truncated Fock-space oracle independently
 validates every closed form.
 """
 
-from .channel import (
-    ChannelParams,
-    NoiseBreakdown,
-    gain,
-    link_transmittances,
-    noise_breakdown,
-    thermal_excess,
-    transmittance,
-)
+from .channel import ChannelParams, NoiseBreakdown, gain, noise_breakdown, transmittance
 from .errors import (
     NonFiniteError,
     NoSecureRegionError,
@@ -25,22 +17,8 @@ from .errors import (
     UnphysicalStateError,
     ZeroProbabilityError,
 )
-from .keyrate import (
-    KeyRateResult,
-    conditional_cm_after_heterodyne,
-    effective_cm,
-    entropy_G,
-    holevo_bound,
-    mutual_information,
-    secret_key_rate,
-    symplectic_eigenvalues,
-)
-from .moments import (
-    TwoModeCM,
-    low_order_moment,
-    pstmsc_covariance,
-    subtraction_probability,
-)
+from .keyrate import KeyRateResult, entropy_G, secret_key_rate
+from .moments import TwoModeCM, pstmsc_covariance, subtraction_probability
 from .phase_space import SqueezedSourceParams, scaled_laguerre
 from .sweep import (
     SweepRow,
@@ -57,9 +35,7 @@ __all__ = [
     "ChannelParams",
     "NoiseBreakdown",
     "gain",
-    "link_transmittances",
     "noise_breakdown",
-    "thermal_excess",
     "transmittance",
     "NonFiniteError",
     "NoSecureRegionError",
@@ -69,15 +45,9 @@ __all__ = [
     "UnphysicalStateError",
     "ZeroProbabilityError",
     "KeyRateResult",
-    "conditional_cm_after_heterodyne",
-    "effective_cm",
     "entropy_G",
-    "holevo_bound",
-    "mutual_information",
     "secret_key_rate",
-    "symplectic_eigenvalues",
     "TwoModeCM",
-    "low_order_moment",
     "pstmsc_covariance",
     "subtraction_probability",
     "SqueezedSourceParams",

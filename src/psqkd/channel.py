@@ -9,6 +9,11 @@ referred to the channel input.
 Two geometries:
   * symmetric: the relay sits midway, L_BC = L_AC;
   * asymmetric: the relay is at Bob's site, L_BC = 0.
+
+One function per formula: `transmittance` of a fiber link, `gain` for the
+noise-minimizing displacement gain, and `noise_breakdown`, the one entry that
+builds a NoiseBreakdown, for T, the thermal excess at that gain
+(T_B/T_A)(eps_B - 2) + eps_A + 2/T_A and the added noises.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ __all__ = [
     "NoiseBreakdown",
     "transmittance",
     "gain",
-    "link_transmittances",
-    "thermal_excess",
     "noise_breakdown",
 ]
 
@@ -45,8 +48,6 @@ class ChannelParams:
         eta: relay homodyne detector efficiency in (0, 1].
         v_el: relay detector electronic noise (SNU, >= 0).
         loss_db_per_km: fiber loss (default 0.2 dB/km).
-        gain_override: fix the displacement gain instead of the
-            noise-minimizing value (sensitivity studies only).
     """
 
     geometry: str
@@ -58,13 +59,15 @@ class ChannelParams:
     eta: float = 1.0
     v_el: float = 0.0
     loss_db_per_km: float = 0.2
-    gain_override: float | None = None
 
     def __post_init__(self) -> None:
         if self.geometry not in GEOMETRIES:
             raise ValueError(
                 f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}"
             )
+        for name, value in vars(self).items():  # bool is an int subclass
+            if type(value) is bool:
+                raise ValueError(f"{name} must be a number, got {value!r}")
         # each check is written so that NaN and inf fail it
         for name in ("l_ac", "eps_a", "eps_b", "v_el", "loss_db_per_km"):
             value = getattr(self, name)
@@ -76,15 +79,6 @@ class ChannelParams:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
-
-    @property
-    def l_bc(self) -> float:
-        """Bob-relay fiber length implied by the geometry."""
-        return _bob_length(self.geometry, self.l_ac)
-
-
-def _bob_length(geometry: str, l_ac: float) -> float:
-    return l_ac if geometry == "symmetric" else 0.0
 
 
 @dataclass(frozen=True)
@@ -129,45 +123,6 @@ def gain(v_a: float, t_b: float) -> float:
     return math.sqrt(2.0 * (v_a - 1.0) / (t_b * (v_a + 1.0)))
 
 
-def link_transmittances(params: ChannelParams) -> tuple[float, float]:
-    """(T_A, T_B) of the two fiber links."""
-    return (
-        transmittance(params.l_ac, params.loss_db_per_km),
-        transmittance(params.l_bc, params.loss_db_per_km),
-    )
-
-
-def thermal_excess(params: ChannelParams) -> float:
-    """Thermal excess noise of the equivalent one-way channel.
-
-    At the noise-minimizing gain this is the closed form
-    (T_B/T_A)(eps_B - 2) + eps_A + 2/T_A, which grows as 2/T_A once the
-    Alice link dominates. With a gain override the general form is used
-    (relay-quadrature variance S plus the displacement cross term); it
-    reduces to the closed form exactly at the minimizer.
-    """
-    return _thermal_excess(params, *link_transmittances(params))
-
-
-def _thermal_excess(params: ChannelParams, t_a: float, t_b: float) -> float:
-    if params.gain_override is None:
-        return (t_b / t_a) * (params.eps_b - 2.0) + params.eps_a + 2.0 / t_a
-    g = params.gain_override
-    if not 0 < g < math.inf:
-        raise ValueError("gain override must be finite and positive")
-    v = params.v_a
-    s = 0.5 * (
-        t_b * (v + params.eps_b) + 1.0 - t_b + t_a * (v + params.eps_a) + 1.0 - t_a
-    )
-    return (
-        2.0 * (v - 1.0) / (g * g * t_a)
-        + 2.0 * s / t_a
-        - 2.0 * math.sqrt(2.0 * t_b * (v * v - 1.0)) / (g * t_a)
-        + 1.0
-        - v
-    )
-
-
 def noise_breakdown(params: ChannelParams) -> NoiseBreakdown:
     """All derived channel quantities for one configuration, one
     `transmittance` call per link."""
@@ -177,19 +132,17 @@ def noise_breakdown(params: ChannelParams) -> NoiseBreakdown:
 def _breakdown_at(params: ChannelParams, l_ac: float) -> tuple[float, ...]:
     loss = params.loss_db_per_km
     t_a = transmittance(l_ac, loss)
-    t_b = transmittance(_bob_length(params.geometry, l_ac), loss)
+    t_b = transmittance(l_ac if params.geometry == "symmetric" else 0.0, loss)
     if t_a == 0.0:
         raise ValueError(
             f"fiber transmittance underflows to 0 over L_AC = {l_ac:g} km "
             f"at {loss:g} dB/km"
         )
-    g = params.gain_override if params.gain_override is not None else gain(
-        params.v_a, t_b
-    )
+    g = gain(params.v_a, t_b)
     t = t_a * g * g / 2.0
     if t <= 0.0:
         raise ValueError("effective transmittance T must be positive; raise v_a")
-    eps_th = _thermal_excess(params, t_a, t_b)
+    eps_th = (t_b / t_a) * (params.eps_b - 2.0) + params.eps_a + 2.0 / t_a
     chi_line = (1.0 - t) / t + eps_th
     chi_homo = (params.v_el + 1.0 - params.eta) / params.eta
     chi_tot = chi_line + 2.0 * chi_homo / t_a

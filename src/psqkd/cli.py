@@ -17,6 +17,7 @@ import inspect
 import json
 import math
 import operator
+import os
 import sys
 
 from .config import ConfigError, RunConfig, build_sweep_spec, load_run_config
@@ -185,10 +186,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = load_run_config(args.config, args.set)
-        return _COMMANDS[args.command](config, args)
+        code = _COMMANDS[args.command](config, args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except (ValueError, PsqkdError) as exc:  # a caller mistake or a domain outcome
         print(f"error: {exc}", file=sys.stderr)
         return _DOMAIN_EXIT if isinstance(exc, PsqkdError) else _USAGE_EXIT
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull, so that
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _USAGE_EXIT
 
 
 if __name__ == "__main__":

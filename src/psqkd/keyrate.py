@@ -1,24 +1,27 @@
 """Secret key rate under reverse reconciliation and collective attacks.
 
-Pipeline: source covariance -> effective Alice-Bob covariance after the
-equivalent one-way channel -> mutual information (homodyne readout on both
-sides, conditioned through Bob's heterodyne-penalized variance) and Holevo
-bound -> rate K = P_detect * (beta * I_AB - chi_BE), in bits per pulse.
+`secret_key_rate` is the one entry that builds a KeyRateResult: the source
+stage of `moments`, the channel reduction of `channel`, then the channel
+stage below. Each formula of that stage has one function, on the covariance
+fields (the source states have zeros on every x-p cross term, so
+conditioning needs only scalar divisions, never a Schur complement):
 
-All covariance matrices here have the diagonal-block sparsity of the
-source states (zeros on every x-p cross term), so conditioning needs only
-scalar divisions, never a general Schur complement.
+  * effective_cm: the Alice-Bob covariance after the one-way channel;
+  * conditional_cm_after_heterodyne: Alice's variances given Bob's outcome;
+  * mutual_information: I_AB for homodyne readouts;
+  * symplectic_eigenvalues, entropy_G, holevo_bound: chi_BE;
+
+and K = P_detect * (beta * I_AB - chi_BE), in bits per pulse.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from .channel import ChannelParams, NoiseBreakdown, _breakdown_at
 from .errors import NonFiniteError, UnphysicalStateError
-from .moments import DEFAULT_SUBTRACTION_CAP, TwoModeCM, _source_stage
+from .moments import _source_stage
 from .phase_space import SqueezedSourceParams
 
 __all__ = [
@@ -50,29 +53,23 @@ class KeyRateResult:
     noise: NoiseBreakdown
 
 
-_variances = operator.attrgetter("vax", "vap", "vbx", "vbp", "vcx", "vcp")
-
-
-def _effective(vax, vap, vbx, vbp, vcx, vcp, t, chi) -> tuple[float, ...]:
-    st = math.sqrt(t)
-    return vax, vap, t * (vbx + chi), t * (vbp + chi), st * vcx, st * vcp
-
-
-def effective_cm(source_cm: TwoModeCM, noise: NoiseBreakdown) -> TwoModeCM:
-    """Alice-Bob covariance after the equivalent one-way channel.
+def effective_cm(vax, vap, vbx, vbp, vcx, vcp, t, chi_tot) -> tuple[float, ...]:
+    """Alice-Bob covariance fields (vax to vcp) after the equivalent one-way
+    channel of transmittance t and added noise chi_tot.
 
     Alice's block is untouched, correlations scale by sqrt(T), and Bob's
-    block becomes T * (V_B + chi_tot). Means ride along for completeness
-    (Bob's scaled by sqrt(T)); nothing downstream consumes them.
+    block becomes T * (V_B + chi_tot).
     """
-    return TwoModeCM(
-        *_effective(*_variances(source_cm), noise.t, noise.chi_tot),
-        source_cm.mean_x1,
-        math.sqrt(noise.t) * source_cm.mean_x2,
-    )
+    st = math.sqrt(t)
+    return vax, vap, t * (vbx + chi_tot), t * (vbp + chi_tot), st * vcx, st * vcp
 
 
-def _conditional(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
+def conditional_cm_after_heterodyne(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
+    """Alice's variances conditioned on Bob's heterodyne outcome.
+
+    The heterodyne vacuum unit shows up as the +1 in the denominator:
+    V_{A|B} = V_A - V_C^2 / (V_B + 1), separately per quadrature.
+    """
     vx = vax - vcx * vcx / (vbx + 1.0)
     vp = vap - vcp * vcp / (vbp + 1.0)
     if vx <= 0.0 or vp <= 0.0:
@@ -82,29 +79,22 @@ def _conditional(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
     return vx, vp
 
 
-def conditional_cm_after_heterodyne(cm: TwoModeCM) -> tuple[float, float]:
-    """Alice's variances conditioned on Bob's heterodyne outcome.
-
-    The heterodyne vacuum unit shows up as the +1 in the denominator:
-    V_{A|B} = V_A - V_C^2 / (V_B + 1), separately per quadrature.
-    """
-    return _conditional(*_variances(cm))
-
-
-def _mutual_information(vax: float, vap: float, vx: float, vp: float) -> float:
-    return 0.5 * (math.log2((vax + 1.0) / (vx + 1.0)) + math.log2((vap + 1.0) / (vp + 1.0)))
-
-
-def mutual_information(cm: TwoModeCM) -> float:
-    """I_AB in bits for homodyne readouts of the effective state.
+def mutual_information(vax: float, vap: float, vx: float, vp: float) -> float:
+    """I_AB in bits from Alice's variances and their conditioned values.
 
     Measured variances are (V+1)/2 (heterodyne-style vacuum penalty), so
     per quadrature I = log2[(V_A + 1) / (V_{A|B} + 1)] / 2.
     """
-    return _mutual_information(cm.vax, cm.vap, *conditional_cm_after_heterodyne(cm))
+    return 0.5 * (math.log2((vax + 1.0) / (vx + 1.0)) + math.log2((vap + 1.0) / (vp + 1.0)))
 
 
-def _eigenvalues(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
+def symplectic_eigenvalues(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
+    """The two symplectic eigenvalues of a diagonal-block two-mode CM.
+
+    Uses the invariant form lambda^2 = (Delta +/- sqrt(Delta^2 - 4 det)) / 2
+    with Delta = det A + det B + 2 det C. Both are >= 1 iff the CM is
+    physical.
+    """
     det_a = vax * vap
     det_b = vbx * vbp
     det_c = vcx * vcp
@@ -127,16 +117,6 @@ def _eigenvalues(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
     return lam1, lam2
 
 
-def symplectic_eigenvalues(cm: TwoModeCM) -> tuple[float, float]:
-    """The two symplectic eigenvalues of a diagonal-block two-mode CM.
-
-    Uses the invariant form lambda^2 = (Delta +/- sqrt(Delta^2 - 4 det)) / 2
-    with Delta = det A + det B + 2 det C. Both are >= 1 iff the CM is
-    physical.
-    """
-    return _eigenvalues(*_variances(cm))
-
-
 def entropy_G(x: float) -> float:
     """Thermal-state von Neumann entropy (x + 1) log2(x + 1) - x log2 x.
 
@@ -155,7 +135,15 @@ def entropy_G(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-def _holevo_bound(lam1: float, lam2: float, lam3: float) -> float:
+def holevo_bound(lam1: float, lam2: float, lam3: float) -> float:
+    """Eavesdropper information bound chi_BE for reverse reconciliation.
+
+    chi_BE = G((l1-1)/2) + G((l2-1)/2) - G((l3-1)/2) with l1, l2 the
+    symplectic eigenvalues of the joint CM and l3 = sqrt(V_{A|B,x} V_{A|B,p})
+    that of Alice's heterodyne-conditioned block. A numerically pure joint
+    state leaks nothing and short-circuits to 0; eigenvalue excursions
+    below 1 are float noise and enter the G terms as 0.
+    """
     if lam1 < 1.0 + _PURITY_EPS and lam2 < 1.0 + _PURITY_EPS:
         return 0.0
     return (
@@ -163,19 +151,6 @@ def _holevo_bound(lam1: float, lam2: float, lam3: float) -> float:
         + entropy_G(max(0.0, (lam2 - 1.0) / 2.0))
         - entropy_G(max(0.0, (lam3 - 1.0) / 2.0))
     )
-
-
-def holevo_bound(cm: TwoModeCM) -> float:
-    """Eavesdropper information bound chi_BE for reverse reconciliation.
-
-    chi_BE = G((l1-1)/2) + G((l2-1)/2) - G((l3-1)/2) with l1, l2 from the
-    joint CM and l3 from Alice's heterodyne-conditioned block. A numerically
-    pure joint state leaks nothing and short-circuits to 0; eigenvalue
-    excursions below 1 are float noise and enter the G terms as 0.
-    """
-    lam1, lam2 = symplectic_eigenvalues(cm)
-    vx, vp = conditional_cm_after_heterodyne(cm)
-    return _holevo_bound(lam1, lam2, math.sqrt(vx * vp))
 
 
 def _channel_stage(
@@ -190,12 +165,12 @@ def _channel_stage(
     p_ps, vax, vap, vbx, vbp, vcx, vcp, _, _ = stage
     t, chi_tot = noise[3], noise[7]
     try:
-        eff = _effective(vax, vap, vbx, vbp, vcx, vcp, t, chi_tot)
-        vx, vp = _conditional(*eff)
-        lam1, lam2 = _eigenvalues(*eff)
+        eff = effective_cm(vax, vap, vbx, vbp, vcx, vcp, t, chi_tot)
+        vx, vp = conditional_cm_after_heterodyne(*eff)
+        lam1, lam2 = symplectic_eigenvalues(*eff)
         lam3 = math.sqrt(vx * vp)
-        i_ab = _mutual_information(vax, vap, vx, vp)  # Alice's block is the source's
-        chi_be = _holevo_bound(lam1, lam2, lam3)
+        i_ab = mutual_information(vax, vap, vx, vp)  # Alice's block is the source's
+        chi_be = holevo_bound(lam1, lam2, lam3)
         rate = (i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3)
         finite = all(map(math.isfinite, rate + noise))
     except OverflowError:
@@ -205,11 +180,7 @@ def _channel_stage(
     return rate
 
 
-def secret_key_rate(
-    source: SqueezedSourceParams,
-    channel: ChannelParams,
-    max_k: int = DEFAULT_SUBTRACTION_CAP,
-) -> KeyRateResult:
+def secret_key_rate(source: SqueezedSourceParams, channel: ChannelParams) -> KeyRateResult:
     """Full pipeline for one configuration: the source stage, the channel
     reduction, then the channel stage.
 
@@ -220,7 +191,7 @@ def secret_key_rate(
     Raises ZeroProbabilityError when the subtraction event cannot occur, and
     NonFiniteError when a stage overflows or yields a non-finite value.
     """
-    stage = _source_stage(source, max_k)
+    stage = _source_stage(source)
     noise = _breakdown_at(channel, channel.l_ac)
     rate = _channel_stage(stage, noise, channel.beta)
     return KeyRateResult(stage[0], *rate, NoiseBreakdown(*noise))

@@ -16,6 +16,11 @@ used throughout:
     D = 1 + (1-tau) nu^2            E = mu^2 + tau nu^2 = cosh 2r - (1-tau) nu^2
     mu + nu = e^r                   A = nu^2 (1-tau) / D
     A*y = (1-tau) d^2 (mu+nu)^2 / (4 D^2)   (finite as nu -> 0)
+
+One function per quantity: `subtraction_probability` for the heralding
+probability, and `pstmsc_covariance`, the one entry that builds a
+TwoModeCM, for the means and covariance. Sweeps, searches and the Fock
+oracle read the same numbers as the float tuple `_source_stage`.
 """
 
 from __future__ import annotations
@@ -26,18 +31,11 @@ from dataclasses import dataclass
 from .errors import NonFiniteError, ZeroProbabilityError
 from .phase_space import SqueezedSourceParams, scaled_laguerre
 
-__all__ = [
-    "DEFAULT_SUBTRACTION_CAP",
-    "TwoModeCM",
-    "subtraction_probability",
-    "source_stage",
-    "pstmsc_covariance",
-    "low_order_moment",
-]
+__all__ = ["SUBTRACTION_CAP", "TwoModeCM", "subtraction_probability", "pstmsc_covariance"]
 
-# subtraction orders above this are rejected unless the caller raises the cap;
-# probabilities beyond it are negligible for the parameter ranges of interest
-DEFAULT_SUBTRACTION_CAP = 16
+# the source stage rejects subtraction orders above this; their probabilities
+# are negligible for the parameter ranges of interest
+SUBTRACTION_CAP = 16
 
 # above this argument (or degree, once y > 1) the plain term sums of the
 # Laguerre ratios could overflow, so each sum is scaled by a = 1/y; below it
@@ -72,14 +70,6 @@ class TwoModeCM:
     mean_x1: float = 0.0
     mean_x2: float = 0.0
 
-    def _rows(self) -> tuple[tuple[float, ...], ...]:
-        return (
-            (self.vax, 0.0, self.vcx, 0.0),
-            (0.0, self.vap, 0.0, self.vcp),
-            (self.vcx, 0.0, self.vbx, 0.0),
-            (0.0, self.vcp, 0.0, self.vbp),
-        )
-
 
 def _laguerre_ratios(k: int, y: float) -> tuple[float, float]:
     """(R1, R2) = (L^1_{k-1} / L_k, L^2_{k-2} / L_k), all at argument -y.
@@ -99,9 +89,7 @@ def _laguerre_ratios(k: int, y: float) -> tuple[float, float]:
     return r1, r2
 
 
-def subtraction_probability(
-    params: SqueezedSourceParams, max_k: int = DEFAULT_SUBTRACTION_CAP
-) -> float:
+def subtraction_probability(params: SqueezedSourceParams) -> float:
     """Probability of detecting exactly k photons on the subtraction tap.
 
     Evaluates A^k L_k(-y) as a joint positive sum in A and A*y so the
@@ -109,11 +97,6 @@ def subtraction_probability(
     weights with mean (1-tau) d^2 / 4, and the empty source gives 1 for
     k = 0 and 0 otherwise.
     """
-    if params.k > max_k:
-        raise ValueError(
-            f"subtraction order k={params.k} exceeds the stability cap {max_k}; "
-            "raise max_k explicitly if you really need it"
-        )
     nu = params.nu
     tau, d, k = params.tau, params.d, params.k
     big_d = 1.0 + (1.0 - tau) * nu * nu
@@ -125,25 +108,23 @@ def subtraction_probability(
     return min(max(p, 0.0), 1.0)
 
 
-def source_stage(
-    params: SqueezedSourceParams, max_k: int = DEFAULT_SUBTRACTION_CAP
-) -> tuple[float, TwoModeCM]:
-    """(p_ps, cm): the source half of the key-rate pipeline, from one
-    probability evaluation; it depends on the source parameters only.
+def pstmsc_covariance(params: SqueezedSourceParams) -> TwoModeCM:
+    """Means and covariance matrix of the k-photon-subtracted state.
 
-    Raises ZeroProbabilityError when the conditioning event has probability
-    zero (tau = 1 with k >= 1, or r = 0 and d = 0 with k >= 1), and
-    NonFiniteError when the arithmetic overflows or a moment is not finite.
+    Raises ValueError when k exceeds SUBTRACTION_CAP, ZeroProbabilityError
+    when the conditioning event has probability zero (tau = 1 with k >= 1,
+    or r = 0 and d = 0 with k >= 1), and NonFiniteError when the arithmetic
+    overflows or a moment is not finite.
     """
-    p_ps, *moments = _source_stage(params, max_k)
-    return p_ps, TwoModeCM(*moments)
+    return TwoModeCM(*_source_stage(params)[1:])
 
 
-def _source_stage(
-    params: SqueezedSourceParams, max_k: int = DEFAULT_SUBTRACTION_CAP
-) -> tuple[float, ...]:
+def _source_stage(params: SqueezedSourceParams) -> tuple[float, ...]:
+    """The source half of the key-rate pipeline on floats: p_ps, then the
+    TwoModeCM fields, from one probability evaluation. Raises as
+    `pstmsc_covariance` does."""
     try:
-        stage = _source_moments(params, max_k)
+        stage = _source_moments(params)
         finite = all(map(math.isfinite, stage))
     except OverflowError:
         finite = False
@@ -152,8 +133,12 @@ def _source_stage(
     return stage
 
 
-def _source_moments(params: SqueezedSourceParams, max_k: int) -> tuple[float, ...]:
-    p_ps = subtraction_probability(params, max_k)
+def _source_moments(params: SqueezedSourceParams) -> tuple[float, ...]:
+    if params.k > SUBTRACTION_CAP:
+        raise ValueError(
+            f"subtraction order k={params.k} exceeds the stability cap {SUBTRACTION_CAP}"
+        )
+    p_ps = subtraction_probability(params)
     if p_ps <= 0.0:
         raise ZeroProbabilityError(
             f"{params.k}-photon subtraction has probability 0 at "
@@ -204,37 +189,3 @@ def _source_moments(params: SqueezedSourceParams, max_k: int) -> tuple[float, ..
     mean_x2 = d * st * er * (1.0 + r1) / big_d
     return p_ps, vax, vap, vbx, vbp, vcx, vcp, mean_x1, mean_x2
 
-
-def pstmsc_covariance(
-    params: SqueezedSourceParams, max_k: int = DEFAULT_SUBTRACTION_CAP
-) -> TwoModeCM:
-    """Means and covariance matrix of the k-photon-subtracted state.
-
-    Raises ZeroProbabilityError as `source_stage` does.
-    """
-    return source_stage(params, max_k)[1]
-
-
-def low_order_moment(
-    params: SqueezedSourceParams, i: int, j: int, m: int, n: int
-) -> float:
-    """Raw moment <x1^i p1^j x2^m p2^n> for total order i+j+m+n <= 2.
-
-    Higher orders are not expressible through the covariance data; they are
-    available only via the Fock-space oracle.
-    """
-    orders = (i, j, m, n)
-    if any(o < 0 for o in orders):
-        raise ValueError("moment orders must be non-negative")
-    total = sum(orders)
-    if total > 2:
-        raise ValueError(f"unsupported order {orders}: total must be <= 2")
-    if total == 0:
-        return 1.0
-    cm = pstmsc_covariance(params)
-    mean = (cm.mean_x1, 0.0, cm.mean_x2, 0.0)
-    active = [axis for axis, o in enumerate(orders) for _ in range(o)]
-    if total == 1:
-        return mean[active[0]]
-    a, b = active
-    return cm._rows()[a][b] + mean[a] * mean[b]

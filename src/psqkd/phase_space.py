@@ -35,6 +35,9 @@ class SqueezedSourceParams:
     k: int
 
     def __post_init__(self) -> None:
+        for name in ("r", "d", "tau"):  # bool is an int subclass
+            if type(getattr(self, name)) is bool:
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in ("r", "d"):  # written so that NaN and inf fail it
             value = getattr(self, name)
             if not 0 <= value < math.inf:

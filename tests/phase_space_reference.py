@@ -11,7 +11,7 @@ Conventions (shot-noise units, SNU):
 The k-photon-subtracted Wigner density is a Gaussian times a polynomial of
 degree 2k, so Gauss-Hermite quadrature fitted to that Gaussian integrates
 its means and second moments exactly. `gauss_hermite_moments` does that;
-the tests pin `psqkd.moments.source_stage` against it at squeezing,
+the tests pin `psqkd.moments.pstmsc_covariance` against it at squeezing,
 displacement and subtraction orders past the Fock oracle's truncation.
 """
 

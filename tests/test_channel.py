@@ -10,12 +10,31 @@ from psqkd.channel import (
     ChannelParams,
     NoiseBreakdown,
     gain,
-    link_transmittances,
     noise_breakdown,
-    thermal_excess,
     transmittance,
 )
 from psqkd.phase_space import SqueezedSourceParams
+
+
+def thermal_excess_at_gain(params: ChannelParams, g: float) -> float:
+    """Thermal excess noise of the equivalent channel at displacement gain g.
+
+    The general form: relay-quadrature variance S plus the displacement
+    cross term. Its minimum over g is at `gain(v_a, T_B)`, where it reduces
+    to the closed form that `noise_breakdown` evaluates.
+    """
+    nb = noise_breakdown(params)
+    t_a, t_b, v = nb.t_a, nb.t_b, params.v_a
+    s = 0.5 * (
+        t_b * (v + params.eps_b) + 1.0 - t_b + t_a * (v + params.eps_a) + 1.0 - t_a
+    )
+    return (
+        2.0 * (v - 1.0) / (g * g * t_a)
+        + 2.0 * s / t_a
+        - 2.0 * math.sqrt(2.0 * t_b * (v * v - 1.0)) / (g * t_a)
+        + 1.0
+        - v
+    )
 
 
 def channel(geometry="asymmetric", l_ac=20.0, v_a=50.0, beta=0.96, **kw):
@@ -66,12 +85,14 @@ class TestGain:
 
 class TestGeometry:
     def test_asymmetric_bob_link_is_lossless(self):
-        t_a, t_b = link_transmittances(channel(geometry="asymmetric", l_ac=37.0))
+        nb = noise_breakdown(channel(geometry="asymmetric", l_ac=37.0))
+        t_a, t_b = nb.t_a, nb.t_b
         assert t_b == 1.0
         assert t_a == pytest.approx(transmittance(37.0, 0.2))
 
     def test_symmetric_links_are_equal(self):
-        t_a, t_b = link_transmittances(channel(geometry="symmetric", l_ac=12.5))
+        nb = noise_breakdown(channel(geometry="symmetric", l_ac=12.5))
+        t_a, t_b = nb.t_a, nb.t_b
         assert t_a == t_b
 
     def test_unknown_geometry_rejected(self):
@@ -82,29 +103,23 @@ class TestGeometry:
 class TestThermalExcess:
     def test_lossless_noiseless_channel(self):
         ch = channel(geometry="asymmetric", l_ac=0.0)
-        assert thermal_excess(ch) == pytest.approx(0.0, abs=1e-14)
+        assert noise_breakdown(ch).eps_th == pytest.approx(0.0, abs=1e-14)
 
     def test_ten_db_alice_link(self):
         # T_A = 0.1, T_B = 1, both excess noises 0.002
         ch = channel(geometry="asymmetric", l_ac=50.0, eps_a=0.002, eps_b=0.002)
-        assert thermal_excess(ch) == pytest.approx(0.022, rel=1e-9)
+        assert noise_breakdown(ch).eps_th == pytest.approx(0.022, rel=1e-9)
 
     def test_lossless_with_excess(self):
         ch = channel(geometry="asymmetric", l_ac=0.0, eps_a=0.002, eps_b=0.002)
-        assert thermal_excess(ch) == pytest.approx(0.004, rel=1e-12)
+        assert noise_breakdown(ch).eps_th == pytest.approx(0.004, rel=1e-12)
 
     def test_override_at_minimizer_matches_closed_form(self):
         base = channel(geometry="symmetric", l_ac=8.0, eps_a=0.002, eps_b=0.002)
-        t_b = link_transmittances(base)[1]
-        pinned = channel(
-            geometry="symmetric",
-            l_ac=8.0,
-            eps_a=0.002,
-            eps_b=0.002,
-            gain_override=gain(base.v_a, t_b),
-        )
-        assert thermal_excess(pinned) == pytest.approx(
-            thermal_excess(base), rel=1e-12
+        t_b = noise_breakdown(base).t_b
+        pinned = thermal_excess_at_gain(base, gain(base.v_a, t_b))
+        assert pinned == pytest.approx(
+            noise_breakdown(base).eps_th, rel=1e-12
         )
 
     def test_default_gain_minimizes_thermal_excess(self):
@@ -118,18 +133,10 @@ class TestThermalExcess:
                 eps_b=float(rng.uniform(0.0, 0.05)),
             )
             g_star = noise_breakdown(ch).g
-            best = thermal_excess(ch)
+            best = noise_breakdown(ch).eps_th
             for bump in (1.0 - 1e-3, 1.0 + 1e-3):
-                perturbed = ChannelParams(
-                    geometry=ch.geometry,
-                    l_ac=ch.l_ac,
-                    v_a=ch.v_a,
-                    beta=ch.beta,
-                    eps_a=ch.eps_a,
-                    eps_b=ch.eps_b,
-                    gain_override=g_star * bump,
-                )
-                assert thermal_excess(perturbed) >= best - 1e-12
+                perturbed = thermal_excess_at_gain(ch, g_star * bump)
+                assert perturbed >= best - 1e-12
 
 
 class TestNoiseBreakdown:
@@ -200,21 +207,10 @@ class TestNoiseBreakdown:
             channel(l_ac=-3.0)
         with pytest.raises(ValueError):
             channel(v_el=-0.1)
-        negative_gain = ChannelParams(
-            geometry="symmetric", l_ac=5.0, v_a=50.0, beta=0.96, gain_override=-1.0
-        )
-        with pytest.raises(ValueError, match="gain override"):
-            noise_breakdown(negative_gain)
-        nan_gain = ChannelParams(
-            geometry="symmetric", l_ac=5.0, v_a=50.0, beta=0.96, gain_override=math.nan
-        )
-        with pytest.raises(ValueError, match="gain override"):
-            noise_breakdown(nan_gain)
-        zero_gain = ChannelParams(
-            geometry="symmetric", l_ac=5.0, v_a=50.0, beta=0.96, gain_override=0.0
-        )
+        # T = T_A g^2 / 2 underflows for a subnormal T_A at the smallest gain
+        underflow = channel(geometry="asymmetric", l_ac=15500.0, v_a=1.0000000000000002)
         with pytest.raises(ValueError, match="transmittance"):
-            noise_breakdown(zero_gain)
+            noise_breakdown(underflow)
 
     @pytest.mark.parametrize(
         "record, field",
@@ -237,9 +233,7 @@ class TestNoiseBreakdown:
         [(SqueezedSourceParams, f) for f in ("r", "d")]
         + [
             (ChannelParams, f)
-            for f in (
-                "l_ac", "v_a", "eps_a", "eps_b", "v_el", "loss_db_per_km", "gain_override"
-            )
+            for f in ("l_ac", "v_a", "eps_a", "eps_b", "v_el", "loss_db_per_km")
         ],
     )
     def test_inf_in_any_parameter_field_is_rejected(self, record, field):
@@ -248,9 +242,25 @@ class TestNoiseBreakdown:
             ChannelParams: dict(geometry="symmetric", l_ac=5.0, v_a=50.0, beta=0.96),
         }[record]
         with pytest.raises(ValueError, match="finite"):
-            params = record(**{**valid, field: math.inf})
-            if record is ChannelParams:
-                noise_breakdown(params)  # a set gain override is checked where used
+            record(**{**valid, field: math.inf})
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(SqueezedSourceParams, f) for f in ("r", "d", "tau", "k")]
+        + [
+            (ChannelParams, f)
+            for f in ("l_ac", "v_a", "beta", "eps_a", "eps_b", "eta", "v_el", "loss_db_per_km")
+        ],
+    )
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_in_any_number_field_is_rejected(self, record, field, flag):
+        # True passes every range check as 1, False as 0
+        valid = {
+            SqueezedSourceParams: dict(r=0.5, d=1.0, tau=0.9, k=1),
+            ChannelParams: dict(geometry="symmetric", l_ac=5.0, v_a=50.0, beta=0.96),
+        }[record]
+        with pytest.raises(ValueError, match="must be"):
+            record(**{**valid, field: flag})
 
     @pytest.mark.parametrize("k", [1.0, 2.5, "1"])
     def test_non_integer_k_is_rejected(self, k):
@@ -267,14 +277,6 @@ class TestNoiseBreakdown:
         monkeypatch.setattr(channel_module, "transmittance", counted)
         noise_breakdown(channel(geometry="symmetric", l_ac=12.0))
         assert len(calls) == 2  # one per link
-
-    @pytest.mark.parametrize("gain_override", [None, 1.3])
-    def test_breakdown_thermal_excess_is_thermal_excess(self, gain_override):
-        ch = channel(
-            geometry="symmetric", l_ac=17.3, eps_a=0.01, eps_b=0.003,
-            gain_override=gain_override,
-        )
-        assert noise_breakdown(ch).eps_th == thermal_excess(ch)  # bit for bit
 
     def test_breakdown_is_plain_data(self):
         nb = noise_breakdown(channel())

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import dataclasses
+import importlib
 import inspect
 import io
 import json
@@ -37,6 +38,21 @@ from psqkd.sweep import SweepSpec, max_secure_distance, optimize_scalar, run_swe
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = sorted(p.stem for p in (REPO / "configs").glob("fig*.cfg"))
+
+# tests/golden/<name>.json: the stdout of each of these command lines
+GOLDEN_JSON = {
+    "keyrate_fig6": ["keyrate", "--config", "configs/fig6.cfg"],
+    "keyrate_fig3": ["keyrate", "--config", "configs/fig3.cfg"],
+    "max_distance_fig7": [
+        "max-distance", "--config", "configs/fig7.cfg",
+        "--set", "max_distance.k_target=1e-4",
+    ],
+    "optimize_fig4": [
+        "optimize", "--config", "configs/fig4.cfg",
+        "--set", "optimize.variable=d", "--set", "optimize.lo=0", "--set", "optimize.hi=3",
+        "--set", "optimize.objective=max_distance", "--set", "optimize.k_target=1e-4",
+    ],
+}
 
 BASE_CFG = """\
 # reference point used across the CLI tests
@@ -619,6 +635,13 @@ class TestGoldenFixtures:
         golden = (GOLDEN / f"{name}.csv").read_bytes()
         assert out.read_bytes() == golden, f"{name} drifted from its golden file"
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+    def test_json_output_is_byte_identical(self, name, monkeypatch, capsys):
+        monkeypatch.chdir(REPO)
+        assert main(GOLDEN_JSON[name]) == 0
+        golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden, f"{name} drifted from its golden file"
+
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run the interpreter in a new process, with this checkout's package."""
@@ -656,6 +679,28 @@ class TestImports:
         assert numpy_users == {"fock_oracle.py"}
         assert imported["phase_space.py"] <= sys.stdlib_module_names
 
+    def test_benchmark_names_resolve(self):
+        # a name the benchmark's workloads take from psqkd, by `from psqkd.m
+        # import name` or as `psqkd.m.name`, must still exist there
+        tree = ast.parse((REPO / "perfbench" / "workloads.py").read_text())
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("psqkd"):
+                used.update((node.module, alias.name) for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "psqkd"
+            ):
+                used.add((f"psqkd.{node.value.attr}", node.attr))
+        assert used, "no psqkd names found in the workloads"
+        missing = [
+            f"{module}.{name}" for module, name in sorted(used)
+            if not hasattr(importlib.import_module(module), name)
+        ]
+        assert missing == []
+
     def test_cli_runs_leave_numpy_unloaded(self, tmp_path):
         # numpy is loaded only by the Fock oracle behind oracle-check
         cfg = REPO / "configs" / "fig6.cfg"
@@ -671,7 +716,6 @@ assert main(["max-distance", *base]) == 0
 assert main(["optimize", *base, *opt]) == 0
 source = psqkd.SqueezedSourceParams(r=0.5, d=1.0, tau=0.9, k=1)
 psqkd.pstmsc_covariance(source)
-psqkd.low_order_moment(source, 1, 0, 1, 0)
 channel = psqkd.ChannelParams("asymmetric", 20.0, source.variance, 0.96)
 psqkd.secret_key_rate(source, channel)
 assert "numpy" not in sys.modules, "numpy loaded"
@@ -706,3 +750,28 @@ class TestFreshRuns:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["best_value"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keyrate", "--config", "configs/fig6.cfg"],
+            ["max-distance", "--config", "configs/fig7.cfg"],
+        ],
+    )
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # before the child starts, so its every write fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "psqkd.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=REPO,
+                env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == ""  # no traceback, no "Exception ignored" line

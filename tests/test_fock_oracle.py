@@ -46,7 +46,7 @@ class TestBuildState:
 
     def test_normalized(self):
         state = build_tmsc_fock(0.7, 1.5, suggested_truncation(0.7, 1.5))
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
         assert state.leakage() < 1e-8
 
     def test_truncation_guard_fires_when_too_small(self):
@@ -118,15 +118,6 @@ class TestClosedFormColumn:
 
 
 class TestProjection:
-    def test_output_crop(self):
-        state = build_tmsc_fock(0.5, 0.8, 40)
-        full, full_prob = apply_bs_and_project(state, 0.7, 2)
-        cropped, prob = apply_bs_and_project(state, 0.7, 2, n_max=12)
-        assert cropped.n_max == 12
-        kept = full.amps[:13, :13] * math.sqrt(full_prob)
-        assert prob == pytest.approx(np.linalg.norm(kept) ** 2, rel=1e-12)
-        assert np.max(np.abs(cropped.amps - kept / math.sqrt(prob))) < 1e-12
-
     def test_more_tap_photons_than_levels(self):
         state = FockTwoModeState(np.ones((9, 9), dtype=complex) / 9.0)
         _, prob = apply_bs_and_project(state, 0.5, 8)

@@ -15,8 +15,6 @@ from psqkd.channel import (
     ChannelParams,
     NoiseBreakdown,
     _breakdown_at,
-    gain,
-    link_transmittances,
     noise_breakdown,
 )
 from psqkd.errors import (
@@ -26,7 +24,6 @@ from psqkd.errors import (
     ZeroProbabilityError,
 )
 from psqkd.keyrate import (
-    KeyRateResult,
     _channel_stage,
     conditional_cm_after_heterodyne,
     effective_cm,
@@ -36,7 +33,7 @@ from psqkd.keyrate import (
     secret_key_rate,
     symplectic_eigenvalues,
 )
-from psqkd.moments import TwoModeCM, pstmsc_covariance, source_stage
+from psqkd.moments import TwoModeCM, pstmsc_covariance, subtraction_probability
 from psqkd.phase_space import SqueezedSourceParams
 
 OMEGA = np.array(
@@ -54,18 +51,20 @@ def tmsv_cm(r: float) -> TwoModeCM:
     return TwoModeCM(vax=ch, vap=ch, vbx=ch, vbp=ch, vcx=sh, vcp=-sh)
 
 
-def plain_noise(t: float, chi_tot: float) -> NoiseBreakdown:
-    """A breakdown carrying just the fields effective_cm consumes."""
-    return NoiseBreakdown(
-        t_a=1.0,
-        t_b=1.0,
-        g=math.sqrt(2.0 * t),
-        t=t,
-        eps_th=0.0,
-        chi_line=chi_tot,
-        chi_homo=0.0,
-        chi_tot=chi_tot,
-    )
+def fields(cm: TwoModeCM) -> tuple[float, ...]:
+    """The six covariance entries of a TwoModeCM, vax to vcp."""
+    return dataclasses.astuple(cm)[:6]
+
+
+def info(*cm: float) -> float:
+    """I_AB of the covariance entries vax to vcp."""
+    return mutual_information(cm[0], cm[1], *conditional_cm_after_heterodyne(*cm))
+
+
+def chi_be(*cm: float) -> float:
+    """chi_BE of the covariance entries vax to vcp."""
+    vx, vp = conditional_cm_after_heterodyne(*cm)
+    return holevo_bound(*symplectic_eigenvalues(*cm), math.sqrt(vx * vp))
 
 
 def tmsv_source(v_a: float) -> SqueezedSourceParams:
@@ -107,11 +106,11 @@ class TestEntropyG:
 class TestSymplecticEigenvalues:
     def test_thermal_state(self):
         cm = TwoModeCM(vax=3.0, vap=3.0, vbx=3.0, vbp=3.0, vcx=0.0, vcp=0.0)
-        assert symplectic_eigenvalues(cm) == pytest.approx((3.0, 3.0), rel=1e-12)
+        assert symplectic_eigenvalues(*fields(cm)) == pytest.approx((3.0, 3.0), rel=1e-12)
 
     def test_pure_tmsv_has_unit_eigenvalues(self):
         for r in (0.1, 0.6, 1.5):
-            lam1, lam2 = symplectic_eigenvalues(tmsv_cm(r))
+            lam1, lam2 = symplectic_eigenvalues(*fields(tmsv_cm(r)))
             assert lam1 == pytest.approx(1.0, abs=1e-9)
             assert lam2 == pytest.approx(1.0, abs=1e-9)
 
@@ -134,7 +133,7 @@ class TestSymplecticEigenvalues:
             )
             expect = np.abs(np.linalg.eigvals(1j * OMEGA @ cm_matrix(cm)))
             expect = np.sort(expect)  # each eigenvalue appears twice
-            lam1, lam2 = symplectic_eigenvalues(cm)
+            lam1, lam2 = symplectic_eigenvalues(*fields(cm))
             assert lam2 == pytest.approx(expect[0], rel=1e-9)
             assert lam1 == pytest.approx(expect[3], rel=1e-9)
             # symplectic invariant: product equals sqrt(det)
@@ -144,7 +143,7 @@ class TestSymplecticEigenvalues:
     def test_product_form_stable_for_near_pure_states(self):
         # weakly squeezed pure state: lam1 and lam2 nearly coincide at 1 and
         # naive use of Delta^2 - 4 det(Sigma) loses almost every digit
-        lam1, lam2 = symplectic_eigenvalues(tmsv_cm(1e-6))
+        lam1, lam2 = symplectic_eigenvalues(*fields(tmsv_cm(1e-6)))
         assert abs(lam1 - 1.0) < 1e-10
         assert abs(lam2 - 1.0) < 1e-10
 
@@ -152,68 +151,69 @@ class TestSymplecticEigenvalues:
 class TestEffectiveCm:
     def test_identity_channel_is_noop(self):
         cm = pstmsc_covariance(SqueezedSourceParams(r=0.5, d=1.0, tau=0.8, k=1))
-        out = effective_cm(cm, plain_noise(t=1.0, chi_tot=0.0))
-        assert out == cm
+        out = effective_cm(*fields(cm), 1.0, 0.0)
+        assert out == fields(cm)
 
     def test_direct_substitution(self):
-        out = effective_cm(tmsv_cm(0.6), plain_noise(t=0.5, chi_tot=1.0))
-        assert out.vax == pytest.approx(math.cosh(1.2))
-        assert out.vbx == pytest.approx(0.5 * (math.cosh(1.2) + 1.0), rel=1e-14)
-        assert out.vbp == out.vbx
-        assert out.vcx == pytest.approx(
+        vax, _, vbx, vbp, vcx, vcp = effective_cm(*fields(tmsv_cm(0.6)), 0.5, 1.0)
+        assert vax == pytest.approx(math.cosh(1.2))
+        assert vbx == pytest.approx(0.5 * (math.cosh(1.2) + 1.0), rel=1e-14)
+        assert vbp == vbx
+        assert vcx == pytest.approx(
             math.sqrt(0.5) * math.sinh(1.2), rel=1e-14
         )
-        assert out.vcp == -out.vcx
+        assert vcp == -vcx
 
 
 class TestMutualInformation:
     def test_uncorrelated_modes_share_nothing(self):
         cm = TwoModeCM(vax=3.0, vap=3.0, vbx=2.0, vbp=2.0, vcx=0.0, vcp=0.0)
-        assert mutual_information(cm) == 0.0
+        assert info(*fields(cm)) == 0.0
 
     def test_tmsv_reference_value(self):
         v = math.cosh(1.2)
         s = math.sinh(1.2)
         cond = v - s * s / (v + 1.0)
         expect = math.log2((v + 1.0) / (cond + 1.0))  # x and p contribute equally
-        assert mutual_information(tmsv_cm(0.6)) == pytest.approx(expect, rel=1e-12)
+        assert info(*fields(tmsv_cm(0.6))) == pytest.approx(expect, rel=1e-12)
 
     def test_symmetric_cm_splits_evenly(self):
         cm = tmsv_cm(0.8)
         half = 0.5 * math.log2((cm.vax + 1.0) / (
             cm.vax - cm.vcx**2 / (cm.vbx + 1.0) + 1.0
         ))
-        assert mutual_information(cm) == pytest.approx(2 * half, rel=1e-12)
+        assert info(*fields(cm)) == pytest.approx(2 * half, rel=1e-12)
 
     def test_unphysical_conditioning_rejected(self):
         cm = TwoModeCM(vax=1.0, vap=1.0, vbx=1.0, vbp=1.0, vcx=3.0, vcp=0.0)
         with pytest.raises(UnphysicalStateError):
-            mutual_information(cm)
+            info(*fields(cm))
 
 
 class TestConditionalCm:
     def test_no_correlations_leave_alice_unchanged(self):
         cm = TwoModeCM(vax=2.5, vap=1.7, vbx=4.0, vbp=4.0, vcx=0.0, vcp=0.0)
-        assert conditional_cm_after_heterodyne(cm) == (2.5, 1.7)
+        assert conditional_cm_after_heterodyne(*fields(cm)) == (2.5, 1.7)
 
     def test_pure_tmsv_conditional_purity_bound(self):
-        vx, vp = conditional_cm_after_heterodyne(tmsv_cm(0.6))
+        vx, vp = conditional_cm_after_heterodyne(*fields(tmsv_cm(0.6)))
         assert math.sqrt(vx * vp) >= 1.0 - 1e-12
 
 
 class TestHolevoBound:
     def test_pure_state_leaks_nothing(self):
-        assert holevo_bound(tmsv_cm(0.7)) == 0.0
+        assert chi_be(*fields(tmsv_cm(0.7))) == 0.0
 
     def test_grows_with_excess_noise(self):
         source = tmsv_source(50.0)
         values = []
         for eps in (0.0, 0.01, 0.05, 0.1):
             ch = reference_channel(l_ac=10.0, eps_a=eps, eps_b=eps)
+            noise = noise_breakdown(ch)
             cm = effective_cm(
-                pstmsc_covariance(source), noise_breakdown(ch)
+                *fields(pstmsc_covariance(source)), noise.t, noise.chi_tot
             )
-            values.append(holevo_bound(cm))
+            values.append(chi_be(*cm))
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[1] > 0.0
 
@@ -353,13 +353,13 @@ class TestStageGuards:
 
     @pytest.mark.parametrize("field", SOURCE_FIELDS)
     def test_source_stage_rejects_inf_in_any_field(self, monkeypatch, field):
-        p_ps, cm = source_stage(self.SOURCE)
+        p_ps, cm = subtraction_probability(self.SOURCE), pstmsc_covariance(self.SOURCE)
         stage = [p_ps] + [getattr(cm, name) for name in self.SOURCE_FIELDS[1:]]
         assert tuple(stage) == moments._source_stage(self.SOURCE)  # in field order
         stage[self.SOURCE_FIELDS.index(field)] = math.inf
-        monkeypatch.setattr(moments, "_source_moments", lambda params, max_k: tuple(stage))
+        monkeypatch.setattr(moments, "_source_moments", lambda params: tuple(stage))
         with pytest.raises(NonFiniteError, match="source stage"):
-            source_stage(self.SOURCE)
+            pstmsc_covariance(self.SOURCE)
 
     @pytest.mark.parametrize("field", NOISE_FIELDS)
     def test_channel_stage_rejects_inf_in_any_noise_field(self, field):
@@ -369,45 +369,6 @@ class TestStageGuards:
         noise[self.NOISE_FIELDS.index(field)] = math.inf
         with pytest.raises(NonFiniteError, match="channel stage"):
             _channel_stage(moments._source_stage(self.SOURCE), tuple(noise), 0.96)
-
-
-def _composed(source: SqueezedSourceParams, channel: ChannelParams) -> KeyRateResult:
-    """secret_key_rate spelled out through the public stage functions."""
-    p_ps, cm = source_stage(source)
-    noise = noise_breakdown(channel)
-    eff = effective_cm(cm, noise)
-    vx, vp = conditional_cm_after_heterodyne(eff)
-    lam1, lam2 = symplectic_eigenvalues(eff)
-    i_ab, chi_be = mutual_information(eff), holevo_bound(eff)
-    key = p_ps * (channel.beta * i_ab - chi_be)
-    return KeyRateResult(p_ps, i_ab, chi_be, key, lam1, lam2, math.sqrt(vx * vp), noise)
-
-
-def test_channel_stage_equals_the_public_composition_bit_for_bit():
-    rng = np.random.default_rng(2024)
-    for i in range(300):
-        v_a = float(rng.uniform(3.0, 200.0))
-        geometry = GEOMETRIES[i % 2]
-        l_ac = float(rng.uniform(0.0, 60.0))
-        channel = reference_channel(
-            geometry=geometry,
-            l_ac=l_ac,
-            v_a=v_a,
-            eps_a=float(rng.uniform(0.0, 0.05)),
-            eps_b=float(rng.uniform(0.0, 0.05)),
-            eta=float(rng.uniform(0.5, 0.99)),
-            v_el=float(rng.uniform(0.001, 0.1)),
-        )
-        if i % 3 == 0:
-            g = gain(v_a, link_transmittances(channel)[1]) * float(rng.uniform(0.8, 1.2))
-            channel = dataclasses.replace(channel, gain_override=g)
-        source = SqueezedSourceParams(
-            r=0.5 * math.acosh(v_a),
-            d=float(rng.uniform(0.0, 3.0)),
-            tau=float(rng.uniform(0.5, 0.99)),
-            k=i % 5,
-        )
-        assert secret_key_rate(source, channel) == _composed(source, channel), (source, channel)
 
 
 _RECORD_FIELDS = [
