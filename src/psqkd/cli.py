@@ -63,7 +63,7 @@ def render_csv(rows: list[SweepRow]) -> str:
             for row in rows
             for family, cell in row.results.items()
         ),
-        key=lambda item: item[:2],
+        key=operator.itemgetter(0, 1),
     )
     lines = [CSV_HEADER]
     for value, family, result in cells:

@@ -17,10 +17,12 @@ used throughout:
     mu + nu = e^r                   A = nu^2 (1-tau) / D
     A*y = (1-tau) d^2 (mu+nu)^2 / (4 D^2)   (finite as nu -> 0)
 
-One function per quantity: `subtraction_probability` for the heralding
+One formula per quantity: `subtraction_probability` for the heralding
 probability, and `pstmsc_covariance`, the one entry that builds a
 TwoModeCM, for the means and covariance. Sweeps, searches and the Fock
-oracle read the same numbers as the float tuple `_source_stage`.
+oracle read the same numbers as the float tuple `_source_stage`, which
+computes cosh r, sinh r and D once per source and hands them to the
+probability formula that `subtraction_probability` wraps.
 """
 
 from __future__ import annotations
@@ -98,8 +100,13 @@ def subtraction_probability(params: SqueezedSourceParams) -> float:
     k = 0 and 0 otherwise.
     """
     nu = params.nu
+    return _probability(params, nu, 1.0 + (1.0 - params.tau) * nu * nu)
+
+
+def _probability(params: SqueezedSourceParams, nu: float, big_d: float) -> float:
+    """`subtraction_probability` from nu = sinh r and D, which the source
+    stage computes once for all its terms."""
     tau, d, k = params.tau, params.d, params.k
-    big_d = 1.0 + (1.0 - tau) * nu * nu
     a_coef = nu * nu * (1.0 - tau) / big_d
     er2 = math.exp(2.0 * params.r)  # (mu + nu)^2
     ay = (1.0 - tau) * d * d * er2 / (4.0 * big_d * big_d)
@@ -138,23 +145,23 @@ def _source_moments(params: SqueezedSourceParams) -> tuple[float, ...]:
         raise ValueError(
             f"subtraction order k={params.k} exceeds the stability cap {SUBTRACTION_CAP}"
         )
-    p_ps = subtraction_probability(params)
+    r, d, tau, k = params.r, params.d, params.tau, params.k
+    mu, nu = math.cosh(r), math.sinh(r)
+    tap_nu2 = (1.0 - tau) * nu * nu
+    big_d = 1.0 + tap_nu2
+    p_ps = _probability(params, nu, big_d)
     if p_ps <= 0.0:
         raise ZeroProbabilityError(
-            f"{params.k}-photon subtraction has probability 0 at "
-            f"r={params.r}, d={params.d}, tau={params.tau}"
+            f"{k}-photon subtraction has probability 0 at r={r}, d={d}, tau={tau}"
         )
-    tau, d, k = params.tau, params.d, params.k
     st = math.sqrt(tau)
-    if params.r == 0.0:
+    if r == 0.0:
         # coherent product state: the tap sees a coherent beam, of which
         # photon subtraction is an eigen-operation, so the state is unchanged
         return p_ps, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, d, st * d
 
-    mu, nu = params.mu, params.nu
-    big_d = 1.0 + (1.0 - tau) * nu * nu
-    big_e = math.cosh(2.0 * params.r) - (1.0 - tau) * nu * nu
-    er = math.exp(params.r)  # mu + nu
+    big_e = math.cosh(2.0 * r) - tap_nu2
+    er = math.exp(r)  # mu + nu
     g = d * er / (2.0 * nu)  # sqrt(y D), with no nu^2 to underflow
     if nu >= _NU_MIN and g * g <= _LIMIT_Y * big_d:
         y = d * d * er * er / (4.0 * nu * nu * big_d)

@@ -12,6 +12,7 @@ photons on the tap with a photon-number-resolving detector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,7 +84,14 @@ def scaled_laguerre(k: int, a: float, ax, alpha: int = 0):
     if k < 0:
         raise ValueError("degree k must be >= 0")
     total = 0.0
-    for j in range(k + 1):
-        coef = math.comb(k + alpha, k - j) * a ** (k - j) / math.factorial(j)
-        total = total + coef * (-ax) ** j
+    neg_ax = -ax
+    for j, (binom, fact) in enumerate(_laguerre_table(k, alpha)):
+        total = total + binom * a ** (k - j) / fact * neg_ax**j
     return total
+
+
+@functools.cache
+def _laguerre_table(k: int, alpha: int) -> tuple[tuple[int, int], ...]:
+    """The exact integers (C(k+alpha, k-j), j!) of each term j of
+    `scaled_laguerre`."""
+    return tuple((math.comb(k + alpha, k - j), math.factorial(j)) for j in range(k + 1))

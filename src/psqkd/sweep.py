@@ -10,7 +10,6 @@ than aborting the sweep, so grid output shape is always predictable.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -99,6 +98,27 @@ class SweepRow:
     results: dict[str, FamilyResult]
 
 
+def _family_pins(name: str) -> tuple[bool, bool, int]:
+    """(keep d, keep tau, k) of a family name; a dropped d is pinned to 0
+    and a dropped tau to 1."""
+    if name == "tmsv":
+        return False, False, 0
+    m = _FAMILY_RE.fullmatch(name)
+    if m is None:
+        raise ValueError(
+            f"unknown family {name!r}; expected 'tmsv', '<k>-pstmsv' or '<k>-pstmsc'"
+        )
+    return m.group(2) == "c", True, int(m.group(1))
+
+
+def _pinned(
+    source: SqueezedSourceParams, pins: tuple[bool, bool, int]
+) -> tuple[float, float, float, int]:
+    """The (r, d, tau, k) of a family's source, from `source`'s r, d and tau."""
+    keep_d, keep_tau, k = pins
+    return source.r, source.d if keep_d else 0.0, source.tau if keep_tau else 1.0, k
+
+
 def resolve_family(name: str, source: SqueezedSourceParams) -> SqueezedSourceParams:
     """Pin source parameters to the requested state family.
 
@@ -110,15 +130,7 @@ def resolve_family(name: str, source: SqueezedSourceParams) -> SqueezedSourcePar
     >>> resolve_family("2-pstmsc", base).k
     2
     """
-    if name == "tmsv":
-        return SqueezedSourceParams(source.r, 0.0, 1.0, 0)
-    m = _FAMILY_RE.fullmatch(name)
-    if m is None:
-        raise ValueError(
-            f"unknown family {name!r}; expected 'tmsv', '<k>-pstmsv' or '<k>-pstmsc'"
-        )
-    d = 0.0 if m.group(2) == "v" else source.d
-    return SqueezedSourceParams(source.r, d, source.tau, int(m.group(1)))
+    return SqueezedSourceParams(*_pinned(source, _family_pins(name)))
 
 
 def resolve_families(
@@ -164,54 +176,71 @@ def _rebuilt(record, **changes):
     return type(record)(**vars(record) | changes)
 
 
-def _or_failure(fn, *args):
-    """fn(*args), or the failed cell its caller-mistake or domain error
-    makes. Only the message is kept: a stored exception would keep its
-    traceback's frames, and with them the whole sweep, alive."""
-    try:
-        return fn(*args)
-    except (PsqkdError, ValueError) as exc:
-        return FamilyResult(None, str(exc))
+def _failure(exc: Exception) -> FamilyResult:
+    """The failed cell of a caller-mistake or domain error. Only the message
+    is kept: a stored exception would keep its traceback's frames, and with
+    them the whole sweep, alive."""
+    return FamilyResult(None, str(exc))
+
+
+def _stage_of(stages: dict, key: tuple[float, float, float, int]):
+    """The source stage of the source `key`, or its failed cell; the source
+    record is built, and checked, only when `stages` does not hold it yet."""
+    stage = stages.get(key)
+    if stage is None:
+        try:
+            stage = _source_stage(SqueezedSourceParams(*key))
+        except (PsqkdError, ValueError) as exc:
+            stage = _failure(exc)
+        stages[key] = stage
+    return stage
 
 
 def _cell(stage, noise, record: NoiseBreakdown, beta: float) -> FamilyResult:
     """One family at one point; the first failure in pipeline order wins:
     the source stage's, then the channel reduction's, then the channel stage's."""
-    for part in (stage, noise):
-        if isinstance(part, FamilyResult):
-            return part
-    rate = _or_failure(_channel_stage, stage, noise, beta)
-    if isinstance(rate, FamilyResult):
-        return rate
+    if isinstance(stage, FamilyResult):
+        return stage
+    if isinstance(noise, FamilyResult):
+        return noise
+    try:
+        rate = _channel_stage(stage, noise, beta)
+    except (PsqkdError, ValueError) as exc:
+        return _failure(exc)
     return FamilyResult(KeyRateResult(stage[0], *rate, record))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the grid in order.
 
-    The source stage runs once per distinct family source (a tau sweep
-    shares the tmsv stage), the channel reduction once per distinct channel
-    (once per d or tau sweep), and the families are resolved only if the
-    point's source changed. Per cell, the channel stage runs on floats. A
-    cell reports its pipeline's first error: the swept value's, the
-    source's, the channel's.
+    The family names are parsed once per sweep. The source stage runs once
+    per distinct family source, keyed on its (r, d, tau, k), so a tau sweep
+    shares the tmsv stage and a d sweep the tmsv and pstmsv stages; the
+    channel reduction runs once per distinct channel (once per d or tau
+    sweep). Per cell, the channel stage runs on floats. A cell reports its
+    pipeline's first error: the swept value's, the source's, the channel's.
     """
-    stage_of = functools.cache(functools.partial(_or_failure, _source_stage))
+    pins = [_family_pins(name) for name in spec.families]
+    stages_by_source: dict = {}
     rows = []
-    src_of_stages = stages = ch_of_noise = None
+    src_of_stages = ch_of_noise = None
     for value in spec.grid():
-        point = _or_failure(_apply_value, spec.source, spec.channel, spec.variable, value)
-        if isinstance(point, FamilyResult):
-            rows.append(SweepRow(value, dict.fromkeys(spec.families, point)))
+        try:
+            src, ch = _apply_value(spec.source, spec.channel, spec.variable, value)
+        except (PsqkdError, ValueError) as exc:
+            rows.append(SweepRow(value, dict.fromkeys(spec.families, _failure(exc))))
             continue
-        src, ch = point
         if src is not src_of_stages:
             src_of_stages = src
-            stages = [stage_of(fam) for fam in resolve_families(spec.families, src)]
+            stages = [_stage_of(stages_by_source, _pinned(src, fam)) for fam in pins]
         if ch is not ch_of_noise:
             ch_of_noise = ch
-            noise = _or_failure(_breakdown_at, ch, ch.l_ac)
-            record = None if isinstance(noise, FamilyResult) else NoiseBreakdown(*noise)
+            try:
+                noise = _breakdown_at(ch, ch.l_ac)
+            except (PsqkdError, ValueError) as exc:
+                noise, record = _failure(exc), None
+            else:
+                record = NoiseBreakdown(*noise)
         cells = [_cell(stage, noise, record, ch.beta) for stage in stages]
         rows.append(SweepRow(value, dict(zip(spec.families, cells))))
     return rows

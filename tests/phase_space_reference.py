@@ -174,15 +174,19 @@ def cm_means(cm: TwoModeCM) -> np.ndarray:
     return np.array([cm.mean_x1, 0.0, cm.mean_x2, 0.0])
 
 
-def _hermite_block(precision: np.ndarray, linear: np.ndarray, nodes: int):
-    """Gauss-Hermite product rule for the weight exp(-v'Mv/2 + b'v) on one
-    2-d block: its centre M^-1 b, the node offsets from that centre (the
-    nodes mapped through the Cholesky factor of M^-1) and their weights."""
+def _hermite_block(lam_u: float, lam_v: float, lin_u: float, lin_v: float, nodes: int):
+    """Gauss-Hermite product rule for the weight exp(-(lam_u u^2 + lam_v v^2)/2
+    + lin_u u + lin_v v) on one 2-d block, written in its principal axes
+    u = (q1 + q2)/sqrt(2), v = (q1 - q2)/sqrt(2). Returns the centre and the
+    node offsets from it in (q1, q2), and the weights."""
     z, w = np.polynomial.hermite.hermgauss(nodes)
-    cov = np.linalg.inv(precision)
-    grid = np.array(np.meshgrid(z, z, indexing="ij")).reshape(2, -1)
-    offsets = math.sqrt(2.0) * np.linalg.cholesky(cov) @ grid
-    return cov @ linear, offsets, np.outer(w, w).ravel()
+    cu, cv = lin_u / lam_u, lin_v / lam_v
+    u = math.sqrt(2.0 / lam_u) * z[:, None]
+    v = math.sqrt(2.0 / lam_v) * z[None, :]
+    half = math.sqrt(0.5)
+    centre = ((cu + cv) * half, (cu - cv) * half)
+    offsets = (((u + v) * half).ravel(), ((u - v) * half).ravel())
+    return centre, offsets, np.outer(w, w).ravel()
 
 
 def gauss_hermite_moments(params: SqueezedSourceParams) -> TwoModeCM:
@@ -196,7 +200,14 @@ def gauss_hermite_moments(params: SqueezedSourceParams) -> TwoModeCM:
 
     both of determinant 1, with D = mu^2 - tau nu^2 and E = mu^2 + tau nu^2:
     expand (1-tau)|xi|^2 / D in `quad` and use (1-tau) nu^2 / D = 1 - 1/D.
-    Only the x block has a linear term,
+    Both blocks are diagonal in the principal axes (q1 + q2)/sqrt(2) and
+    (q1 - q2)/sqrt(2). Along them the x block has the eigenvalues
+    (mu - sqrt(tau) nu)^2 / D and (mu + sqrt(tau) nu)^2 / D, and the p block
+    the same two in the other order; the small one is written without
+    cancellation, as mu - sqrt(tau) nu = e^-r + (1-tau) nu / (1 + sqrt(tau)).
+    Inverting the matrices themselves would lose digits as tau -> 1 at large
+    r, where the determinant E^2 - 4 tau mu^2 nu^2 = D^2 cancels down to about
+    1. Only the x block has a linear term,
 
         b = d (mu - nu) (1 + (1-tau) nu (mu + nu), sqrt(tau)) / D.
 
@@ -207,15 +218,18 @@ def gauss_hermite_moments(params: SqueezedSourceParams) -> TwoModeCM:
     """
     nu, d, tau, k = params.nu, params.d, params.tau, params.k
     er = math.exp(params.r)  # mu + nu
+    st = math.sqrt(tau)
     big_d = 1.0 + (1.0 - tau) * nu * nu
-    big_e = math.cosh(2.0 * params.r) - (1.0 - tau) * nu * nu
-    off = 2.0 * params.mu * nu * math.sqrt(tau)
-    x_prec = np.array([[big_e, -off], [-off, big_e]]) / big_d
-    p_prec = np.array([[big_e, off], [off, big_e]]) / big_d
-    x_lin = d / (er * big_d) * np.array([1.0 + (1.0 - tau) * nu * er, math.sqrt(tau)])
+    small = (math.exp(-params.r) + (1.0 - tau) / (1.0 + st) * nu) ** 2 / big_d
+    large = (params.mu + st * nu) ** 2 / big_d
+    b1 = d / (er * big_d) * (1.0 + (1.0 - tau) * nu * er)
+    b2 = d / (er * big_d) * st
+    half = math.sqrt(0.5)
 
-    x_centre, x_off, x_w = _hermite_block(x_prec, x_lin, k + 3)
-    _, p_off, p_w = _hermite_block(p_prec, np.zeros(2), k + 3)
+    x_centre, x_off, x_w = _hermite_block(
+        small, large, (b1 + b2) * half, (b1 - b2) * half, k + 3
+    )
+    _, p_off, p_w = _hermite_block(large, small, 0.0, 0.0, k + 3)
     # (x1, p1, x2, p2) offsets on the (x node, p node) product grid
     offsets = (x_off[0][:, None], p_off[0][None, :], x_off[1][:, None], p_off[1][None, :])
     centre = (x_centre[0], 0.0, x_centre[1], 0.0)

@@ -115,6 +115,38 @@ class TestSubtractionProbability:
             )
             assert 0.0 <= p <= 1.0
 
+    def test_source_stage_reads_the_same_probability_bit_for_bit(self):
+        # the stage shares cosh r, sinh r and D with the probability formula;
+        # sharing them must not move p_ps by one bit, in any branch
+        rng = np.random.default_rng(20261018)
+        box = [
+            params(
+                r=float(rng.uniform(0.0, 4.0)),
+                d=float(rng.uniform(0.0, 20.0)),
+                tau=float(rng.uniform(0.0, 1.0)),
+                k=int(rng.integers(0, SUBTRACTION_CAP + 1)),
+            )
+            for _ in range(500)
+        ]
+        r_zero = [params(r=0.0, d=d, tau=0.6, k=k) for d in (0.5, 2.0) for k in (0, 1, 3)]
+        tau_one = [params(r=r, d=d, tau=1.0, k=0) for r in (0.0, 0.7) for d in (0.0, 2.0)]
+        # nu < _NU_MIN with y <= _LIMIT_Y, and y > _LIMIT_Y with nu >= _NU_MIN
+        small_nu = [params(r=1e-160, d=1e-100, tau=0.9, k=k) for k in (0, 1, 2)]
+        large_y = [params(r=1e-120, d=1.0, tau=0.9, k=k) for k in (0, 1, 2)]
+        for p in small_nu:
+            assert p.nu < moments._NU_MIN
+            assert (p.d / (2.0 * p.nu)) ** 2 <= moments._LIMIT_Y
+        for p in large_y:
+            assert p.nu >= moments._NU_MIN
+            assert (p.d / (2.0 * p.nu)) ** 2 > moments._LIMIT_Y
+        for p in [*box, *r_zero, *tau_one, *small_nu, *large_y]:
+            try:
+                stage = moments._source_stage(p)
+            except ZeroProbabilityError:
+                assert subtraction_probability(p) == 0.0
+                continue
+            assert stage[0] == subtraction_probability(p), p
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="stability cap"):
             pstmsc_covariance(params(k=SUBTRACTION_CAP + 1))
@@ -146,19 +178,27 @@ def test_laguerre_ratios_match_mpmath(k):
 
 def test_source_stage_matches_gauss_hermite_past_the_fock_box():
     # the Fock oracle's checked box stops at r <= 1.5, d <= 3. The reference
-    # integrates the Wigner density itself; past tau = 0.99 its own rounding
-    # grows (up to 2.6e-10 for tau in [0.99, 0.999], r <= 4)
+    # integrates the Wigner density itself, in the squeezing's principal
+    # axes, so its rounding stays small as tau -> 1
     rng = np.random.default_rng(20261018)
-    seeded = [
-        (
-            4.0 - float(rng.uniform(0.0, 4.0)),  # r in (0, 4]
-            float(rng.uniform(0.0, 20.0)),
-            float(rng.uniform(0.3, 0.99)),
-            int(rng.integers(0, 9)),
-        )
-        for _ in range(100)
+
+    def box(tau_lo: float, count: int) -> list:
+        return [
+            (
+                4.0 - float(rng.uniform(0.0, 4.0)),  # r in (0, 4]
+                float(rng.uniform(0.0, 20.0)),
+                float(rng.uniform(tau_lo, 0.999)),
+                int(rng.integers(0, 9)),
+            )
+            for _ in range(count)
+        ]
+
+    # the whole box, then its tau -> 1 edge, where the squeezing is least damped
+    seeded = box(0.3, 100) + box(0.99, 50)
+    corners = [
+        (4.0, 20.0, 0.5, 5), (1.5, 3.0, 0.3, 8), (4.0, 20.0, 0.999, 8), (4.0, 0.0, 0.999, 8)
     ]
-    for r, d, tau, k in [(4.0, 20.0, 0.5, 5), (1.5, 3.0, 0.3, 8), *seeded]:
+    for r, d, tau, k in [*corners, *seeded]:
         p = params(r=r, d=d, tau=tau, k=k)
         closed, ref = pstmsc_covariance(p), gauss_hermite_moments(p)
         for field in CM_FIELDS:

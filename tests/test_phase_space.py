@@ -139,6 +139,17 @@ class TestLaguerre:
             assert rec == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
+def term_by_term(k: int, a: float, ax, alpha: int):
+    """`scaled_laguerre` as it was before its coefficients were tabled: each
+    term's binomial and factorial recomputed. The tabled form must equal it
+    bit for bit."""
+    total = 0.0
+    for j in range(k + 1):
+        coef = math.comb(k + alpha, k - j) * a ** (k - j) / math.factorial(j)
+        total = total + coef * (-ax) ** j
+    return total
+
+
 class TestScaledLaguerre:
     def test_matches_plain_laguerre_when_a_positive(self):
         rng = np.random.default_rng(11)
@@ -162,6 +173,19 @@ class TestScaledLaguerre:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             scaled_laguerre(-1, 1.0, 0.0)
+
+    def test_tabled_coefficients_match_the_term_by_term_sum_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        for k in range(41):
+            for alpha in (0, 1, 2):
+                for a in (0.0, 1.0, float(rng.uniform(0.0, 3.0))):
+                    ax = rng.uniform(-40.0, 40.0, 6)
+                    ax[0] = 0.0
+                    got = scaled_laguerre(k, a, ax, alpha=alpha)
+                    assert np.array_equal(got, term_by_term(k, a, ax, alpha)), (k, alpha, a)
+                    for x in ax.tolist():
+                        got = scaled_laguerre(k, a, x, alpha=alpha)
+                        assert got == term_by_term(k, a, x, alpha), (k, alpha, a, x)
 
 
 class TestWignerFock:

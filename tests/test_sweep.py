@@ -1,6 +1,7 @@
 """Grid sweeps, secure-distance search, and scalar optimization."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,6 +279,56 @@ class TestStagedSweep:
                 assert (cell.result, cell.error) == expect[name]
                 errors += cell.error is not None
         assert errors > 0
+
+    @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+    def test_seeded_sweeps_match_cell_by_cell_pipeline(self, variable):
+        # random base points; every range but L_AC's also runs into failed
+        # cells (V_A < 1, zero-probability subtraction at large d or at
+        # tau = 1, eta = 0), and those must keep their messages
+        span = {"L_AC": (0.0, 300.0), "V_A": (0.5, 300.0), "d": (0.0, 60.0),
+                "tau": (0.0, 1.0), "eta": (0.0, 1.0)}[variable]
+        families = DEFAULT_FAMILIES + ("0-pstmsc", "3-pstmsv", "4-pstmsc")
+        rng = np.random.default_rng(SWEEP_VARIABLES.index(variable))
+        errors = 0
+        for _ in range(4):
+            v_a = float(rng.uniform(1.5, 200.0))
+            source = SqueezedSourceParams(
+                0.5 * math.acosh(v_a), float(rng.choice([0.0, rng.uniform(0.0, 5.0)])),
+                float(rng.uniform(0.3, 1.0)), int(rng.integers(0, 4)),
+            )
+            channel = base_channel(
+                geometry=GEOMETRIES[int(rng.integers(0, 2))], l_ac=float(rng.uniform(0, 80)),
+                v_a=v_a, beta=float(rng.uniform(0.8, 1.0)), eta=float(rng.uniform(0.5, 1.0)),
+                v_el=float(rng.uniform(0.0, 0.1)),
+            )
+            spec = SweepSpec(variable, *span, 9, source, channel, families)
+            for row in run_sweep(spec):
+                expect = _unstaged_row(spec, row.swept_value)
+                assert list(row.results) == list(families)
+                for name, cell in row.results.items():
+                    assert (cell.result, cell.error) == expect[name]
+                    errors += cell.error is not None
+        assert (errors > 0) == (variable != "L_AC")
+
+    def test_families_are_parsed_once_and_sources_built_on_a_miss(self, monkeypatch):
+        v_a_sweep = SweepSpec("V_A", 5.0, 100.0, 51, base_source(), base_channel())
+        d_sweep = SweepSpec("d", 0.5, 3.0, 41, base_source(), base_channel())
+        parsed = _counting(monkeypatch, "_family_pins")
+        built = _counting(monkeypatch, "SqueezedSourceParams")
+        rows = run_sweep(v_a_sweep)
+        assert all(cell.result for row in rows for cell in row.results.values())
+        assert parsed == [(name,) for name in DEFAULT_FAMILIES]
+        assert len(built) == 51 * 5  # r moves at every point
+        parsed.clear()
+        built.clear()
+        rows = run_sweep(d_sweep)
+        assert all(cell.result for row in rows for cell in row.results.values())
+        assert len(parsed) == 5
+        # (k, d pinned to 0) of each built source: tmsv, 1-pstmsv and
+        # 2-pstmsv do not move with d, the pstmsc sources do
+        per_family = Counter((k, d == 0.0) for r, d, tau, k in built)
+        assert per_family == {(0, True): 1, (1, True): 1, (2, True): 1,
+                              (1, False): 41, (2, False): 41}
 
     def test_l_ac_sweep_runs_each_stage_once(self, monkeypatch):
         sources = _counting(monkeypatch, "_source_stage")
