@@ -10,18 +10,23 @@ The state comes from an exact two-term amplitude recurrence (see
 build_tmsc_fock). Because the ancilla starts in vacuum, the beam splitter
 is needed only on its |n, 0> input column, which has the binomial form
 <j, n-j| U |n, 0> = sqrt(C(n, j)) sqrt(tau)^j (-sqrt(1 - tau))^(n-j),
-so detecting k photons is one scaled slice of the amplitude tensor. Moments
-apply x and p to one tensor axis as shifted slices scaled by sqrt(n) and
-average over the distinct operator orderings (Weyl ordering). No step
+so detecting k photons is one scaled slice of the amplitude tensor.
+
+Moments need each quadrature applied once: x and p act on one tensor axis
+as shifted slices scaled by sqrt(n), and every mean, variance and cross
+term is an inner product of the applied tensors. This is exact in the
+truncated space, not only as n_max grows: truncated x and p are still
+Hermitian matrices, so <psi|Q^2|psi> = ||Q psi||^2, and operators on
+different modes commute, so <psi|Q1 Q2|psi> = <Q1 psi|Q2 psi>. No step
 exponentiates a generator; the tests pin the recurrence and the column
-against matrix exponentials.
+against matrix exponentials and the moments against a general-order
+Weyl-ordered reference.
 
 Test-time only; the production key-rate path never calls into here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +40,6 @@ __all__ = [
     "FockTwoModeState",
     "build_tmsc_fock",
     "apply_bs_and_project",
-    "fock_moment",
     "state_covariance",
     "oracle_covariance",
     "suggested_truncation",
@@ -85,13 +89,14 @@ def build_tmsc_fock(r: float, d: float, n_max: int) -> FockTwoModeState:
     alpha = d / 2.0
     ch, sh = math.cosh(r), math.sinh(r)
     root = np.sqrt(np.arange(n_max + 1.0))
+    raise_coef, scale = sh * root[1:], ch * root
     amps = np.empty((n_max + 1, n_max + 1))
     amps[0, 0] = math.exp(-alpha * alpha * (1.0 + math.tanh(r))) / ch
-    amps[0, 1:] = amps[0, 0] * np.cumprod(alpha / (ch * root[1:]))
+    amps[0, 1:] = amps[0, 0] * np.cumprod(alpha / scale[1:])
     for n1 in range(n_max):
         row = alpha * amps[n1]
-        row[1:] += sh * root[1:] * amps[n1, :-1]
-        amps[n1 + 1] = row / (ch * root[n1 + 1])
+        row[1:] += raise_coef * amps[n1, :-1]
+        amps[n1 + 1] = row / scale[n1 + 1]
     kept = float(np.linalg.norm(amps))
     cropped = abs(1.0 - kept * kept)
     state = FockTwoModeState(amps / kept)
@@ -145,58 +150,39 @@ def _quadrature(v: np.ndarray, op: str, root: np.ndarray) -> np.ndarray:
     return lowered + raised if op == "x" else 1j * (raised - lowered)
 
 
-def _weyl_apply(v: np.ndarray, n_x: int, n_p: int, root: np.ndarray) -> np.ndarray:
-    """Symmetric (Weyl) ordered x^n_x p^n_p on the first axis of v.
+def _pair_moments(amps: np.ndarray, op: str, root: np.ndarray) -> tuple[float, ...]:
+    """Means, variances and cross term of quadrature op on both modes.
 
-    Averages the operator word over its distinct orderings; the rightmost
-    operator of a word acts first.
+    Returns (var1, var2, cov12, mean1, mean2). Applies op once per mode, so
+    only the two applied tensors are alive besides amps.
     """
-    words = set(itertools.permutations("x" * n_x + "p" * n_p))
-    acc = np.zeros_like(v)
-    for word in words:
-        term = v
-        for op in reversed(word):
-            term = _quadrature(term, op, root)
-        acc += term
-    return acc / len(words)
-
-
-def fock_moment(state: FockTwoModeState, i: int, j: int, m: int, n: int) -> float:
-    """Phase-space moment <x1^i p1^j x2^m p2^n> of a two-mode Fock state.
-
-    Uses symmetric operator ordering, which is what moments of a Wigner
-    density mean. Total order is capped at 4 so operator powers stay inside
-    the truncation margin.
-    """
-    orders = (i, j, m, n)
-    if any(o < 0 for o in orders):
-        raise ValueError("moment orders must be non-negative")
-    if sum(orders) > 4:
-        raise ValueError(f"order {orders} too high for the truncation margin")
-    amps = np.asarray(state.amps, dtype=complex)
-    root = np.sqrt(np.arange(1.0, state.n_max + 1))[:, None]
-    applied = _weyl_apply(_weyl_apply(amps, i, j, root).T, m, n, root).T
-    val = np.vdot(amps, applied)
-    assert abs(val.imag) < 1e-10, f"non-real moment {val}"
-    return float(val.real)
+    q1 = _quadrature(amps, op, root)
+    q2 = _quadrature(amps.T, op, root).T
+    mean1, mean2 = np.vdot(amps, q1).real, np.vdot(amps, q2).real
+    return (
+        float(np.vdot(q1, q1).real - mean1**2),
+        float(np.vdot(q2, q2).real - mean2**2),
+        float(np.vdot(q1, q2).real - mean1 * mean2),
+        float(mean1),
+        float(mean2),
+    )
 
 
 def state_covariance(state: FockTwoModeState) -> TwoModeCM:
-    """Means and covariance of a two-mode Fock state, from its quadrature moments."""
-    m_x1 = fock_moment(state, 1, 0, 0, 0)
-    m_p1 = fock_moment(state, 0, 1, 0, 0)
-    m_x2 = fock_moment(state, 0, 0, 1, 0)
-    m_p2 = fock_moment(state, 0, 0, 0, 1)
-    return TwoModeCM(
-        vax=fock_moment(state, 2, 0, 0, 0) - m_x1**2,
-        vap=fock_moment(state, 0, 2, 0, 0) - m_p1**2,
-        vbx=fock_moment(state, 0, 0, 2, 0) - m_x2**2,
-        vbp=fock_moment(state, 0, 0, 0, 2) - m_p2**2,
-        vcx=fock_moment(state, 1, 0, 1, 0) - m_x1 * m_x2,
-        vcp=fock_moment(state, 0, 1, 0, 1) - m_p1 * m_p2,
-        mean_x1=m_x1,
-        mean_x2=m_x2,
-    )
+    """Means and covariance of a two-mode Fock state, four quadratures in all.
+
+    Applies x1, x2 and then p1, p2 once each and reads every moment as an
+    inner product: means <psi|Q psi>, second moments ||Q psi||^2, and cross
+    terms <X1 psi|X2 psi> and <P1 psi|P2 psi>. These equal the
+    Weyl-ordered moments exactly in the truncated space, because the
+    truncated quadratures are Hermitian and act on different modes. The p
+    means enter the p variances only; TwoModeCM carries the x means.
+    """
+    amps = np.asarray(state.amps, dtype=complex)
+    root = np.sqrt(np.arange(1.0, state.n_max + 1))[:, None]
+    vax, vbx, vcx, mean_x1, mean_x2 = _pair_moments(amps, "x", root)
+    vap, vbp, vcp, _, _ = _pair_moments(amps, "p", root)
+    return TwoModeCM(vax, vap, vbx, vbp, vcx, vcp, mean_x1, mean_x2)
 
 
 def oracle_covariance(r: float, d: float, tau: float, k: int, n_max: int) -> TwoModeCM:
@@ -229,20 +215,20 @@ class OracleComparison:
 
     @property
     def passed(self) -> bool:
-        return (
-            max(
-                self.max_dev_probability,
-                self.max_dev_covariance,
-                self.max_dev_means,
-            )
-            <= self.rel_tol
-        )
+        devs = (self.max_dev_probability, self.max_dev_covariance, self.max_dev_means)
+        return all(dev <= self.rel_tol for dev in devs)  # NaN fails
 
 
 def _rel_dev(closed: float, oracle: float) -> float:
     # unit floor: CM entries are O(1) or larger, so this stays a relative
     # measure except for exact zeros (d=0 means), where it avoids 0/0
     return abs(closed - oracle) / max(abs(oracle), 1.0)
+
+
+def _rank(dev: float) -> float:
+    # sort key under which NaN outranks every deviation: max() drops a NaN
+    # that is not its first argument, and so would pass a broken point
+    return math.inf if math.isnan(dev) else dev
 
 
 def compare_random_grid(
@@ -253,10 +239,11 @@ def compare_random_grid(
     Draws (r, d, tau, k) uniformly from r in [0.05, 1], d in [0, 2],
     tau in [0.3, 0.95], k in {0, 1, 2} and compares every entry the
     closed forms produce. Probabilities compare fully relatively; CM and
-    means use a unit-floored denominator. Each point's state is built and
-    projected once. Raises ValueError when points < 1, so that no report
-    passes over an empty grid, when seed is negative, and when rel_tol is
-    negative or NaN.
+    means use a unit-floored denominator. A NaN deviation ranks as the
+    worst and fails the report. Each point's state is built and projected
+    once. Raises ValueError when points < 1, so that no report passes over
+    an empty grid, when seed is negative, and when rel_tol is negative or
+    NaN.
     """
     if points < 1 or seed < 0 or not rel_tol >= 0:
         raise ValueError(
@@ -264,7 +251,7 @@ def compare_random_grid(
             f"got points={points}, seed={seed}, rel_tol={rel_tol:g}"
         )
     rng = np.random.default_rng(seed)
-    worst_p = worst_cm = worst_mean = 0.0
+    worst = (0.0, 0.0, 0.0)  # probability, covariance, means
     worst_params = (0.0, 0.0, 0.0, 0)
     for _ in range(points):
         r = rng.uniform(0.05, 1.0)
@@ -278,18 +265,16 @@ def compare_random_grid(
         dev_p = abs(closed_p - prob) / abs(prob)
         oracle = vars(state_covariance(state)).values()  # in field order
         devs = list(map(_rel_dev, closed, oracle))
-        dev_cm, dev_mean = max(devs[:6]), max(devs[6:])
-        if max(dev_p, dev_cm, dev_mean) > max(worst_p, worst_cm, worst_mean):
+        point = (dev_p, max(devs[:6], key=_rank), max(devs[6:], key=_rank))
+        if max(map(_rank, point)) > max(map(_rank, worst)):
             worst_params = (r, d, tau, k)
-        worst_p = max(worst_p, dev_p)
-        worst_cm = max(worst_cm, dev_cm)
-        worst_mean = max(worst_mean, dev_mean)
+        worst = tuple(max(pair, key=_rank) for pair in zip(worst, point))
     return OracleComparison(
         points=points,
         seed=seed,
         rel_tol=rel_tol,
-        max_dev_probability=worst_p,
-        max_dev_covariance=worst_cm,
-        max_dev_means=worst_mean,
+        max_dev_probability=worst[0],
+        max_dev_covariance=worst[1],
+        max_dev_means=worst[2],
         worst_params=worst_params,
     )

@@ -1,11 +1,15 @@
-"""Matrix-exponential references for the Fock oracle.
+"""Slow, direct references for the Fock oracle.
 
-The oracle builds its state by an amplitude recurrence and applies the
-beam splitter through its closed-form vacuum-ancilla column. The dense and
-sparse exponentials below compute the same objects the slow, direct way,
-from the generators themselves; the tests pin the fast forms against them.
+The oracle builds its state by an amplitude recurrence, applies the beam
+splitter through its closed-form vacuum-ancilla column, and reads the
+covariance off four applied quadratures. The dense and sparse exponentials
+below compute the same states from the generators themselves, and
+fock_moment computes any symmetric-ordered moment up to total order 4 by
+applying its operator words term by term; the tests pin the fast forms
+against them.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +17,8 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from psqkd.fock_oracle import FockTwoModeState
+from psqkd.fock_oracle import FockTwoModeState, _quadrature
+from psqkd.moments import TwoModeCM
 
 # levels carried above n_max through the squeeze exponential, then cropped;
 # with 10, the truncated generator bends the top kept levels by up to 6e-9 at r = 1
@@ -80,3 +85,57 @@ def bs_pair_unitary(tau: float, n_max: int) -> np.ndarray:
         idx = [j * dim + (total_n - j) for j in range(lo, hi + 1)]
         u[np.ix_(idx, idx)] = block
     return u
+
+
+def _weyl_apply(v: np.ndarray, n_x: int, n_p: int, root: np.ndarray) -> np.ndarray:
+    """Symmetric (Weyl) ordered x^n_x p^n_p on the first axis of v.
+
+    Averages the operator word over its distinct orderings; the rightmost
+    operator of a word acts first.
+    """
+    words = set(itertools.permutations("x" * n_x + "p" * n_p))
+    acc = np.zeros_like(v)
+    for word in words:
+        term = v
+        for op in reversed(word):
+            term = _quadrature(term, op, root)
+        acc += term
+    return acc / len(words)
+
+
+def fock_moment(state: FockTwoModeState, i: int, j: int, m: int, n: int) -> float:
+    """Phase-space moment <x1^i p1^j x2^m p2^n> of a two-mode Fock state.
+
+    Uses symmetric operator ordering, which is what moments of a Wigner
+    density mean. Total order is capped at 4 so operator powers stay inside
+    the truncation margin.
+    """
+    orders = (i, j, m, n)
+    if any(o < 0 for o in orders):
+        raise ValueError("moment orders must be non-negative")
+    if sum(orders) > 4:
+        raise ValueError(f"order {orders} too high for the truncation margin")
+    amps = np.asarray(state.amps, dtype=complex)
+    root = np.sqrt(np.arange(1.0, state.n_max + 1))[:, None]
+    applied = _weyl_apply(_weyl_apply(amps, i, j, root).T, m, n, root).T
+    val = np.vdot(amps, applied)
+    assert abs(val.imag) < 1e-10, f"non-real moment {val}"
+    return float(val.real)
+
+
+def moment_covariance(state: FockTwoModeState) -> TwoModeCM:
+    """Means and covariance of a two-mode Fock state from ten fock_moment calls."""
+    m_x1 = fock_moment(state, 1, 0, 0, 0)
+    m_p1 = fock_moment(state, 0, 1, 0, 0)
+    m_x2 = fock_moment(state, 0, 0, 1, 0)
+    m_p2 = fock_moment(state, 0, 0, 0, 1)
+    return TwoModeCM(
+        vax=fock_moment(state, 2, 0, 0, 0) - m_x1**2,
+        vap=fock_moment(state, 0, 2, 0, 0) - m_p1**2,
+        vbx=fock_moment(state, 0, 0, 2, 0) - m_x2**2,
+        vbp=fock_moment(state, 0, 0, 0, 2) - m_p2**2,
+        vcx=fock_moment(state, 1, 0, 1, 0) - m_x1 * m_x2,
+        vcp=fock_moment(state, 0, 1, 0, 1) - m_p1 * m_p2,
+        mean_x1=m_x1,
+        mean_x2=m_x2,
+    )

@@ -1,5 +1,6 @@
 """Self-checks for the truncated photon-number reference implementation."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,14 @@ import numpy as np
 import pytest
 
 import psqkd.fock_oracle as fock_oracle
-from fock_reference import bs_block, bs_pair_unitary, destroy, expm_tmsc_fock
+from fock_reference import (
+    bs_block,
+    bs_pair_unitary,
+    destroy,
+    expm_tmsc_fock,
+    fock_moment,
+    moment_covariance,
+)
 from psqkd.errors import TruncationError, ZeroProbabilityError
 from psqkd.fock_oracle import (
     FockTwoModeState,
@@ -15,7 +23,6 @@ from psqkd.fock_oracle import (
     apply_bs_and_project,
     build_tmsc_fock,
     compare_random_grid,
-    fock_moment,
     oracle_covariance,
     state_covariance,
     suggested_truncation,
@@ -157,6 +164,27 @@ class TestProjection:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def _rotated_state() -> FockTwoModeState:
+    """A subtracted state with both modes rotated in phase space.
+
+    The rotation makes the amplitudes complex, so that moments odd in p do
+    not vanish.
+    """
+    state = build_tmsc_fock(0.5, 1.0, 50)
+    state, _ = apply_bs_and_project(state, 0.7, 2)
+    levels = np.arange(state.n_max + 1)
+    return FockTwoModeState(
+        state.amps * np.exp(0.4j * levels)[:, None] * np.exp(-0.7j * levels)
+    )
+
+
+def _assert_matches_moment_reference(state, context=None):
+    got, reference = state_covariance(state), moment_covariance(state)
+    for field in CM_FIELDS:
+        dev = _rel_dev(getattr(got, field), getattr(reference, field))
+        assert dev <= 1e-12, (field, context)
+
+
 class TestMoments:
     def test_vacuum_quadrature_variance(self):
         vac = build_tmsc_fock(0.0, 0.0, 8)
@@ -183,14 +211,8 @@ class TestMoments:
         assert fock_moment(state, 0, 0, 1, 0) == pytest.approx(cm.mean_x2, abs=1e-8)
 
     def test_matches_dense_weyl_reference(self):
-        state = build_tmsc_fock(0.5, 1.0, 50)
-        state, _ = apply_bs_and_project(state, 0.7, 2)
+        state = _rotated_state()
         dim = state.n_max + 1
-        # rotate both modes in phase space so that moments odd in p do not vanish
-        levels = np.arange(dim)
-        state = FockTwoModeState(
-            state.amps * np.exp(0.4j * levels)[:, None] * np.exp(-0.7j * levels)
-        )
         a = destroy(dim)
         x = a + a.T
         p = 1j * (a.T - a)
@@ -220,6 +242,38 @@ class TestMoments:
             fock_moment(vac, 3, 2, 0, 0)
         with pytest.raises(ValueError):
             fock_moment(vac, -1, 0, 0, 0)
+
+
+class TestStateCovariance:
+    def test_matches_moment_reference_on_oracle_box(self):
+        # the box and truncation of compare_random_grid
+        rng = np.random.default_rng(20261019)
+        for _ in range(50):
+            r = rng.uniform(0.05, 1.0)
+            d = rng.uniform(0.0, 2.0)
+            tau = rng.uniform(0.3, 0.95)
+            k = int(rng.integers(0, 3))
+            state = build_tmsc_fock(r, d, suggested_truncation(r, d))
+            state, _ = apply_bs_and_project(state, tau, k)
+            _assert_matches_moment_reference(state, (r, d, tau, k))
+
+    def test_matches_moment_reference_on_rotated_state(self):
+        state = _rotated_state()
+        assert abs(fock_moment(state, 0, 1, 0, 0)) > 0.1
+        assert abs(fock_moment(state, 0, 0, 0, 1)) > 0.1
+        _assert_matches_moment_reference(state)
+
+    def test_applies_four_quadratures(self, monkeypatch):
+        calls = []
+        inner = fock_oracle._quadrature
+
+        def counting(v, op, root):
+            calls.append(op)
+            return inner(v, op, root)
+
+        monkeypatch.setattr(fock_oracle, "_quadrature", counting)
+        state_covariance(_rotated_state())
+        assert sorted(calls) == ["p", "p", "x", "x"]
 
 
 class TestOracleCovariance:
@@ -281,6 +335,7 @@ class TestOracleCovariance:
             for field in CM_FIELDS:
                 dev = _rel_dev(getattr(closed, field), getattr(oracle, field))
                 assert dev < 1e-7, (field, r, d, tau, k, n_max)
+            _assert_matches_moment_reference(state, (r, d, tau, k, n_max))
 
     def test_stable_under_truncation_doubling(self):
         lo = oracle_covariance(0.4, 1.0, 0.8, 1, 40)
@@ -322,6 +377,25 @@ class TestRandomGridComparison:
     def test_tolerance_no_deviation_can_meet_is_rejected(self, rel_tol):
         with pytest.raises(ValueError, match="rel_tol"):
             compare_random_grid(points=1, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("field", CM_FIELDS)
+    def test_nan_deviation_fails(self, monkeypatch, field):
+        # NaN on the first of three points only, so later finite deviations
+        # must not displace it
+        inner = fock_oracle.state_covariance
+        first = iter([True])
+
+        def nan_first(state):
+            cm = inner(state)
+            if next(first, False):
+                cm = dataclasses.replace(cm, **{field: math.nan})
+            return cm
+
+        monkeypatch.setattr(fock_oracle, "state_covariance", nan_first)
+        report = compare_random_grid(points=3, seed=7)
+        assert not report.passed
+        means = field.startswith("mean")
+        assert math.isnan(report.max_dev_means if means else report.max_dev_covariance)
 
     def test_each_point_built_and_projected_once(self, monkeypatch):
         calls = {"build_tmsc_fock": 0, "apply_bs_and_project": 0}

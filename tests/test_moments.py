@@ -19,11 +19,11 @@ from psqkd.fock_oracle import (
     _rel_dev,
     apply_bs_and_project,
     build_tmsc_fock,
-    fock_moment,
     oracle_covariance,
     suggested_truncation,
 )
 import psqkd.moments as moments
+from fock_reference import fock_moment
 from phase_space_reference import cm_matrix, cm_means, gauss_hermite_moments
 from psqkd.keyrate import symplectic_eigenvalues
 from psqkd.moments import (
