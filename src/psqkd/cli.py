@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands wrap the library one-to-one: `keyrate` prints a single
-KeyRateResult as JSON, `sweep` writes the grid CSV consumed by plotting
-and the golden-file tests, `max-distance` and `optimize` report search
-results as JSON, and `oracle-check` runs the closed-form vs Fock-space
-comparison. Exit codes: 0 success, 1 usage/config error, 2 domain error
-(insecure region, unreachable target, zero-probability event, overflow).
+KeyRateResult as JSON, `sweep` writes the grid CSV straight from the
+sweep's float cells, `max-distance` and `optimize` report search results
+as JSON, and `oracle-check` runs the closed-form vs Fock-space comparison.
+Exit codes: 0 success, 1 usage/config error, 2 domain error (insecure
+region, unreachable target, zero-probability event, overflow).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import inspect
 import json
-import math
 import operator
 import os
 import sys
@@ -25,11 +24,10 @@ from .errors import PsqkdError
 from .keyrate import secret_key_rate
 from .sweep import (
     DEFAULT_FAMILIES,
-    SweepRow,
+    _evaluate,
     max_secure_distance,
     optimize_scalar,
     resolve_families,
-    run_sweep,
 )
 
 __all__ = ["main"]
@@ -37,9 +35,8 @@ __all__ = ["main"]
 # the KeyRateResult fields of each CSV row, after the swept value and family
 _CSV_FIELDS = ("p_ps", "i_ab", "chi_be", "key_rate", "lambda1", "lambda2", "lambda3")
 CSV_HEADER = ",".join(("swept_value", "family") + _CSV_FIELDS)
-_CSV_ROW = "%.12g,%s" + ",%.12g" * len(_CSV_FIELDS)
-_FAILED_FIELDS = (math.nan,) * len(_CSV_FIELDS)  # a failed cell prints "nan"
-_csv_fields = operator.attrgetter(*_CSV_FIELDS)
+_CELL = ",%.12g" * len(_CSV_FIELDS)
+_FAILED = ",nan" * len(_CSV_FIELDS)
 
 _USAGE_EXIT = 1
 _DOMAIN_EXIT = 2
@@ -55,25 +52,23 @@ def cmd_keyrate(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def render_csv(rows: list[SweepRow]) -> str:
-    """Deterministic CSV: 12 significant digits, sorted by (value, family)."""
-    cells = sorted(
-        (
-            (row.swept_value, family, cell.result)
-            for row in rows
-            for family, cell in row.results.items()
-        ),
-        key=operator.itemgetter(0, 1),
-    )
-    lines = [CSV_HEADER]
-    for value, family, result in cells:
-        fields = _FAILED_FIELDS if result is None else _csv_fields(result)
-        lines.append(_CSV_ROW % (value, family, *fields))
-    return "\n".join(lines) + "\n"
+def render_csv(families: tuple[str, ...], points: list[tuple]) -> str:
+    """Deterministic CSV of the points of `sweep._evaluate`: 12 significant
+    digits, sorted by (value, family); a failed cell prints nan."""
+    rows = []
+    for value, _, cells in points:
+        head = "%.12g," % value
+        rows += [
+            (value, family, head + family + (_FAILED if isinstance(cell, str) else _CELL % cell))
+            for family, cell in zip(families, cells)
+        ]
+    rows.sort(key=operator.itemgetter(0, 1))
+    return "\n".join([CSV_HEADER, *map(operator.itemgetter(2), rows)]) + "\n"
 
 
 def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
-    text = render_csv(run_sweep(build_sweep_spec(config)))
+    spec = build_sweep_spec(config)
+    text = render_csv(spec.families, list(_evaluate(spec)))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

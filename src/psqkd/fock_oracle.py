@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import TruncationError, ZeroProbabilityError
 from .moments import TwoModeCM, _source_stage
-from .phase_space import SqueezedSourceParams
 
 __all__ = [
     "FockTwoModeState",
@@ -261,7 +260,7 @@ def compare_random_grid(
         n_max = suggested_truncation(r, d)
 
         state, prob = apply_bs_and_project(build_tmsc_fock(r, d, n_max), tau, k)
-        closed_p, *closed = _source_stage(SqueezedSourceParams(r=r, d=d, tau=tau, k=k))
+        closed_p, *closed = _source_stage(r, d, tau, k)
         dev_p = abs(closed_p - prob) / abs(prob)
         oracle = vars(state_covariance(state)).values()  # in field order
         devs = list(map(_rel_dev, closed, oracle))

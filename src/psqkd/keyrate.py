@@ -191,7 +191,7 @@ def secret_key_rate(source: SqueezedSourceParams, channel: ChannelParams) -> Key
     Raises ZeroProbabilityError when the subtraction event cannot occur, and
     NonFiniteError when a stage overflows or yields a non-finite value.
     """
-    stage = _source_stage(source)
+    stage = _source_stage(source.r, source.d, source.tau, source.k)
     noise = _breakdown_at(channel, channel.l_ac)
     rate = _channel_stage(stage, noise, channel.beta)
     return KeyRateResult(stage[0], *rate, NoiseBreakdown(*noise))

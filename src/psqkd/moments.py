@@ -20,9 +20,8 @@ used throughout:
 One formula per quantity: `subtraction_probability` for the heralding
 probability, and `pstmsc_covariance`, the one entry that builds a
 TwoModeCM, for the means and covariance. Sweeps, searches and the Fock
-oracle read the same numbers as the float tuple `_source_stage`, which
-computes cosh r, sinh r and D once per source and hands them to the
-probability formula that `subtraction_probability` wraps.
+oracle call `_source_stage(r, d, tau, k)`, floats in and out; it computes
+cosh r, sinh r and D once for all its terms, the probability's included.
 """
 
 from __future__ import annotations
@@ -99,16 +98,16 @@ def subtraction_probability(params: SqueezedSourceParams) -> float:
     weights with mean (1-tau) d^2 / 4, and the empty source gives 1 for
     k = 0 and 0 otherwise.
     """
-    nu = params.nu
-    return _probability(params, nu, 1.0 + (1.0 - params.tau) * nu * nu)
+    r, d, tau, k = params.r, params.d, params.tau, params.k
+    nu = math.sinh(r)
+    return _probability(r, d, tau, k, nu, 1.0 + (1.0 - tau) * nu * nu)
 
 
-def _probability(params: SqueezedSourceParams, nu: float, big_d: float) -> float:
+def _probability(r: float, d: float, tau: float, k: int, nu: float, big_d: float) -> float:
     """`subtraction_probability` from nu = sinh r and D, which the source
     stage computes once for all its terms."""
-    tau, d, k = params.tau, params.d, params.k
     a_coef = nu * nu * (1.0 - tau) / big_d
-    er2 = math.exp(2.0 * params.r)  # (mu + nu)^2
+    er2 = math.exp(2.0 * r)  # (mu + nu)^2
     ay = (1.0 - tau) * d * d * er2 / (4.0 * big_d * big_d)
     expo = -d * d * (1.0 - tau) * er2 / (4.0 * big_d)
     p = math.exp(expo) / big_d * scaled_laguerre(k, a_coef, -ay)
@@ -123,33 +122,30 @@ def pstmsc_covariance(params: SqueezedSourceParams) -> TwoModeCM:
     or r = 0 and d = 0 with k >= 1), and NonFiniteError when the arithmetic
     overflows or a moment is not finite.
     """
-    return TwoModeCM(*_source_stage(params)[1:])
+    return TwoModeCM(*_source_stage(params.r, params.d, params.tau, params.k)[1:])
 
 
-def _source_stage(params: SqueezedSourceParams) -> tuple[float, ...]:
-    """The source half of the key-rate pipeline on floats: p_ps, then the
-    TwoModeCM fields, from one probability evaluation. Raises as
+def _source_stage(r: float, d: float, tau: float, k: int) -> tuple[float, ...]:
+    """The source half of the key-rate pipeline, on the fields of a checked
+    SqueezedSourceParams: p_ps, then the TwoModeCM fields. Raises as
     `pstmsc_covariance` does."""
     try:
-        stage = _source_moments(params)
+        stage = _source_moments(r, d, tau, k)
         finite = all(map(math.isfinite, stage))
     except OverflowError:
         finite = False
     if not finite:
-        raise NonFiniteError(f"source stage overflows at {params}")
+        raise NonFiniteError(f"source stage overflows at {SqueezedSourceParams(r, d, tau, k)}")
     return stage
 
 
-def _source_moments(params: SqueezedSourceParams) -> tuple[float, ...]:
-    if params.k > SUBTRACTION_CAP:
-        raise ValueError(
-            f"subtraction order k={params.k} exceeds the stability cap {SUBTRACTION_CAP}"
-        )
-    r, d, tau, k = params.r, params.d, params.tau, params.k
+def _source_moments(r: float, d: float, tau: float, k: int) -> tuple[float, ...]:
+    if k > SUBTRACTION_CAP:
+        raise ValueError(f"subtraction order k={k} exceeds the stability cap {SUBTRACTION_CAP}")
     mu, nu = math.cosh(r), math.sinh(r)
     tap_nu2 = (1.0 - tau) * nu * nu
     big_d = 1.0 + tap_nu2
-    p_ps = _probability(params, nu, big_d)
+    p_ps = _probability(r, d, tau, k, nu, big_d)
     if p_ps <= 0.0:
         raise ZeroProbabilityError(
             f"{k}-photon subtraction has probability 0 at r={r}, d={d}, tau={tau}"

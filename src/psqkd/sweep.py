@@ -3,9 +3,10 @@
 A sweep evaluates the key-rate pipeline over a grid of one variable for a
 list of state families. Families are realized as limits of the same source
 parametrization: "tmsv" pins (k=0, tau=1, d=0), "<k>-pstmsv" pins d=0, and
-"<k>-pstmsc" uses the source values as-is. Per-point failures (for example
-a zero-probability subtraction at tau=1) are recorded in the row rather
-than aborting the sweep, so grid output shape is always predictable.
+"<k>-pstmsc" uses the source values as-is. `_evaluate` runs the grid on
+floats and keeps a failed cell's message rather than aborting, so the output
+shape is always predictable. The CLI writes its CSV from those floats, and
+`run_sweep` makes records of them.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ class SweepSpec:
             raise ValueError(f"points must be >= 0, got {self.points}")
         if self.points > 1 and not self.lo < self.hi:
             raise ValueError(f"need lo < hi for a multi-point grid, got [{self.lo}, {self.hi}]")
+        if self.points > 1 and not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"grid width hi - lo overflows, got [{self.lo}, {self.hi}]")
         resolve_families(self.families, self.source)
 
     def grid(self) -> list[float]:
@@ -176,59 +179,47 @@ def _rebuilt(record, **changes):
     return type(record)(**vars(record) | changes)
 
 
-def _failure(exc: Exception) -> FamilyResult:
-    """The failed cell of a caller-mistake or domain error. Only the message
-    is kept: a stored exception would keep its traceback's frames, and with
-    them the whole sweep, alive."""
-    return FamilyResult(None, str(exc))
-
-
 def _stage_of(stages: dict, key: tuple[float, float, float, int]):
-    """The source stage of the source `key`, or its failed cell; the source
-    record is built, and checked, only when `stages` does not hold it yet."""
+    """The source stage of `key`, or its error message (a stored exception
+    would keep the sweep alive through its traceback)."""
     stage = stages.get(key)
     if stage is None:
         try:
-            stage = _source_stage(SqueezedSourceParams(*key))
+            stage = _source_stage(*key)
         except (PsqkdError, ValueError) as exc:
-            stage = _failure(exc)
+            stage = str(exc)
         stages[key] = stage
     return stage
 
 
-def _cell(stage, noise, record: NoiseBreakdown, beta: float) -> FamilyResult:
-    """One family at one point; the first failure in pipeline order wins:
-    the source stage's, then the channel reduction's, then the channel stage's."""
-    if isinstance(stage, FamilyResult):
+def _cell(stage, noise, beta: float):
+    """The KeyRateResult fields p_ps to lambda3, or the first error message:
+    the source stage's, the channel reduction's, the channel stage's."""
+    if isinstance(stage, str):
         return stage
-    if isinstance(noise, FamilyResult):
+    if isinstance(noise, str):
         return noise
     try:
-        rate = _channel_stage(stage, noise, beta)
+        return (stage[0], *_channel_stage(stage, noise, beta))
     except (PsqkdError, ValueError) as exc:
-        return _failure(exc)
-    return FamilyResult(KeyRateResult(stage[0], *rate, record))
+        return str(exc)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the grid in order.
+def _evaluate(spec: SweepSpec):
+    """Yield (swept value, channel reduction, `_cell` of each family) per
+    grid point, on floats; the reduction is None where the swept value fails.
 
-    The family names are parsed once per sweep. The source stage runs once
-    per distinct family source, keyed on its (r, d, tau, k), so a tau sweep
-    shares the tmsv stage and a d sweep the tmsv and pstmsv stages; the
-    channel reduction runs once per distinct channel (once per d or tau
-    sweep). Per cell, the channel stage runs on floats. A cell reports its
-    pipeline's first error: the swept value's, the source's, the channel's.
+    The source stage runs once per distinct (r, d, tau, k), so a tau sweep
+    shares the tmsv stage; the reduction, once per distinct channel.
     """
     pins = [_family_pins(name) for name in spec.families]
     stages_by_source: dict = {}
-    rows = []
     src_of_stages = ch_of_noise = None
     for value in spec.grid():
         try:
             src, ch = _apply_value(spec.source, spec.channel, spec.variable, value)
         except (PsqkdError, ValueError) as exc:
-            rows.append(SweepRow(value, dict.fromkeys(spec.families, _failure(exc))))
+            yield value, None, [str(exc)] * len(pins)
             continue
         if src is not src_of_stages:
             src_of_stages = src
@@ -238,11 +229,23 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             try:
                 noise = _breakdown_at(ch, ch.l_ac)
             except (PsqkdError, ValueError) as exc:
-                noise, record = _failure(exc), None
-            else:
-                record = NoiseBreakdown(*noise)
-        cells = [_cell(stage, noise, record, ch.beta) for stage in stages]
-        rows.append(SweepRow(value, dict(zip(spec.families, cells))))
+                noise = str(exc)
+        yield value, noise, [_cell(stage, noise, ch.beta) for stage in stages]
+
+
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """`_evaluate` as records, with one NoiseBreakdown per distinct channel."""
+    rows = []
+    noise = record = None
+    for value, reduced, cells in _evaluate(spec):
+        if isinstance(reduced, tuple) and reduced is not noise:
+            noise, record = reduced, NoiseBreakdown(*reduced)
+        results = {
+            family: FamilyResult(None, cell) if isinstance(cell, str)
+            else FamilyResult(KeyRateResult(*cell, record))
+            for family, cell in zip(spec.families, cells)
+        }
+        rows.append(SweepRow(value, results))
     return rows
 
 
@@ -253,6 +256,8 @@ def _rate_at_distance(stage: tuple[float, ...], channel: ChannelParams, l_ac: fl
 def _check_k_target(k_target: float) -> None:
     if math.isnan(k_target):
         raise ValueError("k_target must be a number, got nan")
+    if k_target < 0.0:
+        raise ValueError(f"k_target must be >= 0, got {k_target}")
 
 
 def max_secure_distance(
@@ -268,10 +273,10 @@ def max_secure_distance(
     K < k_target, and bisection then refines that first downward crossing;
     a secure region beyond it is not searched. The returned endpoint is
     certified: K(result) >= k_target. Raises ValueError for a NaN k_target,
-    which no rate can meet.
+    which no rate meets, or a negative one, which K can meet again past it.
     """
     _check_k_target(k_target)
-    stage = _source_stage(source)
+    stage = _source_stage(source.r, source.d, source.tau, source.k)
     if _rate_at_distance(stage, channel, 0.0) <= k_target:
         raise TargetUnreachableError("target unreachable")
     hi = 1.0
@@ -320,7 +325,7 @@ def optimize_scalar(
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if family is not None:
         resolve_family(family, source)  # an unknown name must not score -inf
-    _check_k_target(k_target)  # nor may a NaN target
+    _check_k_target(k_target)  # nor may a bad target
 
     def score(value: float) -> float:
         try:

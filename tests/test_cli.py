@@ -14,13 +14,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psqkd import cli
 from psqkd.cli import CSV_HEADER, main, render_csv
-from psqkd.channel import ChannelParams
+from psqkd.channel import GEOMETRIES, ChannelParams
 from psqkd.config import (
     _CHANNEL_RENAMES,
     _KNOWN_KEYS,
@@ -33,7 +34,15 @@ from psqkd.config import (
 from psqkd.fock_oracle import compare_random_grid
 from psqkd.keyrate import secret_key_rate
 from psqkd.phase_space import SqueezedSourceParams
-from psqkd.sweep import SweepSpec, max_secure_distance, optimize_scalar, run_sweep
+from psqkd.sweep import (
+    DEFAULT_FAMILIES,
+    SWEEP_VARIABLES,
+    SweepSpec,
+    _evaluate,
+    max_secure_distance,
+    optimize_scalar,
+    run_sweep,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -190,7 +199,7 @@ def test_every_config_key_is_a_keyword_of_its_library_call():
 
 
 class TestRenderCsv:
-    def make_rows(self, base_cfg, points=3, families=("tmsv", "1-pstmsc")):
+    def make_points(self, base_cfg, points=3, families=("tmsv", "1-pstmsc")):
         config = load_run_config(
             base_cfg,
             [
@@ -201,30 +210,107 @@ class TestRenderCsv:
                 "sweep.families=" + ",".join(families),
             ],
         )
-        return run_sweep(build_sweep_spec(config))
+        spec = build_sweep_spec(config)
+        return spec.families, list(_evaluate(spec))
 
     def test_header_and_shape(self, base_cfg):
-        text = render_csv(self.make_rows(base_cfg))
+        text = render_csv(*self.make_points(base_cfg))
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 3 * 2
         assert text.endswith("\n")
 
     def test_rows_sorted_by_value_then_family(self, base_cfg):
-        lines = render_csv(self.make_rows(base_cfg)).strip().split("\n")[1:]
+        lines = render_csv(*self.make_points(base_cfg)).strip().split("\n")[1:]
         keys = [(float(l.split(",")[0]), l.split(",")[1]) for l in lines]
         assert keys == sorted(keys)
 
     def test_failed_cells_render_as_nan(self, base_cfg):
-        lines = render_csv(self.make_rows(base_cfg)).strip().split("\n")
+        lines = render_csv(*self.make_points(base_cfg)).strip().split("\n")
         tau_one = [l for l in lines if l.startswith("1,1-pstmsc")]
         assert tau_one == ["1,1-pstmsc" + ",nan" * 7]
 
     def test_twelve_significant_digits(self, base_cfg):
-        lines = render_csv(self.make_rows(base_cfg)).strip().split("\n")
+        lines = render_csv(*self.make_points(base_cfg)).strip().split("\n")
         row = next(l for l in lines if l.startswith("0.8,1-pstmsc"))
         p_ps = row.split(",")[2]
         assert len(p_ps.replace("0.", "")) >= 11
+
+
+def _csv_of_records(rows) -> str:
+    """The CSV of `run_sweep`'s records, formatted field by field."""
+    cells = sorted(
+        ((row.swept_value, family, cell.result) for row in rows
+         for family, cell in row.results.items()),
+        key=lambda cell: cell[:2],
+    )
+    lines = [CSV_HEADER]
+    for value, family, result in cells:
+        fields = [getattr(result, name, math.nan) for name in cli._CSV_FIELDS]
+        lines.append(",".join(["%.12g" % value, family] + ["%.12g" % x for x in fields]))
+    return "\n".join(lines) + "\n"
+
+
+def _seeded_specs(variable):
+    """Sweeps of `variable` from seeded base points, with 0, 1 and 9 points.
+    Each 9-point range runs into failed cells: an underflowing fiber
+    transmittance, V_A < 1, an overflowing source stage, a zero-probability
+    subtraction at tau = 1, eta = 0. The last spec repeats grid values."""
+    lo, hi = {"L_AC": (0.0, 1e6), "V_A": (0.5, 300.0), "d": (0.0, 60.0),
+              "tau": (0.0, 1.0), "eta": (0.0, 1.0)}[variable]
+    families = DEFAULT_FAMILIES + ("0-pstmsc", "3-pstmsv", "4-pstmsc")
+    rng = np.random.default_rng(100 + SWEEP_VARIABLES.index(variable))
+    for points in (0, 1, 9, 9, 9):
+        v_a = float(rng.uniform(1.5, 200.0))
+        source = SqueezedSourceParams(
+            0.5 * math.acosh(v_a), float(rng.choice([0.0, rng.uniform(0.0, 5.0)])),
+            float(rng.uniform(0.3, 1.0)), int(rng.integers(0, 4)),
+        )
+        channel = ChannelParams(
+            geometry=GEOMETRIES[int(rng.integers(0, 2))], l_ac=float(rng.uniform(0, 80)),
+            v_a=v_a, beta=float(rng.uniform(0.8, 1.0)), eps_a=0.002, eps_b=0.002,
+            eta=float(rng.uniform(0.5, 1.0)), v_el=float(rng.uniform(0.0, 0.1)),
+        )
+        yield SweepSpec(variable, lo, hi, points, source, channel, families)
+    # 1e17 + 2 i rounds to 1e17 or 1e17 + 16: the rows of equal values interleave
+    yield SweepSpec(variable, 1e17, 100000000000000016, 9, source, channel, families)
+
+
+class TestSweepCells:
+    @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+    def test_float_cells_are_the_record_fields(self, variable):
+        failed = succeeded = 0
+        for spec in _seeded_specs(variable):
+            rows = run_sweep(spec)
+            points = list(_evaluate(spec))
+            assert [row.swept_value for row in rows] == [value for value, _, _ in points]
+            for row, (_, noise, cells) in zip(rows, points):
+                for cell, record in zip(cells, row.results.values()):
+                    if record.result is None:
+                        assert cell == record.error
+                        failed += 1
+                        continue
+                    fields = tuple(getattr(record.result, f) for f in cli._CSV_FIELDS)
+                    assert cell == fields
+                    assert noise == dataclasses.astuple(record.result.noise)
+                    succeeded += 1
+            assert render_csv(spec.families, points) == _csv_of_records(rows)
+        assert failed > 0
+        assert succeeded > 0
+
+    def test_repeated_grid_values_interleave_by_family(self):
+        spec = SweepSpec(
+            "V_A", 1e17, 100000000000000016, 9,
+            SqueezedSourceParams(1.0, 2.0, 0.9, 1),
+            ChannelParams("asymmetric", 20.0, 50.0, 0.96, 0.002, 0.002),
+        )
+        low = spec.grid().count(1e17)
+        assert 1 < low < 9 and set(spec.grid()) == {1e17, 100000000000000016}
+        lines = render_csv(spec.families, list(_evaluate(spec))).splitlines()[1:]
+        families = [line.split(",")[1] for line in lines]
+        # each family's rows of the lower value, then the next family's
+        assert families[: 5 * low] == sorted(spec.families * low)
+        assert families[5 * low :] == sorted(spec.families * (9 - low))
 
 
 class TestMainExitCodes:
@@ -314,6 +400,28 @@ class TestMainExitCodes:
         assert payload["variable"] == "d"
         assert payload["best_value"] == pytest.approx(1.708, abs=0.01)
         assert payload["objective_value"] == pytest.approx(63.570, abs=0.02)
+
+    @pytest.mark.parametrize("command", ["max-distance", "optimize"])
+    def test_negative_k_target_is_usage_error(self, base_cfg, command, capsys):
+        key = "max_distance" if command == "max-distance" else "optimize"
+        argv = [command, "--config", base_cfg, "--set", f"{key}.k_target=-0.012"]
+        for item in ("variable=d", "lo=0", "hi=3", "objective=max_distance"):
+            argv += ["--set", "optimize." + item]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k_target must be >= 0, got -0.012\n"
+
+    def test_sweep_range_whose_width_overflows_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "wide.csv"
+        argv = ["sweep", "--config", str(REPO / "configs" / "fig7.cfg"), "--out", str(out)]
+        for item in ("lo=-1.7e308", "hi=1.7e308", "points=3"):
+            argv += ["--set", "sweep." + item]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: grid width hi - lo overflows, got [-1.7e+308, 1.7e+308]\n"
+        )
+        assert not out.exists()
 
     def test_optimize_missing_keys_is_usage_error(self, base_cfg, capsys):
         assert main(["optimize", "--config", base_cfg]) == 1

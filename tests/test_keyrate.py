@@ -347,6 +347,7 @@ class TestStageGuards:
     """The finiteness guards list their fields by hand; each field must be in."""
 
     SOURCE = SqueezedSourceParams(r=0.5 * math.acosh(50.0), d=2.0, tau=0.9, k=1)
+    KEY = dataclasses.astuple(SOURCE)  # the (r, d, tau, k) the source stage takes
 
     SOURCE_FIELDS = ["p_ps"] + [f.name for f in dataclasses.fields(TwoModeCM)]
     NOISE_FIELDS = [f.name for f in dataclasses.fields(NoiseBreakdown)]
@@ -355,9 +356,9 @@ class TestStageGuards:
     def test_source_stage_rejects_inf_in_any_field(self, monkeypatch, field):
         p_ps, cm = subtraction_probability(self.SOURCE), pstmsc_covariance(self.SOURCE)
         stage = [p_ps] + [getattr(cm, name) for name in self.SOURCE_FIELDS[1:]]
-        assert tuple(stage) == moments._source_stage(self.SOURCE)  # in field order
+        assert tuple(stage) == moments._source_stage(*self.KEY)  # in field order
         stage[self.SOURCE_FIELDS.index(field)] = math.inf
-        monkeypatch.setattr(moments, "_source_moments", lambda params: tuple(stage))
+        monkeypatch.setattr(moments, "_source_moments", lambda *params: tuple(stage))
         with pytest.raises(NonFiniteError, match="source stage"):
             pstmsc_covariance(self.SOURCE)
 
@@ -368,7 +369,7 @@ class TestStageGuards:
         assert tuple(noise) == _breakdown_at(reference_channel(), reference_channel().l_ac)
         noise[self.NOISE_FIELDS.index(field)] = math.inf
         with pytest.raises(NonFiniteError, match="channel stage"):
-            _channel_stage(moments._source_stage(self.SOURCE), tuple(noise), 0.96)
+            _channel_stage(moments._source_stage(*self.KEY), tuple(noise), 0.96)
 
 
 _RECORD_FIELDS = [

@@ -141,7 +141,7 @@ class TestSubtractionProbability:
             assert (p.d / (2.0 * p.nu)) ** 2 > moments._LIMIT_Y
         for p in [*box, *r_zero, *tau_one, *small_nu, *large_y]:
             try:
-                stage = moments._source_stage(p)
+                stage = moments._source_stage(*dataclasses.astuple(p))
             except ZeroProbabilityError:
                 assert subtraction_probability(p) == 0.0
                 continue
@@ -294,9 +294,9 @@ class TestCovariance:
     @pytest.mark.parametrize("k", [1, 2])
     def test_vanishing_squeezing_tends_to_the_coherent_product(self, k):
         # 1/nu^2 underflows below r ~ 1e-162 and y overflows below ~1e-154
-        ref = moments._source_stage(params(r=0.0, d=2.0, tau=0.9, k=k))
+        ref = moments._source_stage(0.0, 2.0, 0.9, k)
         for j in range(301):
-            got = moments._source_stage(params(r=10.0**-j, d=2.0, tau=0.9, k=k))
+            got = moments._source_stage(10.0**-j, 2.0, 0.9, k)
             assert all(map(math.isfinite, got)), j
             if j >= 14:  # the moments leave the limit at O(r)
                 for value, expect in zip(got, ref):

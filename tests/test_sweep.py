@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import psqkd.sweep as sweep
+from psqkd import cli
 from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown
 from psqkd.config import build_sweep_spec, load_run_config
 from psqkd.errors import NoSecureRegionError, PsqkdError, TargetUnreachableError
@@ -17,6 +18,8 @@ from psqkd.phase_space import SqueezedSourceParams
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
     SWEEP_VARIABLES,
+    FamilyResult,
+    SweepRow,
     SweepSpec,
     max_secure_distance,
     optimize_scalar,
@@ -80,6 +83,15 @@ class TestSweepSpecValidation:
     def test_reversed_bounds(self):
         with pytest.raises(ValueError, match="lo < hi"):
             SweepSpec("L_AC", 5, 1, 3, base_source(), base_channel())
+
+    @pytest.mark.parametrize("lo, hi", [(-1.7e308, 1.7e308), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_overflowing_width_is_rejected(self, lo, hi):
+        # lo + i * (hi - lo) / (points - 1) would give nan and inf swept values
+        with pytest.raises(ValueError, match="hi - lo overflows"):
+            SweepSpec("d", lo, hi, 3, base_source(), base_channel())
+        # the widest finite range still gives finite values
+        spec = SweepSpec("d", -8.9e307, 8.9e307, 3, base_source(), base_channel())
+        assert spec.grid() == [-8.9e307, 0.0, 8.9e307]
 
     def test_single_point_ignores_hi(self):
         spec = SweepSpec("L_AC", 5, 1, 1, base_source(), base_channel())
@@ -214,6 +226,18 @@ def _unstaged_row(spec, value):
     return out
 
 
+def _counting_inits(monkeypatch, *records):
+    """The class name of each record of `records` built from now on."""
+    built = []
+    for record in records:
+        def counted(self, *args, _init=record.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(record, "__init__", counted)
+    return built
+
+
 def _counting(monkeypatch, name):
     calls = []
     inner = getattr(sweep, name)
@@ -314,7 +338,7 @@ class TestStagedSweep:
         v_a_sweep = SweepSpec("V_A", 5.0, 100.0, 51, base_source(), base_channel())
         d_sweep = SweepSpec("d", 0.5, 3.0, 41, base_source(), base_channel())
         parsed = _counting(monkeypatch, "_family_pins")
-        built = _counting(monkeypatch, "SqueezedSourceParams")
+        built = _counting(monkeypatch, "_source_stage")
         rows = run_sweep(v_a_sweep)
         assert all(cell.result for row in rows for cell in row.results.values())
         assert parsed == [(name,) for name in DEFAULT_FAMILIES]
@@ -359,17 +383,33 @@ class TestStagedSweep:
         sources = _counting(monkeypatch, "_source_stage")
         channels = _counting(monkeypatch, "_breakdown_at")
         max_secure_distance(base_source(), base_channel())
-        assert sources == [(base_source(),)]
+        assert sources == [(R50, 2.0, 0.9, 1)]
         assert len(channels) > 50
 
-    def test_search_probes_build_no_records(self, monkeypatch):
-        built = []
-        for record in (NoiseBreakdown, KeyRateResult):
-            def counted(self, *args, _init=record.__init__):
-                built.append(type(self).__name__)
-                _init(self, *args)
+    def test_sweep_builds_a_source_record_only_per_swept_value(self, monkeypatch):
+        spec = SweepSpec("V_A", 5.0, 100.0, 51, base_source(), base_channel())
+        built = _counting_inits(monkeypatch, SqueezedSourceParams)
+        points = list(sweep._evaluate(spec))
+        assert all(isinstance(cell, tuple) for _, _, cells in points for cell in cells)
+        # one per grid point, in _apply_value; none per (r, d, tau, k) key
+        assert len(built) == 51
+        built.clear()
+        run_sweep(spec)
+        assert len(built) == 51
 
-            monkeypatch.setattr(record, "__init__", counted)
+    def test_cli_sweep_builds_no_per_cell_record(self, monkeypatch, tmp_path):
+        records = (KeyRateResult, FamilyResult, NoiseBreakdown, SweepRow, SqueezedSourceParams)
+        built = _counting_inits(monkeypatch, *records)
+        argv = ["sweep", "--config", str(CONFIGS / "fig7.cfg"), "--out", str(tmp_path / "v.csv")]
+        for item in ("variable=V_A", "lo=5", "hi=100", "points=51"):
+            argv += ["--set", "sweep." + item]
+        assert cli.main(argv) == 0
+        # the config's source, SweepSpec's family check, then one per point
+        assert Counter(built) == {"SqueezedSourceParams": 1 + 5 + 51}
+        assert len((tmp_path / "v.csv").read_text().splitlines()) == 1 + 51 * 5
+
+    def test_search_probes_build_no_records(self, monkeypatch):
+        built = _counting_inits(monkeypatch, NoiseBreakdown, KeyRateResult)
         max_secure_distance(base_source(), base_channel())
         assert built == []
         secret_key_rate(base_source(), base_channel())  # the count does count
@@ -443,6 +483,19 @@ class TestMaxSecureDistance:
             max_secure_distance(
                 resolve_family("tmsv", base_source()), base_channel(), k_target=10.0
             )
+
+    def test_negative_target_is_a_caller_error(self):
+        # tmsv's K falls below -0.012 near 100 km and climbs back above it
+        # past 150 km, so the first crossing (50.84 km) is not the largest
+        # L_AC with K >= k_target that the search promises
+        source = resolve_family("tmsv", base_source())
+        channel = base_channel(l_ac=0.0)
+        assert secret_key_rate(source, replace(channel, l_ac=100.0)).key_rate < -0.012
+        assert secret_key_rate(source, replace(channel, l_ac=300.0)).key_rate > -0.012
+        with pytest.raises(ValueError, match="k_target must be >= 0, got -0.012"):
+            max_secure_distance(source, channel, k_target=-0.012)
+        # a negative zero is no rate floor below zero
+        assert max_secure_distance(source, channel, -0.0) == max_secure_distance(source, channel)
 
     def test_nan_target_is_a_caller_error(self):
         # no rate compares >= NaN, so a search would certify nothing
@@ -539,6 +592,15 @@ class TestOptimizeScalar:
             optimize_scalar(
                 base_source(), base_channel(), "d", 0.0, 3.0,
                 objective="max_distance", k_target=math.nan,
+            )
+        assert searches == []
+
+    def test_negative_target_is_rejected_up_front(self, monkeypatch):
+        searches = _counting(monkeypatch, "max_secure_distance")
+        with pytest.raises(ValueError, match="k_target must be >= 0"):
+            optimize_scalar(
+                base_source(), base_channel(), "d", 0.0, 3.0,
+                objective="max_distance", k_target=-0.012,
             )
         assert searches == []
 
