@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NonFiniteError
+
 __all__ = [
     "GEOMETRIES",
     "ChannelParams",
@@ -61,24 +63,28 @@ class ChannelParams:
     loss_db_per_km: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.geometry not in GEOMETRIES:
+        self._check(vars(self))
+
+    @staticmethod
+    def _check(fields: dict) -> None:
+        """Check the given fields in one fixed order, whatever their order in
+        `fields`: the geometry, every bool, then each range."""
+        if "geometry" in fields and fields["geometry"] not in GEOMETRIES:
             raise ValueError(
-                f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}"
+                f"geometry must be one of {GEOMETRIES}, got {fields['geometry']!r}"
             )
-        for name, value in vars(self).items():  # bool is an int subclass
-            if type(value) is bool:
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ChannelParams.__dataclass_fields__:  # bool is an int subclass
+            if type(fields.get(name)) is bool:
+                raise ValueError(f"{name} must be a number, got {fields[name]!r}")
         # each check is written so that NaN and inf fail it
         for name in ("l_ac", "eps_a", "eps_b", "v_el", "loss_db_per_km"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 1.0 < self.v_a < math.inf:
-            raise ValueError(f"v_a must be finite and exceed 1 SNU, got {self.v_a}")
+            if name in fields and not 0 <= fields[name] < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {fields[name]}")
+        if "v_a" in fields and not 1.0 < fields["v_a"] < math.inf:
+            raise ValueError(f"v_a must be finite and exceed 1 SNU, got {fields['v_a']}")
         for name in ("beta", "eta"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
+            if name in fields and not 0.0 < fields[name] <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {fields[name]}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,8 @@ def gain(v_a: float, t_b: float) -> float:
 
 def noise_breakdown(params: ChannelParams) -> NoiseBreakdown:
     """All derived channel quantities for one configuration, one
-    `transmittance` call per link."""
+    `transmittance` call per link. Raises ValueError when a transmittance
+    or T underflows to 0, and NonFiniteError when a quantity overflows."""
     return NoiseBreakdown(*_breakdown_at(params, params.l_ac))
 
 
@@ -146,4 +153,7 @@ def _breakdown_at(params: ChannelParams, l_ac: float) -> tuple[float, ...]:
     chi_line = (1.0 - t) / t + eps_th
     chi_homo = (params.v_el + 1.0 - params.eta) / params.eta
     chi_tot = chi_line + 2.0 * chi_homo / t_a
-    return t_a, t_b, g, t, eps_th, chi_line, chi_homo, chi_tot
+    noise = t_a, t_b, g, t, eps_th, chi_line, chi_homo, chi_tot
+    if not all(map(math.isfinite, noise)):
+        raise NonFiniteError(f"channel stage overflows at T={t:g}, chi_tot={chi_tot:g}")
+    return noise

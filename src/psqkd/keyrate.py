@@ -2,16 +2,15 @@
 
 `secret_key_rate` is the one entry that builds a KeyRateResult: the source
 stage of `moments`, the channel reduction of `channel`, then the channel
-stage below. Each formula of that stage has one function, on the covariance
+stage below. That stage is one straight-line kernel on the covariance
 fields (the source states have zeros on every x-p cross term, so
-conditioning needs only scalar divisions, never a Schur complement):
-
-  * effective_cm: the Alice-Bob covariance after the one-way channel;
-  * conditional_cm_after_heterodyne: Alice's variances given Bob's outcome;
-  * mutual_information: I_AB for homodyne readouts;
-  * symplectic_eigenvalues, entropy_G, holevo_bound: chi_BE;
-
-and K = P_detect * (beta * I_AB - chi_BE), in bits per pulse.
+conditioning needs only scalar divisions, never a Schur complement): the
+Alice-Bob covariance after the one-way channel, Alice's variances given
+Bob's heterodyne outcome, the symplectic eigenvalues, I_AB for homodyne
+readouts and chi_BE through `entropy_G` (Weedbrook et al., RMP 84, 621
+(2012)), then K = P_detect * (beta * I_AB - chi_BE), in bits per pulse.
+`tests/keyrate_reference.py` keeps one function per formula as the
+reference that pins the kernel.
 """
 
 from __future__ import annotations
@@ -26,12 +25,7 @@ from .phase_space import SqueezedSourceParams
 
 __all__ = [
     "KeyRateResult",
-    "effective_cm",
-    "mutual_information",
-    "symplectic_eigenvalues",
-    "conditional_cm_after_heterodyne",
     "entropy_G",
-    "holevo_bound",
     "secret_key_rate",
 ]
 
@@ -53,70 +47,6 @@ class KeyRateResult:
     noise: NoiseBreakdown
 
 
-def effective_cm(vax, vap, vbx, vbp, vcx, vcp, t, chi_tot) -> tuple[float, ...]:
-    """Alice-Bob covariance fields (vax to vcp) after the equivalent one-way
-    channel of transmittance t and added noise chi_tot.
-
-    Alice's block is untouched, correlations scale by sqrt(T), and Bob's
-    block becomes T * (V_B + chi_tot).
-    """
-    st = math.sqrt(t)
-    return vax, vap, t * (vbx + chi_tot), t * (vbp + chi_tot), st * vcx, st * vcp
-
-
-def conditional_cm_after_heterodyne(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
-    """Alice's variances conditioned on Bob's heterodyne outcome.
-
-    The heterodyne vacuum unit shows up as the +1 in the denominator:
-    V_{A|B} = V_A - V_C^2 / (V_B + 1), separately per quadrature.
-    """
-    vx = vax - vcx * vcx / (vbx + 1.0)
-    vp = vap - vcp * vcp / (vbp + 1.0)
-    if vx <= 0.0 or vp <= 0.0:
-        raise UnphysicalStateError(
-            f"non-positive conditional variance ({vx}, {vp}); CM is unphysical"
-        )
-    return vx, vp
-
-
-def mutual_information(vax: float, vap: float, vx: float, vp: float) -> float:
-    """I_AB in bits from Alice's variances and their conditioned values.
-
-    Measured variances are (V+1)/2 (heterodyne-style vacuum penalty), so
-    per quadrature I = log2[(V_A + 1) / (V_{A|B} + 1)] / 2.
-    """
-    return 0.5 * (math.log2((vax + 1.0) / (vx + 1.0)) + math.log2((vap + 1.0) / (vp + 1.0)))
-
-
-def symplectic_eigenvalues(vax, vap, vbx, vbp, vcx, vcp) -> tuple[float, float]:
-    """The two symplectic eigenvalues of a diagonal-block two-mode CM.
-
-    Uses the invariant form lambda^2 = (Delta +/- sqrt(Delta^2 - 4 det)) / 2
-    with Delta = det A + det B + 2 det C. Both are >= 1 iff the CM is
-    physical.
-    """
-    det_a = vax * vap
-    det_b = vbx * vbp
-    det_c = vcx * vcp
-    det_s = (vax * vbx - vcx**2) * (vap * vbp - vcp**2)
-    delta = det_a + det_b + 2.0 * det_c
-    # factored discriminant: algebraically equal to delta^2 - 4 det_s but
-    # free of the near-total cancellation that form suffers when the two
-    # eigenvalues nearly coincide (e.g. weakly squeezed pure states)
-    disc = (det_a - det_b) ** 2 + 4.0 * (vax * vcp + vbp * vcx) * (vap * vcx + vbx * vcp)
-    if disc < -1e-9:
-        raise UnphysicalStateError(
-            f"symplectic discriminant {disc} is negative beyond tolerance"
-        )
-    root = math.sqrt(max(disc, 0.0))
-    lam1_sq = (delta + root) / 2.0
-    lam1 = math.sqrt(max(lam1_sq, 0.0))
-    # the smaller root via the product form: subtracting root from delta
-    # cancels catastrophically for near-pure states
-    lam2 = math.sqrt(max(det_s, 0.0) / lam1_sq) if lam1_sq > 0.0 else 0.0
-    return lam1, lam2
-
-
 def entropy_G(x: float) -> float:
     """Thermal-state von Neumann entropy (x + 1) log2(x + 1) - x log2 x.
 
@@ -135,44 +65,73 @@ def entropy_G(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-def holevo_bound(lam1: float, lam2: float, lam3: float) -> float:
-    """Eavesdropper information bound chi_BE for reverse reconciliation.
-
-    chi_BE = G((l1-1)/2) + G((l2-1)/2) - G((l3-1)/2) with l1, l2 the
-    symplectic eigenvalues of the joint CM and l3 = sqrt(V_{A|B,x} V_{A|B,p})
-    that of Alice's heterodyne-conditioned block. A numerically pure joint
-    state leaks nothing and short-circuits to 0; eigenvalue excursions
-    below 1 are float noise and enter the G terms as 0.
-    """
-    if lam1 < 1.0 + _PURITY_EPS and lam2 < 1.0 + _PURITY_EPS:
-        return 0.0
-    return (
-        entropy_G(max(0.0, (lam1 - 1.0) / 2.0))
-        + entropy_G(max(0.0, (lam2 - 1.0) / 2.0))
-        - entropy_G(max(0.0, (lam3 - 1.0) / 2.0))
-    )
-
-
 def _channel_stage(
     stage: tuple[float, ...], noise: tuple[float, ...], beta: float
 ) -> tuple[float, ...]:
     """The channel half of the pipeline on floats: the source stage (p_ps,
     then the TwoModeCM fields) through the channel reduction `noise` (the
-    NoiseBreakdown fields), with efficiency beta. Returns the KeyRateResult
-    fields i_ab to lambda3. Raises NonFiniteError when the arithmetic
-    overflows or one of these or of `noise` is not finite.
+    NoiseBreakdown fields, which `_breakdown_at` has checked), with
+    efficiency beta. Returns the KeyRateResult fields i_ab to lambda3.
+    Raises UnphysicalStateError, or NonFiniteError when the arithmetic
+    overflows or one of these is not finite.
     """
     p_ps, vax, vap, vbx, vbp, vcx, vcp, _, _ = stage
     t, chi_tot = noise[3], noise[7]
     try:
-        eff = effective_cm(vax, vap, vbx, vbp, vcx, vcp, t, chi_tot)
-        vx, vp = conditional_cm_after_heterodyne(*eff)
-        lam1, lam2 = symplectic_eigenvalues(*eff)
+        # the one-way channel leaves Alice's block, scales the correlations
+        # by sqrt(T), and makes Bob's block T * (V_B + chi_tot)
+        st = math.sqrt(t)
+        vbx = t * (vbx + chi_tot)
+        vbp = t * (vbp + chi_tot)
+        vcx = st * vcx
+        vcp = st * vcp
+        # Alice's variances given Bob's heterodyne outcome; the +1 is its
+        # vacuum unit
+        vx = vax - vcx * vcx / (vbx + 1.0)
+        vp = vap - vcp * vcp / (vbp + 1.0)
+        if vx <= 0.0 or vp <= 0.0:
+            raise UnphysicalStateError(
+                f"non-positive conditional variance ({vx}, {vp}); CM is unphysical"
+            )
+        # symplectic eigenvalues: lambda^2 = (Delta +/- sqrt(disc)) / 2
+        det_a = vax * vap
+        det_b = vbx * vbp
+        det_c = vcx * vcp
+        det_s = (vax * vbx - vcx**2) * (vap * vbp - vcp**2)
+        delta = det_a + det_b + 2.0 * det_c
+        # disc = delta^2 - 4 det_s, factored: that form cancels almost
+        # totally when the eigenvalues nearly coincide (weakly squeezed
+        # pure states)
+        disc = (det_a - det_b) ** 2 + 4.0 * (vax * vcp + vbp * vcx) * (vap * vcx + vbx * vcp)
+        if disc < -1e-9:
+            raise UnphysicalStateError(
+                f"symplectic discriminant {disc} is negative beyond tolerance"
+            )
+        root = math.sqrt(0.0 if 0.0 > disc else disc)
+        lam1_sq = (delta + root) / 2.0
+        lam1 = math.sqrt(0.0 if 0.0 > lam1_sq else lam1_sq)
+        # the smaller root from the product det_s: delta - root cancels
+        # catastrophically for near-pure states
+        det_s = 0.0 if 0.0 > det_s else det_s
+        lam2 = math.sqrt(det_s / lam1_sq) if lam1_sq > 0.0 else 0.0
         lam3 = math.sqrt(vx * vp)
-        i_ab = mutual_information(vax, vap, vx, vp)  # Alice's block is the source's
-        chi_be = holevo_bound(lam1, lam2, lam3)
+        # I_AB in bits; measured variances are (V + 1) / 2
+        i_ab = 0.5 * (math.log2((vax + 1.0) / (vx + 1.0)) + math.log2((vap + 1.0) / (vp + 1.0)))
+        # chi_BE: a numerically pure joint state leaks nothing, and
+        # eigenvalue excursions below 1 are float noise, G(0) = 0
+        if lam1 < 1.0 + _PURITY_EPS and lam2 < 1.0 + _PURITY_EPS:
+            chi_be = 0.0
+        else:
+            x1 = (lam1 - 1.0) / 2.0
+            x2 = (lam2 - 1.0) / 2.0
+            x3 = (lam3 - 1.0) / 2.0
+            chi_be = (
+                entropy_G(x1 if x1 > 0.0 else 0.0)
+                + entropy_G(x2 if x2 > 0.0 else 0.0)
+                - entropy_G(x3 if x3 > 0.0 else 0.0)
+            )
         rate = (i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3)
-        finite = all(map(math.isfinite, rate + noise))
+        finite = all(map(math.isfinite, rate))
     except OverflowError:
         finite = False
     if not finite:

@@ -36,18 +36,23 @@ class SqueezedSourceParams:
     k: int
 
     def __post_init__(self) -> None:
+        self._check(vars(self))
+
+    @staticmethod
+    def _check(fields: dict) -> None:
+        """Check the given fields in one fixed order, whatever their order in
+        `fields`: every bool among r, d and tau, then each range."""
         for name in ("r", "d", "tau"):  # bool is an int subclass
-            if type(getattr(self, name)) is bool:
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            if type(fields.get(name)) is bool:
+                raise ValueError(f"{name} must be a number, got {fields[name]!r}")
         for name in ("r", "d"):  # written so that NaN and inf fail it
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        # bool is an int subclass, but k=True is a caller mistake
-        if not (type(self.k) is int and self.k >= 0):
-            raise ValueError(f"k must be a non-negative integer, got {self.k!r}")
+            if name in fields and not 0 <= fields[name] < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {fields[name]}")
+        if "tau" in fields and not 0.0 <= fields["tau"] <= 1.0:
+            raise ValueError(f"tau must lie in [0, 1], got {fields['tau']}")
+        # k=True is a caller mistake too
+        if "k" in fields and not (type(fields["k"]) is int and fields["k"] >= 0):
+            raise ValueError(f"k must be a non-negative integer, got {fields['k']!r}")
 
     @property
     def mu(self) -> float:

@@ -70,12 +70,17 @@ class SweepSpec:
             raise ValueError(f"points must be >= 0, got {self.points}")
         if self.points > 1 and not self.lo < self.hi:
             raise ValueError(f"need lo < hi for a multi-point grid, got [{self.lo}, {self.hi}]")
-        if self.points > 1 and not math.isfinite(self.hi - self.lo):
-            raise ValueError(f"grid width hi - lo overflows, got [{self.lo}, {self.hi}]")
+        if self.points > 1:
+            _check_width(self.lo, self.hi)
         resolve_families(self.families, self.source)
 
     def grid(self) -> list[float]:
         return _grid(self.lo, self.hi, self.points)
+
+
+def _check_width(lo: float, hi: float) -> None:
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"grid width hi - lo overflows, got [{lo}, {hi}]")
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:
@@ -175,8 +180,12 @@ def _apply_value(
 
 
 def _rebuilt(record, **changes):
-    """dataclasses.replace, cheaper; __post_init__ still checks every value."""
-    return type(record)(**vars(record) | changes)
+    """dataclasses.replace, cheaper: the other fields of `record` were
+    checked when it was built, so only the changed ones are checked again."""
+    record._check(changes)
+    new = object.__new__(type(record))
+    vars(new).update(vars(record), **changes)
+    return new
 
 
 def _stage_of(stages: dict, key: tuple[float, float, float, int]):
@@ -323,6 +332,7 @@ def optimize_scalar(
         raise ValueError(f"unknown objective {objective!r}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    _check_width(lo, hi)
     if family is not None:
         resolve_family(family, source)  # an unknown name must not score -inf
     _check_k_target(k_target)  # nor may a bad target

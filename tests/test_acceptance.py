@@ -14,11 +14,12 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from keyrate_reference import symplectic_eigenvalues
 from phase_space_reference import laguerre
 from psqkd.channel import ChannelParams
 from psqkd.cli import render_csv
 from psqkd.fock_oracle import compare_random_grid
-from psqkd.keyrate import secret_key_rate, symplectic_eigenvalues
+from psqkd.keyrate import secret_key_rate
 from psqkd.moments import pstmsc_covariance, subtraction_probability
 from psqkd.phase_space import SqueezedSourceParams, scaled_laguerre
 from psqkd.sweep import (

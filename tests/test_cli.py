@@ -423,6 +423,18 @@ class TestMainExitCodes:
         )
         assert not out.exists()
 
+    def test_optimize_range_whose_width_overflows_is_usage_error(self, capsys):
+        # it once ran the grid as [nan, inf, ...] and exited 2, "no secure region"
+        argv = ["optimize", "--config", str(REPO / "configs" / "fig4.cfg")]
+        for item in ("variable=d", "lo=-1.7e308", "hi=1.7e308"):
+            argv += ["--set", "optimize." + item]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: grid width hi - lo overflows, got [-1.7e+308, 1.7e+308]\n"
+        )
+
     def test_optimize_missing_keys_is_usage_error(self, base_cfg, capsys):
         assert main(["optimize", "--config", base_cfg]) == 1
         assert "optimize.variable" in capsys.readouterr().err
@@ -786,6 +798,20 @@ class TestImports:
         }
         assert numpy_users == {"fock_oracle.py"}
         assert imported["phase_space.py"] <= sys.stdlib_module_names
+
+    def test_reference_formulas_stay_out_of_the_package(self):
+        # the channel stage is one kernel; its per-formula twins live only in
+        # the test reference that pins it
+        def defined(path):
+            return {
+                node.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+
+        reference = defined(REPO / "tests" / "keyrate_reference.py")
+        assert "symplectic_eigenvalues" in reference
+        package = set().union(*map(defined, (REPO / "src" / "psqkd").glob("*.py")))
+        assert reference & package == set()
 
     def test_benchmark_names_resolve(self):
         # a name the benchmark's workloads take from psqkd, by `from psqkd.m

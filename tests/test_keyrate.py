@@ -9,30 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psqkd.moments as moments
-from phase_space_reference import cm_matrix
-from psqkd.channel import (
-    GEOMETRIES,
-    ChannelParams,
-    NoiseBreakdown,
-    _breakdown_at,
-    noise_breakdown,
+from keyrate_reference import (
+    RATE_FIELDS,
+    channel_stage_fields,
+    conditional_cm_after_heterodyne,
+    effective_cm,
+    holevo_bound,
+    mutual_information,
+    symplectic_eigenvalues,
 )
+from phase_space_reference import cm_matrix
+from psqkd.channel import GEOMETRIES, ChannelParams, _breakdown_at, noise_breakdown
 from psqkd.errors import (
     NonFiniteError,
     PsqkdError,
     UnphysicalStateError,
     ZeroProbabilityError,
 )
-from psqkd.keyrate import (
-    _channel_stage,
-    conditional_cm_after_heterodyne,
-    effective_cm,
-    entropy_G,
-    holevo_bound,
-    mutual_information,
-    secret_key_rate,
-    symplectic_eigenvalues,
-)
+from psqkd.keyrate import _channel_stage, entropy_G, secret_key_rate
 from psqkd.moments import TwoModeCM, pstmsc_covariance, subtraction_probability
 from psqkd.phase_space import SqueezedSourceParams
 
@@ -344,13 +338,12 @@ class TestSecretKeyRate:
 
 
 class TestStageGuards:
-    """The finiteness guards list their fields by hand; each field must be in."""
+    """Each finiteness guard must cover every value it guards."""
 
     SOURCE = SqueezedSourceParams(r=0.5 * math.acosh(50.0), d=2.0, tau=0.9, k=1)
     KEY = dataclasses.astuple(SOURCE)  # the (r, d, tau, k) the source stage takes
 
     SOURCE_FIELDS = ["p_ps"] + [f.name for f in dataclasses.fields(TwoModeCM)]
-    NOISE_FIELDS = [f.name for f in dataclasses.fields(NoiseBreakdown)]
 
     @pytest.mark.parametrize("field", SOURCE_FIELDS)
     def test_source_stage_rejects_inf_in_any_field(self, monkeypatch, field):
@@ -362,14 +355,45 @@ class TestStageGuards:
         with pytest.raises(NonFiniteError, match="source stage"):
             pstmsc_covariance(self.SOURCE)
 
-    @pytest.mark.parametrize("field", NOISE_FIELDS)
-    def test_channel_stage_rejects_inf_in_any_noise_field(self, field):
-        record = noise_breakdown(reference_channel())
-        noise = [getattr(record, name) for name in self.NOISE_FIELDS]
-        assert tuple(noise) == _breakdown_at(reference_channel(), reference_channel().l_ac)
-        noise[self.NOISE_FIELDS.index(field)] = math.inf
-        with pytest.raises(NonFiniteError, match="channel stage"):
-            _channel_stage(moments._source_stage(*self.KEY), tuple(noise), 0.96)
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            # symmetric: t_b = t_a near the underflow edge, so the gain overflows
+            reference_channel(geometry="symmetric", l_ac=16000.0),
+            # 2 (v_a - 1) overflows, and so does the gain
+            reference_channel(v_a=1e308),
+            # the detector noise overflows
+            reference_channel(eta=1e-300, v_el=1e10),
+        ],
+    )
+    def test_reduction_rejects_an_overflow(self, channel):
+        match = r"^channel stage overflows at T=\S+, chi_tot=\S+$"
+        with pytest.raises(NonFiniteError, match=match):
+            _breakdown_at(channel, channel.l_ac)
+        with pytest.raises(NonFiniteError, match=match):
+            noise_breakdown(channel)
+
+    # (output, source stage fields p_ps..vcp, T, chi_tot): inputs at which
+    # that output of the unchecked formulas is not finite; the first three
+    # make it the only one
+    NON_FINITE_OUTPUTS = [
+        ("key_rate", (math.inf, 50.0, 50.0, 50.0, 50.0, 49.0, -49.0), 0.38, 1.62),
+        ("lambda1", (0.5, 50.0, 1e-300, math.inf, 0.0, 1e-300, 0.0), 1e-300, 1.6),
+        ("lambda2", (1.0, 1e-300, 1.7e308, -1e300, 1.0, 1e-300, 1.0), 1.0, 1e300),
+        ("chi_be", (0.5, 2.0, 5.7, math.inf, 50.0, 0.0, 50.0), 1e-300, 1.6),
+        ("i_ab", (1.0, 50.0, -1e300, -1e300, 1e200, 1e200, 1.7e308), 1e300, 1.6),
+        ("lambda3", (1.0, 50.0, -1e300, -1e300, 1e200, 1e200, 1.7e308), 1e300, 1.6),
+    ]
+
+    @pytest.mark.parametrize("output, cm, t, chi_tot", NON_FINITE_OUTPUTS)
+    def test_channel_stage_rejects_a_non_finite_output(self, output, cm, t, chi_tot):
+        rate = channel_stage_fields(cm, t, chi_tot, 0.96)
+        assert not math.isfinite(rate[RATE_FIELDS.index(output)])
+        if output in ("key_rate", "lambda1", "lambda2"):
+            assert sum(map(math.isfinite, rate)) == 5
+        noise = (1.0, 1.0, 1.0, t, 0.0, 0.0, 0.0, chi_tot)  # the stage reads T and chi_tot
+        with pytest.raises(NonFiniteError, match="channel stage overflows"):
+            _channel_stage(cm + (0.0, 0.0), noise, 0.96)
 
 
 _RECORD_FIELDS = [

@@ -24,8 +24,8 @@ from psqkd.fock_oracle import (
 )
 import psqkd.moments as moments
 from fock_reference import fock_moment
+from keyrate_reference import symplectic_eigenvalues
 from phase_space_reference import cm_matrix, cm_means, gauss_hermite_moments
-from psqkd.keyrate import symplectic_eigenvalues
 from psqkd.moments import (
     SUBTRACTION_CAP,
     TwoModeCM,

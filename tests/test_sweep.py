@@ -2,11 +2,13 @@
 
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psqkd.sweep as sweep
 from psqkd import cli
@@ -389,23 +391,33 @@ class TestStagedSweep:
     def test_sweep_builds_a_source_record_only_per_swept_value(self, monkeypatch):
         spec = SweepSpec("V_A", 5.0, 100.0, 51, base_source(), base_channel())
         built = _counting_inits(monkeypatch, SqueezedSourceParams)
+        rebuilt = _counting(monkeypatch, "_rebuilt")
         points = list(sweep._evaluate(spec))
         assert all(isinstance(cell, tuple) for _, _, cells in points for cell in cells)
-        # one per grid point, in _apply_value; none per (r, d, tau, k) key
-        assert len(built) == 51
-        built.clear()
+        # one per grid point, rebuilt in _apply_value; none per (r, d, tau, k) key
+        assert built == []
+        assert Counter(type(record).__name__ for record, in rebuilt) == {
+            "SqueezedSourceParams": 51, "ChannelParams": 51,
+        }
+        rebuilt.clear()
         run_sweep(spec)
-        assert len(built) == 51
+        assert built == []
+        assert len(rebuilt) == 2 * 51
 
     def test_cli_sweep_builds_no_per_cell_record(self, monkeypatch, tmp_path):
         records = (KeyRateResult, FamilyResult, NoiseBreakdown, SweepRow, SqueezedSourceParams)
         built = _counting_inits(monkeypatch, *records)
+        rebuilt = _counting(monkeypatch, "_rebuilt")
         argv = ["sweep", "--config", str(CONFIGS / "fig7.cfg"), "--out", str(tmp_path / "v.csv")]
         for item in ("variable=V_A", "lo=5", "hi=100", "points=51"):
             argv += ["--set", "sweep." + item]
         assert cli.main(argv) == 0
-        # the config's source, SweepSpec's family check, then one per point
-        assert Counter(built) == {"SqueezedSourceParams": 1 + 5 + 51}
+        # the config's source and SweepSpec's family check build; each grid
+        # point rebuilds its source and channel once
+        assert Counter(built) == {"SqueezedSourceParams": 1 + 5}
+        assert Counter(type(record).__name__ for record, in rebuilt) == {
+            "SqueezedSourceParams": 51, "ChannelParams": 51,
+        }
         assert len((tmp_path / "v.csv").read_text().splitlines()) == 1 + 51 * 5
 
     def test_search_probes_build_no_records(self, monkeypatch):
@@ -439,6 +451,35 @@ class TestStagedSweep:
             for ch, l_ac, key in probes:
                 assert key == secret_key_rate(source, replace(ch, l_ac=l_ac)).key_rate
             probes.clear()
+
+
+# good and bad values for any record field: numbers of every kind, bools
+# (an int subclass), a geometry name and a string no field takes
+_FIELD_VALUES = st.one_of(
+    st.floats(), st.integers(-2, 3), st.booleans(), st.sampled_from(GEOMETRIES + ("x",))
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    record=st.sampled_from([base_source(), base_channel(eta=0.9, v_el=0.01)]),
+    data=st.data(),
+)
+def test_rebuilt_is_replace_for_any_one_or_two_fields(record, data):
+    names = data.draw(
+        st.lists(st.sampled_from([f.name for f in fields(record)]), min_size=1,
+                 max_size=2, unique=True)
+    )
+    changes = {name: data.draw(_FIELD_VALUES) for name in names}
+
+    def outcome(rebuild):
+        try:
+            new = rebuild(record, **changes)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+        return repr(new), hash(new)
+
+    assert outcome(sweep._rebuilt) == outcome(replace)
 
 
 class TestMaxSecureDistance:
