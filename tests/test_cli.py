@@ -48,20 +48,9 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = sorted(p.stem for p in (REPO / "configs").glob("fig*.cfg"))
 
-# tests/golden/<name>.json: the stdout of each of these command lines
-GOLDEN_JSON = {
-    "keyrate_fig6": ["keyrate", "--config", "configs/fig6.cfg"],
-    "keyrate_fig3": ["keyrate", "--config", "configs/fig3.cfg"],
-    "max_distance_fig7": [
-        "max-distance", "--config", "configs/fig7.cfg",
-        "--set", "max_distance.k_target=1e-4",
-    ],
-    "optimize_fig4": [
-        "optimize", "--config", "configs/fig4.cfg",
-        "--set", "optimize.variable=d", "--set", "optimize.lo=0", "--set", "optimize.hi=3",
-        "--set", "optimize.objective=max_distance", "--set", "optimize.k_target=1e-4",
-    ],
-}
+# argv, exit code, stdout and stderr of each pinned command line, as
+# tests/golden/capture_cli_corpus.py wrote them
+CORPUS = json.loads((GOLDEN / "cli_corpus.json").read_text(encoding="utf-8"))
 
 BASE_CFG = """\
 # reference point used across the CLI tests
@@ -755,12 +744,12 @@ class TestGoldenFixtures:
         golden = (GOLDEN / f"{name}.csv").read_bytes()
         assert out.read_bytes() == golden, f"{name} drifted from its golden file"
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
-    def test_json_output_is_byte_identical(self, name, monkeypatch, capsys):
+    @pytest.mark.parametrize("case", CORPUS, ids=[case["name"] for case in CORPUS])
+    def test_cli_corpus(self, case, monkeypatch, capsys):
         monkeypatch.chdir(REPO)
-        assert main(GOLDEN_JSON[name]) == 0
-        golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-        assert capsys.readouterr().out == golden, f"{name} drifted from its golden file"
+        assert main(case["argv"]) == case["exit"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
