@@ -139,9 +139,15 @@ def _source_stage(r: float, d: float, tau: float, k: int) -> tuple[float, ...]:
     return stage
 
 
-def _source_moments(r: float, d: float, tau: float, k: int) -> tuple[float, ...]:
+def _capped(k: int) -> int:
     if k > SUBTRACTION_CAP:
         raise ValueError(f"subtraction order k={k} exceeds the stability cap {SUBTRACTION_CAP}")
+    return k
+
+
+def _source_moments(r: float, d: float, tau: float, k: int) -> tuple[float, ...]:
+    if k > SUBTRACTION_CAP:
+        _capped(k)  # raises
     mu, nu = math.cosh(r), math.sinh(r)
     tap_nu2 = (1.0 - tau) * nu * nu
     big_d = 1.0 + tap_nu2

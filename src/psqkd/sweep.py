@@ -6,7 +6,8 @@ parametrization: "tmsv" pins (k=0, tau=1, d=0), "<k>-pstmsv" pins d=0, and
 "<k>-pstmsc" uses the source values as-is. `_evaluate` runs the grid on
 floats and keeps a failed cell's message rather than aborting, so the output
 shape is always predictable. The CLI writes its CSV from those floats, and
-`run_sweep` makes records of them.
+`run_sweep` makes records of them. Sweeps and `optimize_scalar` stage
+alike, through `_Staged`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .errors import (
     PsqkdError,
     TargetUnreachableError,
 )
+# secret_key_rate stays for perfbench's tracer
 from .keyrate import KeyRateResult, _channel_stage, secret_key_rate
-from .moments import _source_stage
+from .moments import _capped, _source_stage
 from .phase_space import SqueezedSourceParams
 
 __all__ = [
@@ -66,8 +68,8 @@ class SweepSpec:
             raise ValueError(
                 f"unknown sweep variable {self.variable!r}; expected one of {SWEEP_VARIABLES}"
             )
-        if self.points < 0:
-            raise ValueError(f"points must be >= 0, got {self.points}")
+        if not (type(self.points) is int and self.points >= 0):
+            raise ValueError(f"points must be a non-negative integer, got {self.points!r}")
         if self.points > 1 and not self.lo < self.hi:
             raise ValueError(f"need lo < hi for a multi-point grid, got [{self.lo}, {self.hi}]")
         if self.points > 1:
@@ -116,7 +118,7 @@ def _family_pins(name: str) -> tuple[bool, bool, int]:
         raise ValueError(
             f"unknown family {name!r}; expected 'tmsv', '<k>-pstmsv' or '<k>-pstmsc'"
         )
-    return m.group(2) == "c", True, int(m.group(1))
+    return m.group(2) == "c", True, _capped(int(m.group(1)))
 
 
 def _pinned(
@@ -188,17 +190,40 @@ def _rebuilt(record, **changes):
     return new
 
 
-def _stage_of(stages: dict, key: tuple[float, float, float, int]):
-    """The source stage of `key`, or its error message (a stored exception
-    would keep the sweep alive through its traceback)."""
-    stage = stages.get(key)
-    if stage is None:
-        try:
-            stage = _source_stage(*key)
-        except (PsqkdError, ValueError) as exc:
-            stage = str(exc)
-        stages[key] = stage
-    return stage
+class _Staged:
+    """Staging for one call: family pins parsed once, a source stage per
+    distinct (r, d, tau, k), a reduction per channel record; a failure is
+    kept as its message, as a kept exception holds its traceback."""
+
+    def __init__(self, source, channel, variable, families):
+        self.pins = [_family_pins(name) for name in families]
+        self.args = source, channel, variable
+        self.table = {}
+        self.src = self.ch = None
+
+    def at(self, value):
+        """(channel, each family's source stage) at `value`."""
+        src, ch = _apply_value(*self.args, value)
+        if src is not self.src:
+            self.src, self.stages = src, []
+            for pins in self.pins:
+                key = _pinned(src, pins)
+                if key not in self.table:
+                    try:
+                        self.table[key] = _source_stage(*key)
+                    except (PsqkdError, ValueError) as exc:
+                        self.table[key] = str(exc)
+                self.stages.append(self.table[key])
+        return ch, self.stages
+
+    def reduction(self, ch):
+        if ch is not self.ch:
+            self.ch = ch
+            try:
+                self.noise = _breakdown_at(ch, ch.l_ac)
+            except (PsqkdError, ValueError) as exc:
+                self.noise = str(exc)
+        return self.noise
 
 
 def _cell(stage, noise, beta: float):
@@ -216,29 +241,15 @@ def _cell(stage, noise, beta: float):
 
 def _evaluate(spec: SweepSpec):
     """Yield (swept value, channel reduction, `_cell` of each family) per
-    grid point, on floats; the reduction is None where the swept value fails.
-
-    The source stage runs once per distinct (r, d, tau, k), so a tau sweep
-    shares the tmsv stage; the reduction, once per distinct channel.
-    """
-    pins = [_family_pins(name) for name in spec.families]
-    stages_by_source: dict = {}
-    src_of_stages = ch_of_noise = None
+    grid point, on floats; the reduction is None where the swept value fails."""
+    staged = _Staged(spec.source, spec.channel, spec.variable, spec.families)
     for value in spec.grid():
         try:
-            src, ch = _apply_value(spec.source, spec.channel, spec.variable, value)
+            ch, stages = staged.at(value)
         except (PsqkdError, ValueError) as exc:
-            yield value, None, [str(exc)] * len(pins)
+            yield value, None, [str(exc)] * len(spec.families)
             continue
-        if src is not src_of_stages:
-            src_of_stages = src
-            stages = [_stage_of(stages_by_source, _pinned(src, fam)) for fam in pins]
-        if ch is not ch_of_noise:
-            ch_of_noise = ch
-            try:
-                noise = _breakdown_at(ch, ch.l_ac)
-            except (PsqkdError, ValueError) as exc:
-                noise = str(exc)
+        noise = staged.reduction(ch)
         yield value, noise, [_cell(stage, noise, ch.beta) for stage in stages]
 
 
@@ -276,16 +287,20 @@ def max_secure_distance(
 ) -> float:
     """Largest L_AC (km) with key rate >= k_target, to 0.01 km.
 
-    The source stage is computed once per search; each probe computes only
-    the channel reduction at its L_AC and the channel stage, on floats, and
-    builds no record. A 1 km pre-scan stops at the first integer km where
-    K < k_target, and bisection then refines that first downward crossing;
-    a secure region beyond it is not searched. The returned endpoint is
-    certified: K(result) >= k_target. Raises ValueError for a NaN k_target,
-    which no rate meets, or a negative one, which K can meet again past it.
+    The source stage is computed once per search (once per distinct source
+    in `optimize_scalar`); each probe computes only the channel reduction
+    at its L_AC and the channel stage, on floats, and builds no record. A
+    1 km pre-scan stops at the first integer km where K < k_target, and
+    bisection then refines that first downward crossing; a secure region
+    beyond it is not searched. The returned endpoint is certified:
+    K(result) >= k_target. Raises ValueError for a NaN k_target, which no
+    rate meets, or a negative one, which K can meet again past it.
     """
     _check_k_target(k_target)
-    stage = _source_stage(source.r, source.d, source.tau, source.k)
+    return _search(_source_stage(source.r, source.d, source.tau, source.k), channel, k_target)
+
+
+def _search(stage, channel: ChannelParams, k_target: float) -> float:
     if _rate_at_distance(stage, channel, 0.0) <= k_target:
         raise TargetUnreachableError("target unreachable")
     hi = 1.0
@@ -324,7 +339,8 @@ def optimize_scalar(
 
     Coarse 41-point grid then golden-section refinement around the grid
     winner; insecure or invalid points score -inf. Deterministic: ties
-    resolve to the lowest variable value.
+    resolve to the lowest variable value. Points share stages as a sweep's
+    do; a distance search starts from its point's source stage.
     """
     if variable not in ("tau", "d", "V_A"):
         raise ValueError(f"cannot optimize over {variable!r}; use tau, d or V_A")
@@ -333,20 +349,21 @@ def optimize_scalar(
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     _check_width(lo, hi)
-    if family is not None:
-        resolve_family(family, source)  # an unknown name must not score -inf
-    _check_k_target(k_target)  # nor may a bad target
+    if family is None:  # the source as is: its own <k>-pstmsc
+        family = f"{source.k}-pstmsc"
+    # a bad family or target must not score -inf
+    staged = _Staged(source, channel, variable, (family,))
+    _check_k_target(k_target)
 
     def score(value: float) -> float:
         try:
-            src, ch = _apply_value(source, channel, variable, value)
-            if family is not None:
-                src = resolve_family(family, src)
+            ch, (stage,) = staged.at(value)
             if objective == "key_rate":
-                return secret_key_rate(src, ch).key_rate
-            return max_secure_distance(src, ch, k_target)
+                cell = _cell(stage, staged.reduction(ch), ch.beta)
+                return -math.inf if isinstance(cell, str) else cell[3]  # key_rate
+            return -math.inf if isinstance(stage, str) else _search(stage, ch, k_target)
         except (PsqkdError, ValueError):
-            return float("-inf")
+            return -math.inf
 
     grid = _grid(lo, hi, _GRID_POINTS)
     scores = [score(v) for v in grid]

@@ -470,6 +470,14 @@ class TestMainExitCodes:
             ["sweep", "--set", "sweep.variable=L_AC", "--set", "sweep.lo=0",
              "--set", "sweep.hi=1", "--set", "sweep.points=2",
              "--set", "sweep.families=1-pstmsc,01-pstmsc", "--out", os.devnull],
+            # a subtraction order above the stability cap, in every command
+            ["sweep", "--set", "sweep.variable=L_AC", "--set", "sweep.lo=0",
+             "--set", "sweep.hi=1", "--set", "sweep.points=2",
+             "--set", "sweep.families=17-pstmsc", "--out", os.devnull],
+            ["optimize", "--set", "source.k=17", "--set", "optimize.variable=d",
+             "--set", "optimize.lo=0", "--set", "optimize.hi=3"],
+            ["optimize", "--set", "optimize.variable=d", "--set", "optimize.lo=0",
+             "--set", "optimize.hi=3", "--set", "optimize.family=17-pstmsc"],
         ],
     )
     def test_caller_error_is_one_error_line(self, base_cfg, argv, capsys):
@@ -803,11 +811,13 @@ class TestImports:
         assert reference & package == set()
 
     def test_benchmark_names_resolve(self):
-        # a name the benchmark's workloads take from psqkd, by `from psqkd.m
-        # import name` or as `psqkd.m.name`, must still exist there
-        tree = ast.parse((REPO / "perfbench" / "workloads.py").read_text())
+        # a name the benchmark's workloads or its own tests take from psqkd,
+        # by `from psqkd.m import name` or as `psqkd.m.name`, must still
+        # exist there
+        bench = REPO / "perfbench"
+        paths = [bench / "workloads.py", *sorted((bench / "tests").glob("*.py"))]
         used = set()
-        for node in ast.walk(tree):
+        for node in (n for path in paths for n in ast.walk(ast.parse(path.read_text()))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("psqkd"):
                 used.update((node.module, alias.name) for alias in node.names)
             elif (
@@ -818,6 +828,7 @@ class TestImports:
             ):
                 used.add((f"psqkd.{node.value.attr}", node.attr))
         assert used, "no psqkd names found in the workloads"
+        assert ("psqkd.sweep", "secret_key_rate") in used  # the tracer's test reads it
         missing = [
             f"{module}.{name}" for module, name in sorted(used)
             if not hasattr(importlib.import_module(module), name)

@@ -79,8 +79,11 @@ class TestSweepSpecValidation:
             SweepSpec("L", 0, 1, 2, base_source(), base_channel())
 
     def test_negative_points(self):
-        with pytest.raises(ValueError, match="points"):
-            SweepSpec("L_AC", 0, 1, -1, base_source(), base_channel())
+        # a float or a bool is no point count either; 2.5 once failed in
+        # grid() with a bare TypeError, and True gave a one-point grid
+        for points in (-1, 2.5, 3.0, True):
+            with pytest.raises(ValueError, match="points"):
+                SweepSpec("L_AC", 0, 1, points, base_source(), base_channel())
 
     def test_reversed_bounds(self):
         with pytest.raises(ValueError, match="lo < hi"):
@@ -605,14 +608,14 @@ class TestOptimizeScalar:
         # a NaN at the grid's last point must neither win the grid nor move
         # the result; np.argmax picked it
         expect = optimize_scalar(base_source(), base_channel(), "d", 0.0, 3.0)
+        last = sweep._source_stage(R50, 3.0, 0.9, 1)  # the source at d = 3
+        kernel = sweep._channel_stage
 
-        def rate(source, channel):
-            result = secret_key_rate(source, channel)
-            if source.d == 3.0:
-                return replace(result, key_rate=float("nan"))
-            return result
+        def rate(stage, noise, beta):
+            i_ab, chi_be, key, *eigenvalues = kernel(stage, noise, beta)
+            return i_ab, chi_be, float("nan") if stage == last else key, *eigenvalues
 
-        monkeypatch.setattr(sweep, "secret_key_rate", rate)
+        monkeypatch.setattr(sweep, "_channel_stage", rate)
         v, s = optimize_scalar(base_source(), base_channel(), "d", 0.0, 3.0)
         assert (v, s) == expect
         assert not math.isnan(s)
@@ -628,7 +631,7 @@ class TestOptimizeScalar:
             optimize_scalar(base_source(), base_channel(), "d", 1.0, 0.0)
 
     def test_nan_target_is_rejected_up_front(self, monkeypatch):
-        searches = _counting(monkeypatch, "max_secure_distance")
+        searches = _counting(monkeypatch, "_search")
         with pytest.raises(ValueError, match="k_target"):
             optimize_scalar(
                 base_source(), base_channel(), "d", 0.0, 3.0,
@@ -637,13 +640,45 @@ class TestOptimizeScalar:
         assert searches == []
 
     def test_negative_target_is_rejected_up_front(self, monkeypatch):
-        searches = _counting(monkeypatch, "max_secure_distance")
+        searches = _counting(monkeypatch, "_search")
         with pytest.raises(ValueError, match="k_target must be >= 0"):
             optimize_scalar(
                 base_source(), base_channel(), "d", 0.0, 3.0,
                 objective="max_distance", k_target=-0.012,
             )
         assert searches == []
+
+    def test_key_rate_objective_reduces_a_fixed_channel_once(self, monkeypatch):
+        channels = _counting(monkeypatch, "_breakdown_at")
+        optimize_scalar(base_source(), base_channel(), "tau", 0.5, 0.99)
+        assert channels == [(base_channel(), base_channel().l_ac)]
+
+    def test_distance_objective_stages_a_pinned_source_once(self, monkeypatch):
+        # tmsv pins d, so every point of a d search has the same source
+        sources = _counting(monkeypatch, "_source_stage")
+        optimize_scalar(
+            base_source(), base_channel(), "d", 0.0, 3.0,
+            objective="max_distance", family="tmsv",
+        )
+        assert sources == [(R50, 0.0, 1.0, 0)]
+
+    def test_key_rate_objective_builds_no_records(self, monkeypatch):
+        built = _counting_inits(monkeypatch, KeyRateResult, NoiseBreakdown)
+        resolved = _counting(monkeypatch, "resolve_family")
+        optimize_scalar(base_source(), base_channel(), "d", 0.0, 3.0, family="1-pstmsc")
+        assert built == []
+        assert resolved == []
+
+    def test_distance_objective_reduces_only_at_its_probes(self, monkeypatch, capsys):
+        # the README example; no reduction at the config's own L_AC, which
+        # no search reads
+        channels = _counting(monkeypatch, "_breakdown_at")
+        probes = _counting(monkeypatch, "_rate_at_distance")
+        argv = ["optimize", "--config", str(CONFIGS / "fig4.cfg")]
+        for item in ("variable=d", "lo=0", "hi=3", "objective=max_distance", "k_target=1e-4"):
+            argv += ["--set", "optimize." + item]
+        assert cli.main(argv) == 0
+        assert len(channels) == len(probes) == 8572
 
     def test_score_improves_on_grid_winner(self):
         # golden refinement should do at least as well as the coarse grid
