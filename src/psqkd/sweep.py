@@ -74,7 +74,7 @@ class SweepSpec:
             raise ValueError(f"need lo < hi for a multi-point grid, got [{self.lo}, {self.hi}]")
         if self.points > 1:
             _check_width(self.lo, self.hi)
-        resolve_families(self.families, self.source)
+        _parse_families(self.families)
 
     def grid(self) -> list[float]:
         return _grid(self.lo, self.hi, self.points)
@@ -143,16 +143,21 @@ def resolve_family(name: str, source: SqueezedSourceParams) -> SqueezedSourcePar
     return SqueezedSourceParams(*_pinned(source, _family_pins(name)))
 
 
-def resolve_families(
-    names: tuple[str, ...], source: SqueezedSourceParams
-) -> list[SqueezedSourceParams]:
-    """`resolve_family` of each name; the list must be non-empty and name
+def _parse_families(names: tuple[str, ...]) -> list[tuple[bool, bool, int]]:
+    """`_family_pins` of each name; the list must be non-empty and name
     each family once."""
     if not names:
         raise ValueError("family list must not be empty")
     if len(set(names)) < len(names):
         raise ValueError(f"family list names a family twice: {', '.join(names)}")
-    return [resolve_family(name, source) for name in names]
+    return [_family_pins(name) for name in names]
+
+
+def resolve_families(
+    names: tuple[str, ...], source: SqueezedSourceParams
+) -> list[SqueezedSourceParams]:
+    """`resolve_family` of each name, under `_parse_families`' rules."""
+    return [SqueezedSourceParams(*_pinned(source, pins)) for pins in _parse_families(names)]
 
 
 def _apply_value(
@@ -196,7 +201,7 @@ class _Staged:
     kept as its message, as a kept exception holds its traceback."""
 
     def __init__(self, source, channel, variable, families):
-        self.pins = [_family_pins(name) for name in families]
+        self.pins = _parse_families(families)
         self.args = source, channel, variable
         self.table = {}
         self.src = self.ch = None

@@ -48,6 +48,44 @@ _ABOVE_CAP = [
      "--set", "optimize.lo=0", "--set", "optimize.hi=3"],
 ]
 
+_FIG4 = ["--config", "configs/fig4.cfg"]
+
+# further outcomes, each pinned with its full text: an override that moves the
+# result, usage errors (exit 1) and domain outcomes (exit 2)
+_OUTCOMES = [
+    ("keyrate-fig4-l_ac-0", ["keyrate", *_FIG4, "--set", "channel.l_ac=0"]),
+    ("unknown-key", ["keyrate", *_FIG4, "--set", "bogus=1"]),
+    ("missing-config", ["keyrate", "--config", "configs/missing.cfg"]),
+    ("zero-probability", ["keyrate", *_FIG4, "--set", "source.tau=1"]),
+    ("channel-overflow", ["keyrate", *_FIG4, "--set", "channel.eps_A=1e150"]),
+    ("fiber-underflow", ["keyrate", *_FIG4, "--set", "channel.l_ac=1e6"]),
+    ("max-distance-unreachable",
+     ["max-distance", *_FIG4, "--set", "sweep.families=tmsv,1-pstmsc",
+      "--set", "max_distance.k_target=10"]),
+    ("max-distance-negative-target",
+     ["max-distance", *_FIG4, "--set", "max_distance.k_target=-0.012"]),
+    ("optimize-negative-target",
+     ["optimize", *_FIG4, "--set", "optimize.variable=d", "--set", "optimize.lo=0",
+      "--set", "optimize.hi=3", "--set", "optimize.objective=max_distance",
+      "--set", "optimize.k_target=-0.012"]),
+    ("optimize-width-overflows",
+     ["optimize", *_FIG4, "--set", "optimize.variable=d",
+      "--set", "optimize.lo=-1.7e308", "--set", "optimize.hi=1.7e308"]),
+    ("optimize-missing-keys", ["optimize", *_FIG4]),
+    ("above-cap-l_ac-sweep",
+     ["sweep", *_FIG4, "--set", "sweep.variable=L_AC", "--set", "sweep.lo=0",
+      "--set", "sweep.hi=1", "--set", "sweep.points=2",
+      "--set", "sweep.families=17-pstmsc", "--out", os.devnull]),
+    ("oracle-check-5-points",
+     ["oracle-check", *_FIG4, "--set", "oracle.points=5", "--set", "oracle.seed=11"]),
+    *((f"oracle-check-bad-{i}", ["oracle-check", *_FIG4, "--set", setting])
+      for i, setting in enumerate(("oracle.points=0", "oracle.points=-3", "oracle.seed=-1",
+                                   "oracle.rel_tol=-1"))),
+    # the benchmark's figures workload passes --threads 2 to every sweep
+    # (perfbench/workloads.py:159), so the flag must keep exiting 0
+    ("sweep-fig4-threads-2", ["sweep", *_FIG4, "--out", os.devnull, "--threads", "2"]),
+]
+
 
 def cases() -> list[tuple[str, list[str]]]:
     """(name, argv) of every case, in corpus order."""
@@ -75,7 +113,8 @@ def cases() -> list[tuple[str, list[str]]]:
     for prefix, group in (("error", _ERRORS), ("above-cap", _ABOVE_CAP)):
         for i, (command, *rest) in enumerate(group):
             out.append((f"{prefix}-{i}-{command}",
-                        [command, "--config", "configs/fig4.cfg", *rest]))
+                        [command, *_FIG4, *rest]))
+    out += _OUTCOMES
     return out
 
 

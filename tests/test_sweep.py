@@ -129,6 +129,12 @@ class TestSweepSpecValidation:
                 "L_AC", 0, 1, 2, base_source(), base_channel(), families=("qq",)
             )
 
+    def test_family_check_builds_no_source_record(self, monkeypatch):
+        source = base_source()
+        built = _counting_inits(monkeypatch, SqueezedSourceParams)
+        SweepSpec("L_AC", 0, 1, 2, source, base_channel(), families=DEFAULT_FAMILIES)
+        assert built == []
+
     def test_variable_catalogue(self):
         assert SWEEP_VARIABLES == ("L_AC", "V_A", "d", "tau", "eta")
         assert set(DEFAULT_FAMILIES) == {
@@ -415,9 +421,9 @@ class TestStagedSweep:
         for item in ("variable=V_A", "lo=5", "hi=100", "points=51"):
             argv += ["--set", "sweep." + item]
         assert cli.main(argv) == 0
-        # the config's source and SweepSpec's family check build; each grid
-        # point rebuilds its source and channel once
-        assert Counter(built) == {"SqueezedSourceParams": 1 + 5}
+        # only the config's source builds; each grid point rebuilds its
+        # source and channel once
+        assert Counter(built) == {"SqueezedSourceParams": 1}
         assert Counter(type(record).__name__ for record, in rebuilt) == {
             "SqueezedSourceParams": 51, "ChannelParams": 51,
         }
