@@ -303,8 +303,29 @@ class TestSweepCells:
 
 
 class TestMainExitCodes:
-    # the argv, exit code and output of the other exit paths are
-    # corpus cases (tests/golden/cli_corpus.json)
+    # the exact argv, exit code and output of each exit path are corpus
+    # cases (tests/golden/cli_corpus.json); these keep the relations and
+    # error shapes that must survive a re-capture of the corpus
+    def test_set_override_changes_output(self, base_cfg, capsys):
+        assert main(["keyrate", "--config", base_cfg, "--set", "channel.l_ac=0"]) == 0
+        near = json.loads(capsys.readouterr().out)
+        assert main(["keyrate", "--config", base_cfg]) == 0
+        far = json.loads(capsys.readouterr().out)
+        assert near["key_rate"] > far["key_rate"]
+
+    def test_unknown_override_key_is_usage_error(self, base_cfg, capsys):
+        assert main(["keyrate", "--config", base_cfg, "--set", "bogus=1"]) == 1
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_missing_file_is_usage_error(self, capsys):
+        assert main(["keyrate", "--config", "/nonexistent.cfg"]) == 1
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_domain_failure_is_exit_two(self, base_cfg, capsys):
+        code = main(["keyrate", "--config", base_cfg, "--set", "source.tau=1"])
+        assert code == 2
+        assert "probability" in capsys.readouterr().err
+
     def test_sweep_range_whose_width_overflows_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "wide.csv"
         argv = ["sweep", "--config", str(REPO / "configs" / "fig7.cfg"), "--out", str(out)]
@@ -315,6 +336,50 @@ class TestMainExitCodes:
             "error: grid width hi - lo overflows, got [-1.7e+308, 1.7e+308]\n"
         )
         assert not out.exists()
+
+    def test_optimize_missing_keys_is_usage_error(self, base_cfg, capsys):
+        assert main(["optimize", "--config", base_cfg]) == 1
+        assert "optimize.variable" in capsys.readouterr().err
+
+    def test_oracle_check_small_grid(self, base_cfg, capsys):
+        code = main(
+            [
+                "oracle-check",
+                "--config",
+                base_cfg,
+                "--set",
+                "oracle.points=5",
+                "--set",
+                "oracle.seed=11",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "oracle check: PASS" in out
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["oracle.points=0", "oracle.points=-3", "oracle.seed=-1", "oracle.rel_tol=-1"],
+    )
+    def test_oracle_check_bad_grid_is_usage_error(self, base_cfg, setting, capsys):
+        assert main(["oracle-check", "--config", base_cfg, "--set", setting]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_overflowing_channel_is_one_domain_error_line(self, base_cfg, capsys):
+        code = main(["keyrate", "--config", base_cfg, "--set", "channel.eps_A=1e150"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: channel stage overflows")
+        assert captured.err.count("\n") == 1
+
+    def test_fiber_underflow_names_the_distance_and_loss(self, base_cfg, capsys):
+        assert main(["keyrate", "--config", base_cfg, "--set", "channel.l_ac=1e6"]) == 1
+        err = capsys.readouterr().err
+        assert "L_AC = 1e+06 km" in err and "0.2 dB/km" in err
 
     def test_calls_in_one_process_share_no_parsed_state(self, base_cfg, tmp_path, capsys):
         # the parser is built once per process; --set must not leak across calls
