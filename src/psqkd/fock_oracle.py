@@ -6,21 +6,15 @@ amplitude tensor, mix one mode with a vacuum ancilla on a beam splitter,
 project the ancilla on a photon-number outcome, and read moments off the
 surviving amplitudes with quadrature operators x = a + a', p = i(a' - a).
 
-The state comes from an exact two-term amplitude recurrence (see
-build_tmsc_fock). Because the ancilla starts in vacuum, the beam splitter
-is needed only on its |n, 0> input column, which has the binomial form
-<j, n-j| U |n, 0> = sqrt(C(n, j)) sqrt(tau)^j (-sqrt(1 - tau))^(n-j),
-so detecting k photons is one scaled slice of the amplitude tensor.
-
-Moments need each quadrature applied once: x and p act on one tensor axis
-as shifted slices scaled by sqrt(n), and every mean, variance and cross
-term is an inner product of the applied tensors. This is exact in the
-truncated space, not only as n_max grows: truncated x and p are still
-Hermitian matrices, so <psi|Q^2|psi> = ||Q psi||^2, and operators on
-different modes commute, so <psi|Q1 Q2|psi> = <Q1 psi|Q2 psi>. No step
-exponentiates a generator; the tests pin the recurrence and the column
-against matrix exponentials and the moments against a general-order
-Weyl-ordered reference.
+The state is a closed-form product of non-negative terms (build_tmsc_fock)
+and the beam splitter's vacuum-ancilla column is real, so it stays float64:
+p moments are read off w = a' - a = -ip (state_covariance), and a complex
+state takes the same code. x and w act on one tensor axis as shifted slices
+scaled by sqrt(n), and every moment is an inner product of the applied
+tensors. That is exact in the truncated space: truncated x and p are still
+Hermitian, so <psi|Q^2|psi> = ||Q psi||^2, and operators on different modes
+commute, so <psi|Q1 Q2|psi> = <Q1 psi|Q2 psi>. The tests pin each step to
+matrix exponentials or a Weyl-ordered reference, and to a 50-digit oracle.
 
 Test-time only; the production key-rate path never calls into here.
 """
@@ -48,6 +42,7 @@ __all__ = [
 
 _LEAK_LEVELS = 5
 _LEAK_TOL = 1e-8
+_GEMM_SIZE = 64**3
 
 
 @dataclass
@@ -62,9 +57,8 @@ class FockTwoModeState:
 
     def leakage(self) -> float:
         """Probability mass in the top 5 retained Fock levels of either mode."""
-        probs = np.abs(self.amps) ** 2
-        cut = self.n_max - _LEAK_LEVELS
-        return float(probs[cut + 1 :, :].sum() + probs[:, cut + 1 :].sum())
+        top, right = self.amps[-_LEAK_LEVELS:], self.amps[:, -_LEAK_LEVELS:]
+        return float(np.vdot(top, top).real + np.vdot(right, right).real)
 
 
 def build_tmsc_fock(r: float, d: float, n_max: int) -> FockTwoModeState:
@@ -72,33 +66,46 @@ def build_tmsc_fock(r: float, d: float, n_max: int) -> FockTwoModeState:
 
     The displacement d is the x-quadrature mean of each mode before
     squeezing, i.e. coherent amplitude alpha = d/2 in x = a + a' units. The
-    state S(r) D(alpha) D(alpha)|00> is annihilated by
-    a1 cosh r - a2' sinh r - alpha and by its mode-swapped twin, which fix
-    the amplitudes exactly from psi(0, 0) = exp(-alpha^2 (1 + tanh r)) / cosh r:
-    psi(0, n+1) = alpha psi(0, n) / (cosh r sqrt(n+1)) along the first row,
-    then psi(n1+1, n2) = (alpha psi(n1, n2) + sinh r sqrt(n2) psi(n1, n2-1))
-    / (cosh r sqrt(n1+1)) row by row. Every term is non-negative, so nothing
-    cancels (the two-mode case of Miatto & Quesada, Quantum 4, 366 (2020)).
+    state S(r) D(alpha) D(alpha)|00>, r >= 0, is annihilated by
+    a1 cosh r - a2' sinh r - alpha and by its mode-swapped twin; the
+    two-term recurrence these fix (Miatto & Quesada, Quantum 4, 366 (2020))
+    solves to psi = Q Q^T with
+    Q[n, j] = c sqrt(C(n, j)) tanh(r)^(j/2) b^(n-j) / sqrt((n-j)!),
+    b = alpha / cosh r and c^2 = psi(0, 0) = exp(-alpha^2 (1 + tanh r)) / cosh r.
+    One cumprod runs column j down from c tanh(r)^(j/2) by the ratios
+    b sqrt(n) / (n - j); as all terms are non-negative and
+    sum_j Q[n, j]^2 = psi(n, n) <= 1, no partial product exceeds 1. The
+    product runs in row blocks of at most 64^3 multiply-adds, below which
+    OpenBLAS keeps a GEMM on one thread (idle BLAS threads spin on CPU).
 
     Raises TruncationError when more than 1e-8 of probability lies above
     n_max or sits in the top 5 retained levels.
     """
     if n_max < _LEAK_LEVELS:
         raise ValueError(f"n_max={n_max} is too small to be meaningful")
-    alpha = d / 2.0
-    ch, sh = math.cosh(r), math.sinh(r)
-    root = np.sqrt(np.arange(n_max + 1.0))
-    raise_coef, scale = sh * root[1:], ch * root
-    amps = np.empty((n_max + 1, n_max + 1))
-    amps[0, 0] = math.exp(-alpha * alpha * (1.0 + math.tanh(r))) / ch
-    amps[0, 1:] = amps[0, 0] * np.cumprod(alpha / scale[1:])
-    for n1 in range(n_max):
-        row = alpha * amps[n1]
-        row[1:] += raise_coef * amps[n1, :-1]
-        amps[n1 + 1] = row / scale[n1 + 1]
+    alpha, th, dim = d / 2.0, math.tanh(r), n_max + 1
+    level = np.arange(2.0 * dim)
+    step = level.itemsize
+    # ratio[j, m] = b sqrt(j + m) / m takes Q[j + m - 1, j] to Q[j + m, j]
+    ratio = np.empty((dim, dim))
+    ratio[:, 1:] = np.ndarray((dim, dim - 1), float, np.sqrt(level), step, (step, step))
+    ratio[:, 1:] *= (alpha / math.cosh(r)) / level[1:dim]
+    c = math.exp(-alpha * alpha * (1.0 + th) / 2.0) / math.sqrt(math.cosh(r))
+    ratio[:, 0] = c * math.sqrt(th) ** level[:dim]
+    # skew[j, m] = Q[j + m, j]; a row stride one short of skew's reads Q^T,
+    # with the zero padding above the diagonal
+    skew = np.zeros((dim, 2 * dim))
+    np.cumprod(ratio, axis=1, out=skew[:, :dim])
+    qt = np.ndarray((dim, dim), float, skew, 0, ((2 * dim - 1) * step, step))
+    amps = np.empty((dim, dim))
+    rows = max(1, _GEMM_SIZE // (dim * dim))
+    for top in range(0, dim, rows):
+        end = min(top + rows, dim)  # rows n < end need only columns j < end
+        amps[top:end] = qt[:end, top:end].T @ qt[:end]
     kept = float(np.linalg.norm(amps))
     cropped = abs(1.0 - kept * kept)
-    state = FockTwoModeState(amps / kept)
+    amps /= kept
+    state = FockTwoModeState(amps)
     if cropped + state.leakage() > _LEAK_TOL:
         raise TruncationError(
             f"truncation insufficient at n_max={n_max} for r={r}, d={d}: "
@@ -112,33 +119,31 @@ def apply_bs_and_project(
 ) -> tuple[FockTwoModeState, float]:
     """Tap mode 2 with a vacuum ancilla and detect exactly k tap photons.
 
-    Returns the normalized post-detection two-mode state and the detection
-    probability. Because the ancilla starts in vacuum, only the |n, 0>
-    input column of each fixed-photon-number beam-splitter block is needed,
-    and it has the closed binomial form: mode-2 level j + k keeps j photons
-    with amplitude sqrt(C(j+k, j)) sqrt(tau)^j (-sqrt(1-tau))^k.
+    Returns the normalized post-detection state and its probability. With
+    the ancilla in vacuum only the beam splitter's |n, 0> input column acts:
+    mode-2 level j + k keeps j photons with amplitude
+    sqrt(C(j+k, j)) sqrt(tau)^j (-sqrt(1-tau))^k.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if k < 0:
         raise ValueError("k must be >= 0")
-    n_max = state.n_max
-    out = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    kept = max(0, n_max - k + 1)  # output levels j reachable from j + k
-    binom = np.array([math.comb(level + k, k) for level in range(kept)], dtype=float)
-    kept_amp = math.sqrt(tau) ** np.arange(kept)
-    column = np.sqrt(binom) * kept_amp * (-math.sqrt(1.0 - tau)) ** k
+    out = np.zeros_like(state.amps)
+    kept = max(0, state.n_max - k + 1)  # output levels j reachable from j + k
+    binom = np.array([math.comb(j + k, k) for j in range(kept)], dtype=float)
+    column = np.sqrt(binom) * math.sqrt(tau) ** np.arange(kept) * (-math.sqrt(1.0 - tau)) ** k
     out[:, :kept] = state.amps[:, k : k + kept] * column
-    prob = float(np.linalg.norm(out) ** 2)
+    prob = float(np.vdot(out, out).real)
     if prob < 1e-300:
         raise ZeroProbabilityError(
             f"{k}-photon detection has probability {prob:.1e} (treated as zero)"
         )
-    return FockTwoModeState(out / math.sqrt(prob)), prob
+    out /= math.sqrt(prob)
+    return FockTwoModeState(out), prob
 
 
-def _quadrature(v: np.ndarray, op: str, root: np.ndarray) -> np.ndarray:
-    """x = a + a' or p = i(a' - a) on the first axis of v, truncated at the top.
+def _x_and_w(v: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = a + a' and w = a' - a on the first axis of v, truncated at the top.
 
     root[n] = sqrt(n + 1), shaped to broadcast over the remaining axis.
     """
@@ -146,42 +151,33 @@ def _quadrature(v: np.ndarray, op: str, root: np.ndarray) -> np.ndarray:
     lowered[:-1] = root * v[1:]
     raised = np.zeros_like(v)
     raised[1:] = root * v[:-1]
-    return lowered + raised if op == "x" else 1j * (raised - lowered)
-
-
-def _pair_moments(amps: np.ndarray, op: str, root: np.ndarray) -> tuple[float, ...]:
-    """Means, variances and cross term of quadrature op on both modes.
-
-    Returns (var1, var2, cov12, mean1, mean2). Applies op once per mode, so
-    only the two applied tensors are alive besides amps.
-    """
-    q1 = _quadrature(amps, op, root)
-    q2 = _quadrature(amps.T, op, root).T
-    mean1, mean2 = np.vdot(amps, q1).real, np.vdot(amps, q2).real
-    return (
-        float(np.vdot(q1, q1).real - mean1**2),
-        float(np.vdot(q2, q2).real - mean2**2),
-        float(np.vdot(q1, q2).real - mean1 * mean2),
-        float(mean1),
-        float(mean2),
-    )
+    return raised + lowered, raised - lowered
 
 
 def state_covariance(state: FockTwoModeState) -> TwoModeCM:
-    """Means and covariance of a two-mode Fock state, four quadratures in all.
+    """Means and covariance of a two-mode Fock state, x and w once per mode.
 
-    Applies x1, x2 and then p1, p2 once each and reads every moment as an
-    inner product: means <psi|Q psi>, second moments ||Q psi||^2, and cross
-    terms <X1 psi|X2 psi> and <P1 psi|P2 psi>. These equal the
-    Weyl-ordered moments exactly in the truncated space, because the
-    truncated quadratures are Hermitian and act on different modes. The p
-    means enter the p variances only; TwoModeCM carries the x means.
+    P = iW gives ||P psi|| = ||W psi||, <P1 psi|P2 psi> = <W1 psi|W2 psi>
+    and <P> = -Im <psi|W psi>; with <psi|X psi>, ||X psi||^2 and
+    <X1 psi|X2 psi> these are the Weyl-ordered moments. The p means enter
+    the p variances only; TwoModeCM carries the x means.
     """
-    amps = np.asarray(state.amps, dtype=complex)
+    amps = state.amps
     root = np.sqrt(np.arange(1.0, state.n_max + 1))[:, None]
-    vax, vbx, vcx, mean_x1, mean_x2 = _pair_moments(amps, "x", root)
-    vap, vbp, vcp, _, _ = _pair_moments(amps, "p", root)
-    return TwoModeCM(vax, vap, vbx, vbp, vcx, vcp, mean_x1, mean_x2)
+    x1, w1 = _x_and_w(amps, root)
+    x2, w2 = (q.T for q in _x_and_w(amps.T, root))
+    mean_x1, mean_x2 = np.vdot(amps, x1).real, np.vdot(amps, x2).real
+    mean_p1, mean_p2 = -np.vdot(amps, w1).imag, -np.vdot(amps, w2).imag
+    return TwoModeCM(
+        vax=float(np.vdot(x1, x1).real - mean_x1**2),
+        vap=float(np.vdot(w1, w1).real - mean_p1**2),
+        vbx=float(np.vdot(x2, x2).real - mean_x2**2),
+        vbp=float(np.vdot(w2, w2).real - mean_p2**2),
+        vcx=float(np.vdot(x1, x2).real - mean_x1 * mean_x2),
+        vcp=float(np.vdot(w1, w2).real - mean_p1 * mean_p2),
+        mean_x1=float(mean_x1),
+        mean_x2=float(mean_x2),
+    )
 
 
 def oracle_covariance(r: float, d: float, tau: float, k: int, n_max: int) -> TwoModeCM:

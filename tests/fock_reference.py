@@ -1,11 +1,12 @@
 """Slow, direct references for the Fock oracle.
 
-The oracle builds its state by an amplitude recurrence, applies the beam
+The oracle builds its state as one closed-form product, applies the beam
 splitter through its closed-form vacuum-ancilla column, and reads the
-covariance off four applied quadratures. The dense and sparse exponentials
-below compute the same states from the generators themselves, and
+covariance off x and w = a' - a applied once per mode. The row recurrence
+below is the two-term recurrence that product solves; the dense and sparse
+exponentials compute the same states from the generators themselves; and
 fock_moment computes any symmetric-ordered moment up to total order 4 by
-applying its operator words term by term; the tests pin the fast forms
+applying its operator words term by term. The tests pin the fast forms
 against them.
 """
 
@@ -17,7 +18,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from psqkd.fock_oracle import FockTwoModeState, _quadrature
+from psqkd.fock_oracle import FockTwoModeState
 from psqkd.moments import TwoModeCM
 
 # levels carried above n_max through the squeeze exponential, then cropped;
@@ -28,6 +29,30 @@ _PAD = 40
 def destroy(dim: int) -> np.ndarray:
     """Truncated annihilation operator."""
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+
+
+def recurrence_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
+    """Unnormalized amplitudes of S(r) D(d/2) D(d/2)|00> by the row recurrence.
+
+    psi(0, 0) = exp(-alpha^2 (1 + tanh r)) / cosh r with alpha = d/2, then
+    psi(0, n+1) = alpha psi(0, n) / (cosh r sqrt(n+1)) along the first row
+    and psi(n1+1, n2) = (alpha psi(n1, n2) + sinh r sqrt(n2) psi(n1, n2-1))
+    / (cosh r sqrt(n1+1)) row by row, from the annihilators
+    a1 cosh r - a2' sinh r - alpha and its mode-swapped twin. Every term is
+    non-negative, so nothing cancels.
+    """
+    alpha = d / 2.0
+    ch, sh = math.cosh(r), math.sinh(r)
+    root = np.sqrt(np.arange(n_max + 1.0))
+    raise_coef, scale = sh * root[1:], ch * root
+    amps = np.empty((n_max + 1, n_max + 1))
+    amps[0, 0] = math.exp(-alpha * alpha * (1.0 + math.tanh(r))) / ch
+    amps[0, 1:] = amps[0, 0] * np.cumprod(alpha / scale[1:])
+    for n1 in range(n_max):
+        row = alpha * amps[n1]
+        row[1:] += raise_coef * amps[n1, :-1]
+        amps[n1 + 1] = row / scale[n1 + 1]
+    return amps
 
 
 def expm_tmsc_fock(r: float, d: float, n_max: int) -> FockTwoModeState:
@@ -87,6 +112,18 @@ def bs_pair_unitary(tau: float, n_max: int) -> np.ndarray:
     return u
 
 
+def quadrature(v: np.ndarray, op: str, root: np.ndarray) -> np.ndarray:
+    """x = a + a' or p = i(a' - a) on the first axis of v, truncated at the top.
+
+    root[n] = sqrt(n + 1), shaped to broadcast over the remaining axis.
+    """
+    lowered = np.zeros_like(v)
+    lowered[:-1] = root * v[1:]
+    raised = np.zeros_like(v)
+    raised[1:] = root * v[:-1]
+    return lowered + raised if op == "x" else 1j * (raised - lowered)
+
+
 def _weyl_apply(v: np.ndarray, n_x: int, n_p: int, root: np.ndarray) -> np.ndarray:
     """Symmetric (Weyl) ordered x^n_x p^n_p on the first axis of v.
 
@@ -98,7 +135,7 @@ def _weyl_apply(v: np.ndarray, n_x: int, n_p: int, root: np.ndarray) -> np.ndarr
     for word in words:
         term = v
         for op in reversed(word):
-            term = _quadrature(term, op, root)
+            term = quadrature(term, op, root)
         acc += term
     return acc / len(words)
 

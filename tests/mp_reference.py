@@ -1,12 +1,13 @@
-"""The key-rate channel stage in mpmath at 50 digits.
+"""The key-rate channel stage and the truncated Fock oracle in mpmath at 50 digits.
 
 One plain form per formula, on the float inputs of
-`psqkd.keyrate._channel_stage` taken exactly, so the difference from the
-kernel is the kernel's own rounding. The symplectic eigenvalues come from an
-eigensolver, not from the discriminant the kernel factors: with no x-p
-correlations, they are the square roots of the eigenvalues of
-sigma_x sigma_p, the product of the x block and the p block. Eigenvalue
-excursions below 1 enter the entropy terms as 0, as the model defines them.
+`psqkd.keyrate._channel_stage` or of the Fock oracle taken exactly, so the
+difference from the float code is its own rounding. The symplectic
+eigenvalues come from an eigensolver, not from the discriminant the kernel
+factors: with no x-p correlations, they are the square roots of the
+eigenvalues of sigma_x sigma_p, the product of the x block and the p
+block. Eigenvalue excursions below 1 enter the entropy terms as 0, as the
+model defines them.
 Reference for the formulas: Weedbrook et al., RMP 84, 621 (2012).
 """
 
@@ -44,3 +45,83 @@ def channel_stage(stage, t: float, chi_tot: float, beta: float) -> tuple:
             _entropy_g((lam1 - 1) / 2) + _entropy_g((lam2 - 1) / 2) - _entropy_g((lam3 - 1) / 2)
         )
         return i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3
+
+
+def _x_and_w(rows: list) -> tuple[list, list]:
+    """x = a + a' and w = a' - a on the first index of a list of rows."""
+    zero = [mpf(0)] * len(rows[0])
+    lowered = [[mpmath.sqrt(n) * a for a in row] for n, row in enumerate(rows[1:], 1)]
+    raised = [[mpmath.sqrt(n) * a for a in row] for n, row in enumerate(rows[:-1], 1)]
+    pairs = list(zip(lowered + [zero], [zero] + raised))
+    x = [[b + a for a, b in zip(lo, hi)] for lo, hi in pairs]
+    w = [[b - a for a, b in zip(lo, hi)] for lo, hi in pairs]
+    return x, w
+
+
+def _dot(u: list, v: list):
+    return mpmath.fdot(a for row in zip(u, v) for a in zip(*row))
+
+
+def _normalized(rows: list) -> list:
+    norm = mpmath.sqrt(_dot(rows, rows))
+    return [[a / norm for a in row] for row in rows]
+
+
+def _transpose(rows: list) -> list:
+    return [list(col) for col in zip(*rows)]
+
+
+def fock_oracle_50(r: float, d: float, tau: float, k: int, n_max: int) -> tuple:
+    """The truncated Fock oracle at 50 digits, on the float inputs taken exactly.
+
+    Returns (built, prob, projected, cm): the normalized source amplitudes as
+    rows, the k-photon detection probability, the normalized post-detection
+    amplitudes, and the TwoModeCM fields in field order. The source comes
+    from the two-term row recurrence psi(0, 0) = exp(-alpha^2 (1 + tanh r))
+    / cosh r, psi(0, n+1) = alpha psi(0, n) / (cosh r sqrt(n+1)),
+    psi(n1+1, n2) = (alpha psi(n1, n2) + sinh r sqrt(n2) psi(n1, n2-1))
+    / (cosh r sqrt(n1+1)), alpha = d/2; the beam splitter from its
+    vacuum-ancilla column sqrt(C(j+k, k)) sqrt(tau)^j (-sqrt(1-tau))^k; the
+    moments from x = a + a' and w = a' - a applied once per mode. Every
+    amplitude is real, so the p means vanish and the p moments are those
+    of w.
+    """
+    with mpmath.workdps(50):
+        r, d, tau = mpf(r), mpf(d), mpf(tau)
+        alpha, ch, sh = d / 2, mpmath.cosh(r), mpmath.sinh(r)
+        dim = n_max + 1
+        first = [mpmath.exp(-alpha**2 * (1 + mpmath.tanh(r))) / ch]
+        for n in range(n_max):
+            first.append(alpha * first[-1] / (ch * mpmath.sqrt(n + 1)))
+        rows = [first]
+        for n1 in range(n_max):
+            prev, scale = rows[-1], ch * mpmath.sqrt(n1 + 1)
+            rows.append([
+                (alpha * prev[n2] + (sh * mpmath.sqrt(n2) * prev[n2 - 1] if n2 else 0)) / scale
+                for n2 in range(dim)
+            ])
+        built = _normalized(rows)
+        kept = max(0, n_max - k + 1)
+        column = [
+            mpmath.sqrt(mpmath.binomial(j + k, k)) * mpmath.sqrt(tau) ** j
+            * (-mpmath.sqrt(1 - tau)) ** k
+            for j in range(kept)
+        ]
+        out = [[row[k + j] * column[j] for j in range(kept)] + [mpf(0)] * (dim - kept)
+               for row in built]
+        prob = _dot(out, out)
+        psi = _normalized(out)
+        x1, w1 = _x_and_w(psi)
+        x2, w2 = map(_transpose, _x_and_w(_transpose(psi)))
+        mean_x1, mean_x2 = _dot(psi, x1), _dot(psi, x2)
+        cm = (
+            _dot(x1, x1) - mean_x1**2,
+            _dot(w1, w1),
+            _dot(x2, x2) - mean_x2**2,
+            _dot(w2, w2),
+            _dot(x1, x2) - mean_x1 * mean_x2,
+            _dot(w1, w2),
+            mean_x1,
+            mean_x2,
+        )
+        return built, prob, psi, cm

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from fock_reference import (
     expm_tmsc_fock,
     fock_moment,
     moment_covariance,
+    recurrence_tmsc_fock,
 )
+from mp_reference import fock_oracle_50
 from psqkd.errors import TruncationError, ZeroProbabilityError
 from psqkd.fock_oracle import (
     FockTwoModeState,
@@ -67,11 +70,42 @@ class TestBuildState:
     @pytest.mark.parametrize(
         "r, d", [(0.0, 1.3), (0.05, 0.0), (0.4, 0.7), (1.0, 0.0), (1.0, 2.0)]
     )
-    def test_recurrence_matches_squeezer_exponential(self, r, d):
+    def test_product_matches_squeezer_exponential(self, r, d):
         n_max = suggested_truncation(r, d)
         got = build_tmsc_fock(r, d, n_max).amps
         reference = expm_tmsc_fock(r, d, n_max).amps
         assert np.max(np.abs(got - reference)) < 1e-12
+
+    def test_product_matches_row_recurrence(self):
+        rng = np.random.default_rng(20261020)
+        edges = [(0.0, 0.0), (0.0, 1.7), (0.8, 0.0), (1e-9, 0.0), (1e-9, 1.2), (1.5, 3.0)]
+        box = [(rng.uniform(0.0, 1.5), rng.uniform(0.0, 3.0)) for _ in range(40)]
+        for r, d in edges + box:
+            n_max = suggested_truncation(r, d)
+            while True:  # the wide box's corner outgrows suggested_truncation
+                try:
+                    got = build_tmsc_fock(r, d, n_max).amps
+                    break
+                except TruncationError:
+                    assert n_max < 500, (r, d, n_max)
+                    n_max += n_max // 2
+            reference = recurrence_tmsc_fock(r, d, n_max)
+            reference /= np.linalg.norm(reference)
+            assert np.max(np.abs(got - reference)) <= 1e-15, (r, d, n_max)
+
+    @pytest.mark.parametrize("r, d", [(1.0, 2.0), (0.05, 2.0), (1.0, 0.0), (1e-9, 0.5)])
+    def test_large_cutoffs_are_finite_and_silent(self, r, d):
+        # the product's partial products are entries of Q, never above 1, so
+        # no cutoff overflows where the recurrence stays finite
+        base = suggested_truncation(r, d)
+        for n_max in (base, 2 * base, 400):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = build_tmsc_fock(r, d, n_max).amps
+            reference = recurrence_tmsc_fock(r, d, n_max)
+            reference /= np.linalg.norm(reference)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - reference)) <= 1e-15, n_max
 
 
 class TestBeamSplitterUnitary:
@@ -164,14 +198,18 @@ class TestProjection:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def _subtracted_state() -> FockTwoModeState:
+    state, _ = apply_bs_and_project(build_tmsc_fock(0.5, 1.0, 50), 0.7, 2)
+    return state
+
+
 def _rotated_state() -> FockTwoModeState:
     """A subtracted state with both modes rotated in phase space.
 
     The rotation makes the amplitudes complex, so that moments odd in p do
     not vanish.
     """
-    state = build_tmsc_fock(0.5, 1.0, 50)
-    state, _ = apply_bs_and_project(state, 0.7, 2)
+    state = _subtracted_state()
     levels = np.arange(state.n_max + 1)
     return FockTwoModeState(
         state.amps * np.exp(0.4j * levels)[:, None] * np.exp(-0.7j * levels)
@@ -263,17 +301,55 @@ class TestStateCovariance:
         assert abs(fock_moment(state, 0, 0, 0, 1)) > 0.1
         _assert_matches_moment_reference(state)
 
-    def test_applies_four_quadratures(self, monkeypatch):
+    @pytest.mark.parametrize("rotated", [False, True], ids=["real", "complex"])
+    def test_applies_four_quadratures(self, monkeypatch, rotated):
+        # x and w once per mode, in the state's own dtype: float64 for the
+        # real subtracted state, complex for the rotated one
         calls = []
-        inner = fock_oracle._quadrature
+        inner = fock_oracle._x_and_w
 
-        def counting(v, op, root):
-            calls.append(op)
-            return inner(v, op, root)
+        def counting(v, root):
+            out = inner(v, root)
+            calls.append((v.dtype, *(q.dtype for q in out)))
+            return out
 
-        monkeypatch.setattr(fock_oracle, "_quadrature", counting)
-        state_covariance(_rotated_state())
-        assert sorted(calls) == ["p", "p", "x", "x"]
+        monkeypatch.setattr(fock_oracle, "_x_and_w", counting)
+        state = _rotated_state() if rotated else _subtracted_state()
+        state_covariance(state)
+        dtype = np.dtype(complex if rotated else float)
+        assert calls == [(dtype, dtype, dtype)] * 2
+
+    def test_real_state_stays_float64(self):
+        state = build_tmsc_fock(0.5, 1.0, 50)
+        assert state.amps.dtype == np.float64
+        state, prob = apply_bs_and_project(state, 0.7, 2)
+        assert state.amps.dtype == np.float64
+        assert type(prob) is float
+        cm = state_covariance(state)
+        assert all(type(getattr(cm, field)) is float for field in CM_FIELDS)
+
+
+class TestFiftyDigitOracle:
+    # the README grid's and the seed-11 grid's worst points, and one d = 0 point
+    @pytest.mark.parametrize(
+        "r, d, tau, k",
+        [
+            (0.9885354810038335, 0.34832581573940136, 0.7520199599580126, 1),
+            (0.17328525192933308, 1.8966569065835501, 0.7042243353176487, 2),
+            (0.6, 0.0, 0.8, 1),
+        ],
+    )
+    def test_build_projection_and_covariance(self, r, d, tau, k):
+        n_max = suggested_truncation(r, d)
+        built, prob, projected, cm = fock_oracle_50(r, d, tau, k, n_max)
+        state = build_tmsc_fock(r, d, n_max)
+        assert np.max(np.abs(state.amps - np.array(built, dtype=float))) <= 1e-14
+        state, got_prob = apply_bs_and_project(state, tau, k)
+        assert _rel_dev(got_prob, float(prob)) <= 1e-14
+        assert np.max(np.abs(state.amps - np.array(projected, dtype=float))) <= 1e-14
+        got = state_covariance(state)
+        for field, value in zip(CM_FIELDS, cm):
+            assert _rel_dev(getattr(got, field), float(value)) <= 1e-14, field
 
 
 class TestOracleCovariance:
@@ -396,6 +472,23 @@ class TestRandomGridComparison:
         assert not report.passed
         means = field.startswith("mean")
         assert math.isnan(report.max_dev_means if means else report.max_dev_covariance)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 20240817, 2**32 - 1])
+    def test_builds_at_the_truncation_of_the_first_two_draws(self, monkeypatch, seed):
+        # the benchmark replays the first two draws of default_rng(seed) to
+        # learn each op's n_max before running it
+        rng = np.random.default_rng(seed)
+        r, d = rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.0)
+        cutoffs = []
+        inner = fock_oracle.build_tmsc_fock
+
+        def recording(r, d, n_max):
+            cutoffs.append(n_max)
+            return inner(r, d, n_max)
+
+        monkeypatch.setattr(fock_oracle, "build_tmsc_fock", recording)
+        compare_random_grid(points=1, seed=seed)
+        assert cutoffs == [suggested_truncation(r, d)]
 
     def test_each_point_built_and_projected_once(self, monkeypatch):
         calls = {"build_tmsc_fock": 0, "apply_bs_and_project": 0}
