@@ -20,14 +20,7 @@ from .errors import (
 from .keyrate import KeyRateResult, entropy_G, secret_key_rate
 from .moments import TwoModeCM, pstmsc_covariance, subtraction_probability
 from .phase_space import SqueezedSourceParams, scaled_laguerre
-from .sweep import (
-    SweepRow,
-    SweepSpec,
-    max_secure_distance,
-    optimize_scalar,
-    resolve_family,
-    run_sweep,
-)
+from .sweep import max_secure_distance, optimize_scalar, resolve_family
 
 __version__ = "0.1.0"
 
@@ -52,11 +45,8 @@ __all__ = [
     "subtraction_probability",
     "SqueezedSourceParams",
     "scaled_laguerre",
-    "SweepRow",
-    "SweepSpec",
     "max_secure_distance",
     "optimize_scalar",
     "resolve_family",
-    "run_sweep",
     "__version__",
 ]

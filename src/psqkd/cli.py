@@ -56,7 +56,7 @@ def render_csv(families: tuple[str, ...], points: list[tuple]) -> str:
     """Deterministic CSV of the points of `sweep._evaluate`: 12 significant
     digits, sorted by (value, family); a failed cell prints nan."""
     rows = []
-    for value, _, cells in points:
+    for value, cells in points:
         head = "%.12g," % value
         rows += [
             (value, family, head + family + (_FAILED if isinstance(cell, str) else _CELL % cell))

@@ -144,8 +144,8 @@ def secret_key_rate(source: SqueezedSourceParams, channel: ChannelParams) -> Key
     reduction, then the channel stage.
 
     K = P_detect * (beta * I_AB - chi_BE); negative K (insecure regime) is
-    returned as-is. channel.v_a should normally equal source.variance; the
-    sweep and CLI layers keep the two in sync.
+    returned as-is. channel.v_a should normally equal the source's cosh 2r;
+    the sweep and CLI layers keep the two in sync.
 
     Raises ZeroProbabilityError when the subtraction event cannot occur, and
     NonFiniteError when a stage overflows or yields a non-finite value.

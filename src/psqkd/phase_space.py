@@ -54,21 +54,6 @@ class SqueezedSourceParams:
         if "k" in fields and not (type(fields["k"]) is int and fields["k"] >= 0):
             raise ValueError(f"k must be a non-negative integer, got {fields['k']!r}")
 
-    @property
-    def mu(self) -> float:
-        """cosh r."""
-        return math.cosh(self.r)
-
-    @property
-    def nu(self) -> float:
-        """sinh r."""
-        return math.sinh(self.r)
-
-    @property
-    def variance(self) -> float:
-        """Quadrature variance cosh 2r of each squeezer output (SNU)."""
-        return math.cosh(2.0 * self.r)
-
 
 def scaled_laguerre(k: int, a: float, ax, alpha: int = 0):
     """a**k * L_k^alpha(x) evaluated from a and the product a*x.

@@ -5,9 +5,8 @@ list of state families. Families are realized as limits of the same source
 parametrization: "tmsv" pins (k=0, tau=1, d=0), "<k>-pstmsv" pins d=0, and
 "<k>-pstmsc" uses the source values as-is. `_evaluate` runs the grid on
 floats and keeps a failed cell's message rather than aborting, so the output
-shape is always predictable. The CLI writes its CSV from those floats, and
-`run_sweep` makes records of them. Sweeps and `optimize_scalar` stage
-alike, through `_Staged`.
+shape is always predictable; `psqkd sweep` writes its CSV straight from
+those floats. Sweeps and `optimize_scalar` stage alike, through `_Staged`.
 """
 
 from __future__ import annotations
@@ -16,14 +15,14 @@ import math
 import re
 from dataclasses import dataclass
 
-from .channel import ChannelParams, NoiseBreakdown, _breakdown_at
+from .channel import ChannelParams, _breakdown_at
 from .errors import (
     NoSecureRegionError,
     PsqkdError,
     TargetUnreachableError,
 )
 # secret_key_rate stays for perfbench's tracer
-from .keyrate import KeyRateResult, _channel_stage, secret_key_rate
+from .keyrate import _channel_stage, secret_key_rate
 from .moments import _capped, _source_stage
 from .phase_space import SqueezedSourceParams
 
@@ -31,11 +30,8 @@ __all__ = [
     "SWEEP_VARIABLES",
     "DEFAULT_FAMILIES",
     "SweepSpec",
-    "FamilyResult",
-    "SweepRow",
     "resolve_family",
     "resolve_families",
-    "run_sweep",
     "max_secure_distance",
     "optimize_scalar",
 ]
@@ -92,20 +88,6 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
         return [float(lo)] * points
     step = (hi - lo) / (points - 1)
     return [lo + i * step for i in range(points - 1)] + [float(hi)]
-
-
-@dataclass(frozen=True)
-class FamilyResult:
-    """Key-rate output for one family at one grid point, or its failure."""
-
-    result: KeyRateResult | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    swept_value: float
-    results: dict[str, FamilyResult]
 
 
 def _family_pins(name: str) -> tuple[bool, bool, int]:
@@ -245,33 +227,16 @@ def _cell(stage, noise, beta: float):
 
 
 def _evaluate(spec: SweepSpec):
-    """Yield (swept value, channel reduction, `_cell` of each family) per
-    grid point, on floats; the reduction is None where the swept value fails."""
+    """Yield (swept value, `_cell` of each family) per grid point, on floats."""
     staged = _Staged(spec.source, spec.channel, spec.variable, spec.families)
     for value in spec.grid():
         try:
             ch, stages = staged.at(value)
         except (PsqkdError, ValueError) as exc:
-            yield value, None, [str(exc)] * len(spec.families)
+            yield value, [str(exc)] * len(spec.families)
             continue
         noise = staged.reduction(ch)
-        yield value, noise, [_cell(stage, noise, ch.beta) for stage in stages]
-
-
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """`_evaluate` as records, with one NoiseBreakdown per distinct channel."""
-    rows = []
-    noise = record = None
-    for value, reduced, cells in _evaluate(spec):
-        if isinstance(reduced, tuple) and reduced is not noise:
-            noise, record = reduced, NoiseBreakdown(*reduced)
-        results = {
-            family: FamilyResult(None, cell) if isinstance(cell, str)
-            else FamilyResult(KeyRateResult(*cell, record))
-            for family, cell in zip(spec.families, cells)
-        }
-        rows.append(SweepRow(value, results))
-    return rows
+        yield value, [_cell(stage, noise, ch.beta) for stage in stages]
 
 
 def _rate_at_distance(stage: tuple[float, ...], channel: ChannelParams, l_ac: float) -> float:

@@ -84,7 +84,7 @@ def wigner_tmsc(pt: PhasePoint, params: SqueezedSourceParams):
     Both modes carry the same pre-squeeze x displacement d; the squeezer
     amplifies the mean to d*(mu+nu) on each x quadrature.
     """
-    mu, nu, d = params.mu, params.nu, params.d
+    mu, nu, d = math.cosh(params.r), math.sinh(params.r), params.d
     x1, p1, x2, p2 = pt.x1, pt.p1, pt.x2, pt.p2
     quad = (
         -0.5 * (mu * mu + nu * nu) * (x1 * x1 + p1 * p1 + x2 * x2 + p2 * p2)
@@ -112,7 +112,8 @@ def bs_symplectic(tau: float) -> np.ndarray:
 def _laguerre_factor(x1, p1, x2, p2, params: SqueezedSourceParams):
     """(-A)^k L_k(|xi|^2 / (nu^2 D)), the polynomial factor of the
     subtracted density, and (1-tau)|xi|^2 / D, which enters its Gaussian."""
-    mu, nu, d, tau, k = params.mu, params.nu, params.d, params.tau, params.k
+    mu, nu = math.cosh(params.r), math.sinh(params.r)
+    d, tau, k = params.d, params.tau, params.k
     big_d = 1.0 + (1.0 - tau) * nu * nu  # mu^2 - tau nu^2, cancellation-free
     a_coef = nu * nu * (1.0 - tau) / big_d
     st = math.sqrt(tau)
@@ -137,7 +138,8 @@ def wigner_pstmsc(pt: PhasePoint, params: SqueezedSourceParams):
             f"{params.k}-photon subtraction has probability 0 at "
             f"r={params.r}, d={params.d}, tau={params.tau}"
         )
-    mu, nu, d, tau = params.mu, params.nu, params.d, params.tau
+    mu, nu = math.cosh(params.r), math.sinh(params.r)
+    d, tau = params.d, params.tau
     x1, p1, x2, p2 = pt.x1, pt.p1, pt.x2, pt.p2
     big_d = 1.0 + (1.0 - tau) * nu * nu
     st = math.sqrt(tau)
@@ -216,12 +218,12 @@ def gauss_hermite_moments(params: SqueezedSourceParams) -> TwoModeCM:
     moments are ratios to the zeroth moment, so p_ps and the Gaussian's
     normalisation cancel.
     """
-    nu, d, tau, k = params.nu, params.d, params.tau, params.k
+    nu, d, tau, k = math.sinh(params.r), params.d, params.tau, params.k
     er = math.exp(params.r)  # mu + nu
     st = math.sqrt(tau)
     big_d = 1.0 + (1.0 - tau) * nu * nu
     small = (math.exp(-params.r) + (1.0 - tau) / (1.0 + st) * nu) ** 2 / big_d
-    large = (params.mu + st * nu) ** 2 / big_d
+    large = (math.cosh(params.r) + st * nu) ** 2 / big_d
     b1 = d / (er * big_d) * (1.0 + (1.0 - tau) * nu * er)
     b2 = d / (er * big_d) * st
     half = math.sqrt(0.5)

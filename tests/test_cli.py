@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -31,6 +32,7 @@ from psqkd.config import (
     load_run_config,
     parse_config_file,
 )
+from psqkd.errors import PsqkdError
 from psqkd.fock_oracle import compare_random_grid
 from psqkd.keyrate import secret_key_rate
 from psqkd.phase_space import SqueezedSourceParams
@@ -38,10 +40,11 @@ from psqkd.sweep import (
     DEFAULT_FAMILIES,
     SWEEP_VARIABLES,
     SweepSpec,
+    _apply_value,
     _evaluate,
     max_secure_distance,
     optimize_scalar,
-    run_sweep,
+    resolve_family,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -226,14 +229,25 @@ class TestRenderCsv:
         assert len(p_ps.replace("0.", "")) >= 11
 
 
-def _csv_of_records(rows) -> str:
-    """The CSV of `run_sweep`'s records, formatted field by field."""
-    cells = sorted(
-        ((row.swept_value, family, cell.result) for row in rows
-         for family, cell in row.results.items()),
-        key=lambda cell: cell[:2],
-    )
+def _records(spec) -> list[tuple]:
+    """(swept value, family, KeyRateResult or None where it fails) of each
+    cell of `spec`, from `secret_key_rate` cell by cell."""
+    cells = []
+    for value in spec.grid():
+        for family in spec.families:
+            try:
+                source, channel = _apply_value(spec.source, spec.channel, spec.variable, value)
+                result = secret_key_rate(resolve_family(family, source), channel)
+            except (PsqkdError, ValueError):
+                result = None
+            cells.append((value, family, result))
+    return cells
+
+
+def _csv_of_records(cells) -> str:
+    """The CSV of `_records`, formatted field by field."""
     lines = [CSV_HEADER]
+    cells = sorted(cells, key=lambda cell: cell[:2])
     for value, family, result in cells:
         fields = [getattr(result, name, math.nan) for name in cli._CSV_FIELDS]
         lines.append(",".join(["%.12g" % value, family] + ["%.12g" % x for x in fields]))
@@ -268,22 +282,14 @@ def _seeded_specs(variable):
 class TestSweepCells:
     @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
     def test_float_cells_are_the_record_fields(self, variable):
+        # the cells themselves are checked against the records in
+        # test_sweep.py's test_seeded_sweeps_match_cell_by_cell_pipeline
         failed = succeeded = 0
         for spec in _seeded_specs(variable):
-            rows = run_sweep(spec)
-            points = list(_evaluate(spec))
-            assert [row.swept_value for row in rows] == [value for value, _, _ in points]
-            for row, (_, noise, cells) in zip(rows, points):
-                for cell, record in zip(cells, row.results.values()):
-                    if record.result is None:
-                        assert cell == record.error
-                        failed += 1
-                        continue
-                    fields = tuple(getattr(record.result, f) for f in cli._CSV_FIELDS)
-                    assert cell == fields
-                    assert noise == dataclasses.astuple(record.result.noise)
-                    succeeded += 1
-            assert render_csv(spec.families, points) == _csv_of_records(rows)
+            records = _records(spec)
+            assert render_csv(spec.families, list(_evaluate(spec))) == _csv_of_records(records)
+            failed += sum(result is None for _, _, result in records)
+            succeeded += sum(result is not None for _, _, result in records)
         assert failed > 0
         assert succeeded > 0
 
@@ -727,14 +733,32 @@ class TestImports:
             f"{module}.{name}" for module, names in traced.items() for name in names
             if not hasattr(importlib.import_module(module), name)
         }
-        # already dark: they moved to the test references; ROADMAP item 1
-        # re-points the tracer at the stages that run
+        # already dark: the keyrate and oracle names moved to the test
+        # references, and run_sweep went with the sweep's record layer
+        # (`psqkd sweep` runs `_evaluate`); ROADMAP item 1 re-points the
+        # tracer at the stages that run
         assert missing == {
+            "psqkd.sweep.run_sweep",
             "psqkd.keyrate.holevo_bound",
             "psqkd.keyrate.symplectic_eigenvalues",
             "psqkd.keyrate.conditional_cm_after_heterodyne",
             "psqkd.fock_oracle.fock_moment",
         }
+
+    def test_exported_names_resolve(self):
+        # a name retired from a module must leave its __all__ too
+        package = importlib.import_module("psqkd")
+        modules = [package] + [
+            importlib.import_module(f"psqkd.{info.name}")
+            for info in pkgutil.iter_modules(package.__path__)
+        ]
+        missing = [
+            f"{module.__name__}.{name}" for module in modules
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert missing == []
+        exec("from psqkd import *", {})
 
     def test_channel_params_takes_dataclasses_replace(self):
         # perfbench/workloads.py:95-102 (_distance_failure) probes each
@@ -748,7 +772,7 @@ class TestImports:
         # numpy is loaded only by the Fock oracle behind oracle-check
         cfg = REPO / "configs" / "fig6.cfg"
         code = f"""
-import sys, psqkd, psqkd.cli
+import math, sys, psqkd, psqkd.cli
 from psqkd.cli import main
 base = ["--config", {str(cfg)!r}]
 opt = ["--set", "optimize.variable=tau", "--set", "optimize.lo=0.5",
@@ -759,7 +783,7 @@ assert main(["max-distance", *base]) == 0
 assert main(["optimize", *base, *opt]) == 0
 source = psqkd.SqueezedSourceParams(r=0.5, d=1.0, tau=0.9, k=1)
 psqkd.pstmsc_covariance(source)
-channel = psqkd.ChannelParams("asymmetric", 20.0, source.variance, 0.96)
+channel = psqkd.ChannelParams("asymmetric", 20.0, math.cosh(2.0 * source.r), 0.96)
 psqkd.secret_key_rate(source, channel)
 assert "numpy" not in sys.modules, "numpy loaded"
 assert main(["oracle-check", *base, "--set", "oracle.points=2"]) == 0

@@ -134,11 +134,11 @@ class TestSubtractionProbability:
         small_nu = [params(r=1e-160, d=1e-100, tau=0.9, k=k) for k in (0, 1, 2)]
         large_y = [params(r=1e-120, d=1.0, tau=0.9, k=k) for k in (0, 1, 2)]
         for p in small_nu:
-            assert p.nu < moments._NU_MIN
-            assert (p.d / (2.0 * p.nu)) ** 2 <= moments._LIMIT_Y
+            assert math.sinh(p.r) < moments._NU_MIN
+            assert (p.d / (2.0 * math.sinh(p.r))) ** 2 <= moments._LIMIT_Y
         for p in large_y:
-            assert p.nu >= moments._NU_MIN
-            assert (p.d / (2.0 * p.nu)) ** 2 > moments._LIMIT_Y
+            assert math.sinh(p.r) >= moments._NU_MIN
+            assert (p.d / (2.0 * math.sinh(p.r))) ** 2 > moments._LIMIT_Y
         for p in [*box, *r_zero, *tau_one, *small_nu, *large_y]:
             try:
                 stage = moments._source_stage(*dataclasses.astuple(p))

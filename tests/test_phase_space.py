@@ -309,9 +309,3 @@ class TestSourceParamsValidation:
             SqueezedSourceParams(r=0.5, d=0.0, tau=1.0, k=-1)
         with pytest.raises(ValueError, match="k must be a non-negative integer"):
             SqueezedSourceParams(r=0.5, d=0.0, tau=1.0, k=True)
-
-    def test_derived_quantities(self):
-        params = SqueezedSourceParams(r=0.5, d=0.0, tau=1.0, k=0)
-        assert params.mu == pytest.approx(math.cosh(0.5))
-        assert params.nu == pytest.approx(math.sinh(0.5))
-        assert params.variance == pytest.approx(math.cosh(1.0))

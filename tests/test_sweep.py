@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +20,10 @@ from psqkd.phase_space import SqueezedSourceParams
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
     SWEEP_VARIABLES,
-    FamilyResult,
-    SweepRow,
     SweepSpec,
     max_secure_distance,
     optimize_scalar,
     resolve_family,
-    run_sweep,
 )
 
 R50 = 0.5 * math.acosh(50.0)
@@ -163,31 +160,21 @@ class TestGrid:
             assert sweep._grid(lo, hi, points) == expect, (lo, hi, points)
 
 
-class TestRunSweep:
+class TestEvaluate:
     def test_single_point_matches_direct_evaluation(self):
         spec = SweepSpec(
             "L_AC", 20.0, 20.0, 1, base_source(), base_channel(),
             families=("1-pstmsc",),
         )
-        rows = run_sweep(spec)
-        assert len(rows) == 1
-        got = rows[0].results["1-pstmsc"].result
-        expect = secret_key_rate(base_source(), base_channel())
-        assert got.key_rate == expect.key_rate
-        assert got.p_ps == expect.p_ps
+        [(value, (cell,))] = sweep._evaluate(spec)
+        assert value == 20.0
+        assert cell == astuple(secret_key_rate(base_source(), base_channel()))[:7]
 
-    def test_thread_count_does_not_change_results(self):
+    def test_two_runs_of_one_spec_are_identical(self):
         spec = SweepSpec("L_AC", 0.0, 40.0, 9, base_source(), base_channel())
-        seq = run_sweep(spec)
-        par = run_sweep(spec)
-        assert len(seq) == len(par) == 9
-        for a, b in zip(seq, par):
-            assert a.swept_value == b.swept_value
-            for fam in spec.families:
-                ra, rb = a.results[fam], b.results[fam]
-                assert ra.error == rb.error
-                if ra.result is not None:
-                    assert ra.result.key_rate == rb.result.key_rate
+        first, second = list(sweep._evaluate(spec)), list(sweep._evaluate(spec))
+        assert len(first) == 9
+        assert first == second
 
     def test_errors_recorded_per_point_not_raised(self):
         # tau sweep hitting 1.0: subtraction is impossible there for k >= 1
@@ -195,46 +182,56 @@ class TestRunSweep:
             "tau", 0.8, 1.0, 3, base_source(), base_channel(),
             families=("tmsv", "1-pstmsc"),
         )
-        rows = run_sweep(spec)
-        last = rows[-1]
-        assert last.swept_value == 1.0
-        assert last.results["1-pstmsc"].result is None
-        assert last.results["1-pstmsc"].error  # message, not an exception
-        assert last.results["tmsv"].result is not None
+        points = list(sweep._evaluate(spec))
+        value, (tmsv, pstmsc) = points[-1]
+        assert value == 1.0
+        with pytest.raises(PsqkdError) as error:
+            secret_key_rate(base_source(tau=1.0), base_channel())
+        assert pstmsc == str(error.value)  # message, not an exception
+        tmsv_source = resolve_family("tmsv", base_source(tau=1.0))
+        assert tmsv == astuple(secret_key_rate(tmsv_source, base_channel()))[:7]
         # interior points untouched
-        assert rows[0].results["1-pstmsc"].result is not None
+        assert all(isinstance(cell, tuple) for _, cells in points[:-1] for cell in cells)
 
     def test_v_a_sweep_rewires_squeezing_and_gain(self):
         spec = SweepSpec(
             "V_A", 30.0, 30.0, 1, base_source(), base_channel(),
             families=("1-pstmsc",),
         )
-        rows = run_sweep(spec)
+        [(_, (cell,))] = sweep._evaluate(spec)
         expect = secret_key_rate(
             base_source(r=0.5 * math.acosh(30.0)), base_channel(v_a=30.0)
         )
-        assert rows[0].results["1-pstmsc"].result.key_rate == expect.key_rate
+        assert cell == astuple(expect)[:7]
 
     def test_v_a_below_one_is_an_in_row_error(self):
         spec = SweepSpec(
             "V_A", 0.5, 0.5, 1, base_source(), base_channel(),
             families=("tmsv",),
         )
-        rows = run_sweep(spec)
-        assert rows[0].results["tmsv"].result is None
-        assert "V_A" in rows[0].results["tmsv"].error
+        [(_, (cell,))] = sweep._evaluate(spec)
+        with pytest.raises(ValueError, match="V_A") as error:
+            sweep._apply_value(base_source(), base_channel(), "V_A", 0.5)
+        assert cell == str(error.value)
 
 
-def _unstaged_row(spec, value):
-    """One grid row the way the unstaged pipeline computes it, cell by cell."""
-    out = {}
+def _unstaged_cells(spec, value):
+    """`_evaluate`'s cells at one grid value the way the unstaged pipeline
+    computes them, cell by cell: the KeyRateResult fields p_ps to lambda3,
+    or the error message."""
+    cells = []
     for name in spec.families:
         try:
             src, ch = sweep._apply_value(spec.source, spec.channel, spec.variable, value)
-            out[name] = (secret_key_rate(resolve_family(name, src), ch), None)
+            cells.append(astuple(secret_key_rate(resolve_family(name, src), ch))[:7])
         except (PsqkdError, ValueError) as exc:
-            out[name] = (None, str(exc))
-    return out
+            cells.append(str(exc))
+    return cells
+
+
+def _succeeds(spec):
+    """Whether every cell of `spec`'s sweep is a result, not a message."""
+    return all(isinstance(cell, tuple) for _, cells in sweep._evaluate(spec) for cell in cells)
 
 
 def _counting_inits(monkeypatch, *records):
@@ -304,15 +301,12 @@ class TestStagedSweep:
     )
     def test_matches_cell_by_cell_pipeline(self, variable, lo, hi, channel):
         spec = SweepSpec(variable, lo, hi, 5, base_source(), channel)
-        rows = run_sweep(spec)
-        assert [row.swept_value for row in rows] == list(spec.grid())
+        points = list(sweep._evaluate(spec))
+        assert [value for value, _ in points] == spec.grid()
         errors = 0
-        for row in rows:
-            expect = _unstaged_row(spec, row.swept_value)
-            assert list(row.results) == list(spec.families)
-            for name, cell in row.results.items():
-                assert (cell.result, cell.error) == expect[name]
-                errors += cell.error is not None
+        for value, cells in points:
+            assert cells == _unstaged_cells(spec, value)
+            errors += sum(isinstance(cell, str) for cell in cells)
         assert errors > 0
 
     @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
@@ -337,12 +331,9 @@ class TestStagedSweep:
                 v_el=float(rng.uniform(0.0, 0.1)),
             )
             spec = SweepSpec(variable, *span, 9, source, channel, families)
-            for row in run_sweep(spec):
-                expect = _unstaged_row(spec, row.swept_value)
-                assert list(row.results) == list(families)
-                for name, cell in row.results.items():
-                    assert (cell.result, cell.error) == expect[name]
-                    errors += cell.error is not None
+            for value, cells in sweep._evaluate(spec):
+                assert cells == _unstaged_cells(spec, value)
+                errors += sum(isinstance(cell, str) for cell in cells)
         assert (errors > 0) == (variable != "L_AC")
 
     def test_families_are_parsed_once_and_sources_built_on_a_miss(self, monkeypatch):
@@ -350,14 +341,12 @@ class TestStagedSweep:
         d_sweep = SweepSpec("d", 0.5, 3.0, 41, base_source(), base_channel())
         parsed = _counting(monkeypatch, "_family_pins")
         built = _counting(monkeypatch, "_source_stage")
-        rows = run_sweep(v_a_sweep)
-        assert all(cell.result for row in rows for cell in row.results.values())
+        assert _succeeds(v_a_sweep)
         assert parsed == [(name,) for name in DEFAULT_FAMILIES]
         assert len(built) == 51 * 5  # r moves at every point
         parsed.clear()
         built.clear()
-        rows = run_sweep(d_sweep)
-        assert all(cell.result for row in rows for cell in row.results.values())
+        assert _succeeds(d_sweep)
         assert len(parsed) == 5
         # (k, d pinned to 0) of each built source: tmsv, 1-pstmsv and
         # 2-pstmsv do not move with d, the pstmsc sources do
@@ -369,8 +358,7 @@ class TestStagedSweep:
         sources = _counting(monkeypatch, "_source_stage")
         channels = _counting(monkeypatch, "_breakdown_at")
         spec = SweepSpec("L_AC", 0.0, 40.0, 9, base_source(), base_channel())
-        rows = run_sweep(spec)
-        assert all(cell.result for row in rows for cell in row.results.values())
+        assert _succeeds(spec)
         assert len(sources) == 5
         assert len(channels) == 9
 
@@ -380,14 +368,13 @@ class TestStagedSweep:
             "tau", 0.5, 0.9, 5, base_source(), base_channel(),
             families=("tmsv", "1-pstmsc"),
         )
-        run_sweep(spec)
+        list(sweep._evaluate(spec))
         assert len(sources) == 1 + 5
 
     @pytest.mark.parametrize("variable, lo, hi", [("d", 0.0, 3.0), ("tau", 0.5, 0.99)])
     def test_source_sweep_runs_the_channel_reduction_once(self, monkeypatch, variable, lo, hi):
         channels = _counting(monkeypatch, "_breakdown_at")
-        rows = run_sweep(SweepSpec(variable, lo, hi, 7, base_source(), base_channel()))
-        assert all(cell.result for row in rows for cell in row.results.values())
+        assert _succeeds(SweepSpec(variable, lo, hi, 7, base_source(), base_channel()))
         assert channels == [(base_channel(), base_channel().l_ac)]
 
     def test_search_runs_the_source_stage_once(self, monkeypatch):
@@ -401,20 +388,15 @@ class TestStagedSweep:
         spec = SweepSpec("V_A", 5.0, 100.0, 51, base_source(), base_channel())
         built = _counting_inits(monkeypatch, SqueezedSourceParams)
         rebuilt = _counting(monkeypatch, "_rebuilt")
-        points = list(sweep._evaluate(spec))
-        assert all(isinstance(cell, tuple) for _, _, cells in points for cell in cells)
+        assert _succeeds(spec)
         # one per grid point, rebuilt in _apply_value; none per (r, d, tau, k) key
         assert built == []
         assert Counter(type(record).__name__ for record, in rebuilt) == {
             "SqueezedSourceParams": 51, "ChannelParams": 51,
         }
-        rebuilt.clear()
-        run_sweep(spec)
-        assert built == []
-        assert len(rebuilt) == 2 * 51
 
     def test_cli_sweep_builds_no_per_cell_record(self, monkeypatch, tmp_path):
-        records = (KeyRateResult, FamilyResult, NoiseBreakdown, SweepRow, SqueezedSourceParams)
+        records = (KeyRateResult, NoiseBreakdown, SqueezedSourceParams)
         built = _counting_inits(monkeypatch, *records)
         rebuilt = _counting(monkeypatch, "_rebuilt")
         argv = ["sweep", "--config", str(CONFIGS / "fig7.cfg"), "--out", str(tmp_path / "v.csv")]
