@@ -1,8 +1,11 @@
-"""The key-rate channel stage and the truncated Fock oracle in mpmath at 50 digits.
+"""The key-rate pipeline and the truncated Fock oracle in mpmath at 50 digits.
 
 One plain form per formula, on the float inputs of
+`psqkd.moments._source_stage`, `psqkd.channel._breakdown_at`,
 `psqkd.keyrate._channel_stage` or of the Fock oracle taken exactly, so the
-difference from the float code is its own rounding. The symplectic
+difference from the float code is its own rounding. The source stage is
+the textbook form: the moments with their 1/nu^2 factors and each Laguerre
+polynomial from `mpmath.laguerre`, however large its argument. The symplectic
 eigenvalues come from an eigensolver, not from the discriminant the kernel
 factors: with no x-p correlations, they are the square roots of the
 eigenvalues of sigma_x sigma_p, the product of the x block and the p
@@ -22,6 +25,77 @@ def _entropy_g(x):
     if x <= 0:
         return mpf(0)
     return (x + 1) * mpmath.log(x + 1, 2) - x * mpmath.log(x, 2)
+
+
+def source_stage(r: float, d: float, tau: float, k: int) -> tuple:
+    """p_ps, then the TwoModeCM fields, as mpf, of the k-photon-subtracted
+    state at (r, d, tau). With mu = cosh r, nu = sinh r, D = 1 + (1 - tau)
+    nu^2, E = mu^2 + tau nu^2, y = d^2 (mu + nu)^2 / (4 nu^2 D) and
+    A = (1 - tau) nu^2 / D, p_ps = exp(-(1 - tau) d^2 (mu + nu)^2 / (4 D))
+    A^k L_k(-y) / D, and the moments take R1 = L^1_{k-1}(-y) / L_k(-y) and
+    R2 = L^2_{k-2}(-y) / L_k(-y). At r = 0 the source is a coherent product
+    state, of which the tap counts are Poisson with mean (1 - tau) d^2 / 4."""
+    with mpmath.workdps(50):
+        r, d, tau = mpf(r), mpf(d), mpf(tau)
+        st = mpmath.sqrt(tau)
+        if r == 0:
+            mean_n = (1 - tau) * d**2 / 4
+            p_ps = mpmath.exp(-mean_n) * mean_n**k / mpmath.factorial(k)
+            return p_ps, mpf(1), mpf(1), mpf(1), mpf(1), mpf(0), mpf(0), d, st * d
+        mu, nu = mpmath.cosh(r), mpmath.sinh(r)
+        er = mu + nu
+        big_d = 1 + (1 - tau) * nu**2
+        big_e = mu**2 + tau * nu**2
+        y = d**2 * er**2 / (4 * nu**2 * big_d)
+        l0 = mpmath.laguerre(k, 0, -y)
+        p_ps = (mpmath.exp(-(1 - tau) * d**2 * er**2 / (4 * big_d))
+                * ((1 - tau) * nu**2 / big_d) ** k * l0 / big_d)
+        r1 = mpmath.laguerre(k - 1, 1, -y) / l0 if k >= 1 else mpf(0)
+        r2 = mpmath.laguerre(k - 2, 2, -y) / l0 if k >= 2 else mpf(0)
+        cur = r2 - r1**2
+        vap = (big_e + 2 * mu**2 * r1) / big_d
+        vbp = (big_e + 2 * tau * nu**2 * r1) / big_d
+        vcp = -2 * mu * nu * st * (1 + r1) / big_d
+        return (
+            p_ps,
+            vap + d**2 * mu**2 * er**2 / (nu**2 * big_d**2) * cur,
+            vap,
+            vbp + d**2 * tau * er**2 / big_d**2 * cur,
+            vbp,
+            -vcp + d**2 * mu * er**2 * st / (nu * big_d**2) * cur,
+            vcp,
+            d * (mu + tau * nu) / big_d + d * mu * er / (nu * big_d) * r1,
+            d * st * er * (1 + r1) / big_d,
+        )
+
+
+def breakdown(channel, l_ac: float) -> tuple:
+    """The NoiseBreakdown fields, as mpf, of `channel` (a ChannelParams)
+    with its Alice-relay length set to l_ac: T_A = 10^(-loss L_AC / 10),
+    T_B = T_A (symmetric) or 1 (asymmetric), the noise-minimizing gain
+    g = sqrt(2 (V_A - 1) / (T_B (V_A + 1))), T = T_A g^2 / 2,
+    eps_th = (T_B / T_A)(eps_B - 2) + eps_A + 2 / T_A,
+    chi_line = (1 - T) / T + eps_th, chi_homo = (v_el + 1 - eta) / eta and
+    chi_tot = chi_line + 2 chi_homo / T_A."""
+    with mpmath.workdps(50):
+        t_a = mpf(10) ** (-mpf(channel.loss_db_per_km) * mpf(l_ac) / 10)
+        t_b = t_a if channel.geometry == "symmetric" else mpf(1)
+        v_a = mpf(channel.v_a)
+        g = mpmath.sqrt(2 * (v_a - 1) / (t_b * (v_a + 1)))
+        t = t_a * g**2 / 2
+        eps_th = (t_b / t_a) * (mpf(channel.eps_b) - 2) + mpf(channel.eps_a) + 2 / t_a
+        chi_line = (1 - t) / t + eps_th
+        chi_homo = (mpf(channel.v_el) + 1 - mpf(channel.eta)) / mpf(channel.eta)
+        return t_a, t_b, g, t, eps_th, chi_line, chi_homo, chi_line + 2 * chi_homo / t_a
+
+
+def key_rate(r: float, d: float, tau: float, k: int, channel, l_ac: float) -> tuple:
+    """The KeyRateResult fields p_ps to lambda3, as mpf: `source_stage`,
+    `breakdown` and `channel_stage` composed at 50 digits, from the float
+    inputs alone."""
+    stage = source_stage(r, d, tau, k)
+    noise = breakdown(channel, l_ac)
+    return (stage[0], *channel_stage(stage, noise[3], noise[7], channel.beta))
 
 
 def channel_stage(stage, t: float, chi_tot: float, beta: float) -> tuple:

@@ -13,6 +13,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
+from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,12 @@ FIXTURES = sorted(p.stem for p in (REPO / "configs").glob("fig*.cfg"))
 # argv, exit code, stdout and stderr of each pinned command line, as
 # tests/golden/capture_cli_corpus.py wrote them
 CORPUS = json.loads((GOLDEN / "cli_corpus.json").read_text(encoding="utf-8"))
+# the 50-digit value of every golden cell and corpus keyrate number, as
+# tests/golden/capture_truth_table.py wrote it from the inputs alone
+TRUTH = json.loads((GOLDEN / "truth_table.json").read_text(encoding="utf-8"))
+# golden cells that do not print as the correctly rounded 12 digits of their
+# 50-digit value; a change may lower this count, never raise it
+NOT_CORRECTLY_ROUNDED = 189
 
 BASE_CFG = """\
 # reference point used across the CLI tests
@@ -645,6 +652,86 @@ class TestGoldenFixtures:
         assert main(case["argv"]) == case["exit"]
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
+
+
+def _misses(got: dict, ref: dict, beta: float = 0.0) -> list[str]:
+    """The fields of `ref` (the table's strings) whose value in `got`
+    (decimal strings or floats) is outside its bound: 1e-10 relative, and
+    for K, which cancels at the security edge, 1e-10 * p_ps * (beta I_AB +
+    chi_BE) absolute."""
+    ref = {name: Decimal(text) for name, text in ref.items()}
+    if "key_rate" in ref:
+        k_bound = Decimal("1e-10") * ref["p_ps"] * (Decimal(beta) * ref["i_ab"] + ref["chi_be"])
+    return [
+        name for name, exact in ref.items()
+        if abs(Decimal(got[name]) - exact)
+        > (k_bound if name == "key_rate" else Decimal("1e-10") * abs(exact))
+    ]
+
+
+_FIELDS = CSV_HEADER.split(",")[2:]
+
+
+def _golden_rows():
+    """(figure, beta, CSV row, the row's table entry) of every golden row."""
+    for fig, rows in TRUTH["sweeps"].items():
+        beta = load_run_config(str(REPO / "configs" / f"{fig}.cfg")).channel.beta
+        lines = (GOLDEN / f"{fig}.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == len(rows), fig
+        for line, row in zip(lines, rows):
+            yield fig, beta, line.split(","), row
+
+
+def _correctly_rounded(text: str, ref: str) -> bool:
+    """Whether `text` is the 12-significant-digit rounding of `ref`."""
+    exact = Decimal(ref)
+    if not exact:
+        return Decimal(text) == 0
+    quantum = Decimal(1).scaleb(exact.adjusted() - 11)
+    return Decimal(text) == exact.quantize(quantum, rounding=ROUND_HALF_EVEN)
+
+
+class TestTruthTable:
+    def test_every_golden_cell_is_within_its_bound(self):
+        checked, misses = 0, []
+        for fig, beta, (head, family, *cells), (value, ref_family, ref) in _golden_rows():
+            assert (head, family) == ("%.12g" % value, ref_family)
+            if ref is None:  # a failed row prints nan, and only there
+                assert cells == ["nan"] * len(cells)
+                continue
+            assert "nan" not in cells
+            misses += [
+                (fig, head, family, name)
+                for name in _misses(dict(zip(_FIELDS, cells)), dict(zip(_FIELDS, ref)), beta)
+            ]
+            checked += len(cells)
+        assert misses == []
+        assert checked == 11_116
+
+    def test_correctly_rounded_cells_do_not_drop(self):
+        wrong = sum(
+            not _correctly_rounded(text, ref)
+            for *_, (_, _, *cells), (_, _, refs) in _golden_rows()
+            if refs is not None
+            for text, ref in zip(cells, refs)
+        )
+        assert wrong <= NOT_CORRECTLY_ROUNDED
+
+    def test_every_keyrate_number_in_the_corpus(self, monkeypatch):
+        monkeypatch.chdir(REPO)
+        cases = [case for case in CORPUS if case["argv"][0] == "keyrate" and case["exit"] == 0]
+        assert sorted(case["name"] for case in cases) == sorted(TRUTH["keyrate"])
+        checked, misses = 0, []
+        for case in cases:
+            got, ref = json.loads(case["stdout"]), TRUTH["keyrate"][case["name"]]
+            got_noise, ref_noise = got.pop("noise"), ref.pop("noise")
+            args = cli._build_parser().parse_args(case["argv"])
+            beta = load_run_config(args.config, args.set).channel.beta
+            misses += [(case["name"], name) for name in _misses(got, ref, beta)]
+            misses += [(case["name"], name) for name in _misses(got_noise, ref_noise)]
+            checked += len(got) + len(got_noise)
+        assert misses == []
+        assert checked == 150
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

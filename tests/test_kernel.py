@@ -1,11 +1,15 @@
-"""The channel-stage kernel against its references.
+"""The key-rate kernels against their references.
 
 `keyrate._channel_stage` is one straight-line kernel. `keyrate_reference`
 keeps its formulas one function each, and the kernel must match that
 composition bit for bit, exceptions included. `mp_reference` recomputes it
-at 50 digits, which bounds the kernel's rounding at its branch switches.
+at 50 digits, which bounds the kernel's rounding at its branch switches,
+and recomputes the source stage (`moments._source_stage`) and the channel
+reduction (`channel._breakdown_at`) in their textbook forms, which pins
+those on a seeded box and on both sides of each of their switches.
 """
 
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -15,11 +19,11 @@ import pytest
 import mp_reference
 import psqkd.sweep as sweep
 from keyrate_reference import RATE_FIELDS, channel_stage
-from psqkd.channel import GEOMETRIES, ChannelParams, _breakdown_at
+from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, _breakdown_at
 from psqkd.config import build_sweep_spec, load_run_config
-from psqkd.errors import PsqkdError
+from psqkd.errors import PsqkdError, ZeroProbabilityError
 from psqkd.keyrate import _PURITY_EPS, _channel_stage
-from psqkd.moments import _source_stage
+from psqkd.moments import _LIMIT_Y, SUBTRACTION_CAP, TwoModeCM, _source_stage
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("fig*.cfg"))
 # L_AC (km) past which 0.2 dB/km of fiber transmits 0.0 in floats
@@ -221,3 +225,141 @@ class TestFiftyDigitReference:
     @pytest.mark.parametrize("chi_tot", MIXED_SIDE)
     def test_holevo_bound_outside_purity_eps(self, chi_tot):
         assert _within_bounds(TMSV50, 1.0, chi_tot)["chi_be"]
+
+
+STAGE_FIELDS = ("p_ps", *(field.name for field in dataclasses.fields(TwoModeCM)))
+NOISE_FIELDS = tuple(field.name for field in dataclasses.fields(NoiseBreakdown))
+
+
+def _off(fields, got, ref) -> list[str]:
+    """The fields where the float `got` is more than 1e-10 relative off the
+    50-digit `ref`."""
+    return [name for name, g, x in zip(fields, got, ref) if abs(g - x) > 1e-10 * abs(x)]
+
+
+def _stage_off(key) -> list[str]:
+    return _off(STAGE_FIELDS, _source_stage(*key), mp_reference.source_stage(*key))
+
+
+def _reduction_off(channel, l_ac) -> list[str]:
+    return _off(NOISE_FIELDS, _breakdown_at(channel, l_ac), mp_reference.breakdown(channel, l_ac))
+
+
+def _y(r, d, tau):
+    """The Laguerre argument y as `_source_moments` rounds it."""
+    nu = math.sinh(r)
+    return (d * math.exp(r) / (2.0 * nu)) ** 2 / (1.0 + (1.0 - tau) * nu * nu)
+
+
+def _d_at(y, r, tau):
+    """The d that puts the Laguerre argument at y, for r > 0."""
+    nu = math.sinh(r)
+    return 2.0 * nu * math.sqrt(y * (1.0 + (1.0 - tau) * nu * nu)) / math.exp(r)
+
+
+def _source_box(seed: int, n: int) -> list[tuple]:
+    """n source keys (r, d, tau, k): r up to 4 or down to 1e-8, d up to 20,
+    any tau (a third of them 1), every k up to the cap."""
+    rng = random.Random(seed)
+    return [
+        (
+            rng.choice((rng.uniform(0.0, 4.0), 10.0 ** rng.uniform(-8.0, 0.0))),
+            rng.choice((0.0, rng.uniform(0.0, 20.0))),
+            rng.choice((1.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))),
+            rng.randrange(SUBTRACTION_CAP + 1),
+        )
+        for _ in range(n)
+    ]
+
+
+def _reduction_box(seed: int, n: int) -> list[tuple]:
+    """n (channel, L_AC): both geometries, V_A up to 1e4, a loss of 0.1 to
+    1 dB/km, L_AC up to 1500 km, noisy links and detectors or clean ones."""
+    rng = random.Random(seed)
+    return [
+        (
+            ChannelParams(
+                rng.choice(GEOMETRIES), 0.0, 10.0 ** rng.uniform(0.01, 4.0),
+                rng.uniform(0.5, 1.0),
+                eps_a=rng.choice((0.0, 10.0 ** rng.uniform(-4.0, 0.5))),
+                eps_b=rng.choice((0.0, 10.0 ** rng.uniform(-4.0, 0.5))),
+                eta=rng.choice((1.0, rng.uniform(0.5, 1.0))),
+                v_el=rng.choice((0.0, rng.uniform(0.0, 0.1))),
+                loss_db_per_km=rng.choice((0.2, rng.uniform(0.1, 1.0))),
+            ),
+            rng.choice((0.0, rng.uniform(0.0, 100.0), rng.uniform(0.0, 1500.0))),
+        )
+        for _ in range(n)
+    ]
+
+
+def _bob_side_cancels(channel) -> bool:
+    """Whether eps_th is rebuilt from -2/T_A + 2/T_A: the asymmetric
+    geometry with eps_B = 0 (see the strict xfail below)."""
+    return channel.geometry == "asymmetric" and channel.eps_b == 0.0
+
+
+R_SUBNORMAL_NU = 1e-160  # sinh r is subnormal, so 1/nu^2 would overflow
+
+
+class TestSourceAndReductionReference:
+    def test_source_stage_on_a_seeded_box(self):
+        pinned, misses = 0, []
+        for key in _source_box(seed=1588, n=600):
+            try:
+                misses += [(key, name) for name in _stage_off(key)]
+                pinned += 1
+            except ZeroProbabilityError:
+                # tau = 1 with k >= 1, or a probability below the float range
+                assert mp_reference.source_stage(*key)[0] < 1e-300, key
+        assert misses == []
+        assert pinned > 400
+
+    # each switch of `_source_moments`, with r, d, tau and k on each side
+    @pytest.mark.parametrize(
+        "key, y_side",
+        [
+            *(((1.0, _d_at(1.0, 1.0, 0.9) * (1.0 + s * 1e-12), 0.9, k), s)
+              for s in (-1, 1) for k in (1, 2, 5, SUBTRACTION_CAP)),
+            *(((1e-100, _d_at(_LIMIT_Y, 1e-100, 0.9) * (1.0 + s * 1e-3), 0.9, k), s)
+              for s in (-1, 1) for k in (0, 1, 2, 5)),
+            *(((0.0, 2.0, 0.9, k), None) for k in (0, 1, 2)),
+            *(((1e-300, 2.0, 0.9, k), None) for k in (0, 1, 2)),
+            # y = 2.5e199 and 1e320: either side of _LIMIT_Y
+            *(((R_SUBNORMAL_NU, d, 0.9, k), None) for d in (1e-60, 2.0) for k in (0, 1, 2)),
+        ],
+    )
+    def test_source_stage_on_both_sides_of_each_switch(self, key, y_side):
+        r, d, tau, _ = key
+        if y_side is not None:  # -1: below the switch, 1: above it
+            switch = 1.0 if r == 1.0 else _LIMIT_Y
+            assert (_y(r, d, tau) > switch) == (y_side > 0)
+        assert _stage_off(key) == []
+
+    def test_reduction_on_a_seeded_box(self):
+        misses = [
+            (channel, l_ac, name)
+            for channel, l_ac in _reduction_box(seed=1588, n=600)
+            for name in _reduction_off(channel, l_ac)
+            if not (name == "eps_th" and _bob_side_cancels(channel))
+        ]
+        assert misses == []
+
+    # T = 1.006e-30 and 9.97e-31; a symmetric T is (V_A - 1) / (V_A + 1) at
+    # any length
+    @pytest.mark.parametrize("l_ac", [1499.0, 1499.2])
+    def test_reduction_on_both_sides_of_tiny_t(self, l_ac):
+        channel = ChannelParams("asymmetric", l_ac, 50.0, 0.96, eps_a=0.002, eps_b=0.002,
+                                eta=0.9, v_el=0.01)
+        assert (_breakdown_at(channel, l_ac)[3] < 1e-30) == (l_ac > 1499.1)
+        assert _reduction_off(channel, l_ac) == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="eps_th = (T_B/T_A)(eps_B - 2) + eps_A + 2/T_A cancels 2/T_A "
+        "when T_B = 1 and eps_B = 0 (see CHANGES.md, FOUND)",
+    )
+    @pytest.mark.parametrize("l_ac", [200.0, 500.0, 1000.0])
+    def test_thermal_excess_without_excess_noise_at_bob(self, l_ac):
+        channel = ChannelParams("asymmetric", l_ac, 50.0, 0.96, eps_a=0.002, eps_b=0.0)
+        assert "eps_th" not in _reduction_off(channel, l_ac)

@@ -293,9 +293,9 @@ class TestSecretKeyRate:
         [
             # OverflowError in the source stage's Laguerre terms
             (SqueezedSourceParams(r=1.0, d=1e150, tau=0.9, k=2), reference_channel()),
-            # a NaN source covariance
+            # NaN source moments: d^2 e^{2r} and D^2 both overflow
             (
-                SqueezedSourceParams(r=0.5 * math.acosh(1e300), d=2.0, tau=0.9, k=1),
+                SqueezedSourceParams(r=0.5 * math.acosh(1e300), d=1e5, tau=0.9, k=1),
                 reference_channel(v_a=1e300),
             ),
             # OverflowError in the symplectic eigenvalues
