@@ -10,8 +10,9 @@ polynomials at the non-positive argument
 where every polynomial is an all-positive sum, so the evaluations below are
 cancellation-free. All of them are one term sum, `scaled_laguerre`, of
 a**n L_n^alpha from a and a*x: a = A keeps the r -> 0 limit finite, and
-a = 1/y keeps the terms bounded where y is large. Stable algebraic rewrites
-used throughout:
+a = 1/y, taken exactly when y > 1, keeps every term bounded. The moment
+terms that grow like y carry no 1/nu^2, so nu^2 may leave the float range.
+Stable algebraic rewrites used throughout:
 
     D = 1 + (1-tau) nu^2            E = mu^2 + tau nu^2 = cosh 2r - (1-tau) nu^2
     mu + nu = e^r                   A = nu^2 (1-tau) / D
@@ -38,17 +39,8 @@ __all__ = ["SUBTRACTION_CAP", "TwoModeCM", "subtraction_probability", "pstmsc_co
 # are negligible for the parameter ranges of interest
 SUBTRACTION_CAP = 16
 
-# above this argument (or degree, once y > 1) the plain term sums of the
-# Laguerre ratios could overflow, so each sum is scaled by a = 1/y; below it
-# the plain sums are left as they are, which keeps the golden outputs exact
-_SCALE_Y = 1e8
-_SCALE_K = 24
-
-# three moment terms carry 1/nu^2 and grow like y; where nu < _NU_MIN (nu^2
-# leaves the normal range) or y > _LIMIT_Y they are evaluated without 1/nu^2,
-# and for y > _LIMIT_Y (r -> 0 at fixed d > 0) at their y -> inf limits;
-# elsewhere the 1/nu^2 forms stay, as they give the golden outputs bit for bit
-_NU_MIN = 1e-150
+# past this argument (r -> 0 at fixed d > 0) the three moment terms that grow
+# like y are taken at their y -> inf limits
 _LIMIT_Y = 1e200
 
 
@@ -77,13 +69,13 @@ def _laguerre_ratios(k: int, y: float) -> tuple[float, float]:
 
     R1 drives the first-derivative terms of the moment formulas and R2 the
     second-derivative ones; R2 - R1^2 <= 0 always. Each polynomial is the
-    positive sum a**n L_n^alpha(-y); with a = 1/y every term is at most
-    C(n+alpha, n-j), so no term overflows however large y gets.
+    positive sum a**n L_n^alpha(-y), with a = 1/y when y > 1 and a = 1
+    otherwise, so every term is at most C(n+alpha, n-j) and none overflows
+    however large y gets.
     """
     if k == 0:
         return 0.0, 0.0
-    scaled = y > _SCALE_Y or (k > _SCALE_K and y > 1.0)
-    a, ay = (1.0 / y, 1.0) if scaled else (1.0, y)
+    a, ay = (1.0 / y, 1.0) if y > 1.0 else (1.0, y)
     l0 = scaled_laguerre(k, a, -ay)
     r1 = scaled_laguerre(k - 1, a, -ay, alpha=1) * a / l0
     r2 = scaled_laguerre(k - 2, a, -ay, alpha=2) * a * a / l0 if k >= 2 else 0.0
@@ -165,28 +157,21 @@ def _source_moments(r: float, d: float, tau: float, k: int) -> tuple[float, ...]
     big_e = math.cosh(2.0 * r) - tap_nu2
     er = math.exp(r)  # mu + nu
     g = d * er / (2.0 * nu)  # sqrt(y D), with no nu^2 to underflow
-    if nu >= _NU_MIN and g * g <= _LIMIT_Y * big_d:
-        y = d * d * er * er / (4.0 * nu * nu * big_d)
+    y = g * g / big_d
+    if y > _LIMIT_Y:
+        # r -> 0 at fixed d > 0, where R1 = k/y and y cur = -k/y to double
+        # precision: the terms below at their y -> inf limits
+        r1 = cur = y_cur = 0.0
+        g_r1 = k * big_d / g
+    else:
         r1, r2 = _laguerre_ratios(k, y)
         cur = r2 - r1 * r1
-        ax = d * d * mu * mu * er * er / (nu * nu * big_d * big_d) * cur
-        cx = d * d * mu * er * er * st / (nu * big_d * big_d) * cur
-        x1 = d * mu * er / (nu * big_d) * r1
-    else:
-        # the same three terms without 1/nu^2, as 4 mu^2 (y cur) / D,
-        # 4 mu nu st (y cur) / D and 2 mu (g R1) / D; past _LIMIT_Y, where
-        # R1 = k/y and y cur = -k/y to double precision, at their limits
-        y = g * g / big_d
-        if y > _LIMIT_Y:
-            r1 = cur = y_cur = 0.0
-            g_r1 = k * big_d / g
-        else:
-            r1, r2 = _laguerre_ratios(k, y)
-            cur = r2 - r1 * r1
-            y_cur, g_r1 = y * cur, g * r1
-        ax = 4.0 * mu * mu * y_cur / big_d
-        cx = 4.0 * mu * nu * st * y_cur / big_d
-        x1 = 2.0 * mu * g_r1 / big_d
+        y_cur, g_r1 = y * cur, g * r1
+    # the three terms that grow like y, as 4 mu^2 (y cur) / D,
+    # 4 mu nu st (y cur) / D and 2 mu (g R1) / D, without 1/nu^2
+    ax = 4.0 * mu * mu * y_cur / big_d
+    cx = 4.0 * mu * nu * st * y_cur / big_d
+    x1 = 2.0 * mu * g_r1 / big_d
 
     vap = (big_e + 2.0 * mu * mu * r1) / big_d
     vax = vap + ax

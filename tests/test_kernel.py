@@ -336,6 +336,14 @@ class TestSourceAndReductionReference:
             assert (_y(r, d, tau) > switch) == (y_side > 0)
         assert _stage_off(key) == []
 
+    def test_source_stage_is_finite_at_v_a_1e300(self):
+        # the 1/nu^2 form gave NaN moments here, as inf / inf
+        key = (0.5 * math.acosh(1e300), 2.0, 0.9, 1)
+        p_ps, vax, *_ = _source_stage(*key)
+        assert p_ps == pytest.approx(3.663e-301, rel=1e-3)
+        assert vax == pytest.approx(39.0)
+        assert _stage_off(key) == []
+
     def test_reduction_on_a_seeded_box(self):
         misses = [
             (channel, l_ac, name)
