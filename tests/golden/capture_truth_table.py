@@ -37,6 +37,17 @@ def _text(values) -> list[str]:
     return [mpmath.nstr(v, DIGITS) for v in values]
 
 
+def _cells(key: tuple, noise: tuple, beta: float) -> list[str] | None:
+    """The KeyRateResult fields p_ps to lambda3 of the source `key` (r, d,
+    tau, k) through the reduction `noise`, or None where p_ps is 0."""
+    import mp_reference
+
+    stage = mp_reference.source_stage(*key)
+    if stage[0] == 0:
+        return None
+    return _text((stage[0], *mp_reference.channel_stage(stage, noise[3], noise[7], beta)))
+
+
 def _sweep_rows(fig: str) -> list:
     """[swept value, family, the seven CSV cells or null] per CSV row, in
     the CSV's order."""
@@ -52,12 +63,7 @@ def _sweep_rows(fig: str) -> list:
         src, ch = _apply_value(spec.source, spec.channel, spec.variable, value)
         noise = mp_reference.breakdown(ch, ch.l_ac)
         for family, pin in zip(spec.families, pins):
-            stage = mp_reference.source_stage(*_pinned(src, pin))
-            if stage[0] == 0:
-                rows.append([value, family, None])
-                continue
-            rate = mp_reference.channel_stage(stage, noise[3], noise[7], ch.beta)
-            rows.append([value, family, _text((stage[0], *rate))])
+            rows.append([value, family, _cells(_pinned(src, pin), noise, ch.beta)])
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows
 
@@ -73,9 +79,8 @@ def _keyrate_numbers(argv: list[str]) -> dict:
     config = load_run_config(args.config, args.set)
     source, channel = config.source, config.channel
     noise = mp_reference.breakdown(channel, channel.l_ac)
-    rate = mp_reference.key_rate(source.r, source.d, source.tau, source.k,
-                                 channel, channel.l_ac)
-    return {**dict(zip(RATE_FIELDS, _text(rate))),
+    key = source.r, source.d, source.tau, source.k
+    return {**dict(zip(RATE_FIELDS, _cells(key, noise, channel.beta))),
             "noise": dict(zip(NOISE_FIELDS, _text(noise)))}
 
 

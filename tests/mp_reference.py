@@ -89,15 +89,6 @@ def breakdown(channel, l_ac: float) -> tuple:
         return t_a, t_b, g, t, eps_th, chi_line, chi_homo, chi_line + 2 * chi_homo / t_a
 
 
-def key_rate(r: float, d: float, tau: float, k: int, channel, l_ac: float) -> tuple:
-    """The KeyRateResult fields p_ps to lambda3, as mpf: `source_stage`,
-    `breakdown` and `channel_stage` composed at 50 digits, from the float
-    inputs alone."""
-    stage = source_stage(r, d, tau, k)
-    noise = breakdown(channel, l_ac)
-    return (stage[0], *channel_stage(stage, noise[3], noise[7], channel.beta))
-
-
 def channel_stage(stage, t: float, chi_tot: float, beta: float) -> tuple:
     """The KeyRateResult fields i_ab to lambda3, as mpf, of the source stage
     `stage` (p_ps, then the TwoModeCM fields) through a channel of

@@ -723,7 +723,7 @@ class TestTruthTable:
         assert sorted(case["name"] for case in cases) == sorted(TRUTH["keyrate"])
         checked, misses = 0, []
         for case in cases:
-            got, ref = json.loads(case["stdout"]), TRUTH["keyrate"][case["name"]]
+            got, ref = json.loads(case["stdout"]), dict(TRUTH["keyrate"][case["name"]])
             got_noise, ref_noise = got.pop("noise"), ref.pop("noise")
             args = cli._build_parser().parse_args(case["argv"])
             beta = load_run_config(args.config, args.set).channel.beta

@@ -337,7 +337,8 @@ class TestSourceAndReductionReference:
         assert _stage_off(key) == []
 
     def test_source_stage_is_finite_at_v_a_1e300(self):
-        # the 1/nu^2 form gave NaN moments here, as inf / inf
+        # d^2 mu^2 e^{2r} and nu^2 D^2 both overflow here, so no moment term
+        # may carry 1/nu^2
         key = (0.5 * math.acosh(1e300), 2.0, 0.9, 1)
         p_ps, vax, *_ = _source_stage(*key)
         assert p_ps == pytest.approx(3.663e-301, rel=1e-3)
