@@ -19,7 +19,7 @@ import operator
 import os
 import sys
 
-from .config import ConfigError, RunConfig, build_sweep_spec, load_run_config
+from .config import ConfigError, RunConfig, load_run_config
 from .errors import PsqkdError
 from .keyrate import secret_key_rate
 from .sweep import (
@@ -52,23 +52,23 @@ def cmd_keyrate(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def render_csv(families: tuple[str, ...], points: list[tuple]) -> str:
-    """Deterministic CSV of the points of `sweep._evaluate`: 12 significant
+def render_csv(rows: list[tuple]) -> str:
+    """Deterministic CSV of the rows of `sweep._evaluate`: 12 significant
     digits, sorted by (value, family); a failed cell prints nan."""
-    rows = []
-    for value, cells in points:
-        head = "%.12g," % value
-        rows += [
-            (value, family, head + family + (_FAILED if isinstance(cell, str) else _CELL % cell))
-            for family, cell in zip(families, cells)
-        ]
-    rows.sort(key=operator.itemgetter(0, 1))
-    return "\n".join([CSV_HEADER, *map(operator.itemgetter(2), rows)]) + "\n"
+    lines = [CSV_HEADER]
+    for value, family, cell in sorted(rows, key=operator.itemgetter(0, 1)):
+        tail = _FAILED if isinstance(cell, str) else _CELL % cell
+        lines.append("%.12g,%s%s" % (value, family, tail))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
-    spec = build_sweep_spec(config)
-    text = render_csv(spec.families, list(_evaluate(spec)))
+    rows = _evaluate(
+        config.source,
+        config.channel,
+        **config.section("sweep", required=("variable", "lo", "hi", "points")),
+    )
+    text = render_csv(rows)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -7,9 +7,10 @@ overrides reuse the same validation with a synthetic source location.
 
 Each section configures one library call: `source`, `channel`, `sweep`,
 `max_distance`, `optimize` and `oracle` configure SqueezedSourceParams,
-ChannelParams, SweepSpec, max_secure_distance, optimize_scalar and
-compare_random_grid. `prefix.name` is keyword `name` of that call, an
-absent key takes that call's default, and the call checks the value. The
+ChannelParams, the sweep (`sweep._evaluate`), max_secure_distance,
+optimize_scalar and compare_random_grid. `prefix.name` is keyword `name`
+of that call, an absent key takes that call's default, and the call
+checks the value. The
 exceptions: `source.r` or `source.variance` is resolved here into r and the
 channel's v_a; `source.k` and `channel.l_ac`, which the calls require,
 default to 0 here; `channel.eps_A`/`eps_B` are `eps_a`/`eps_b`; and
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams
 from .phase_space import SqueezedSourceParams
-from .sweep import SweepSpec
 
 __all__ = [
     "ConfigError",
@@ -31,7 +31,6 @@ __all__ = [
     "parse_config_file",
     "apply_overrides",
     "load_run_config",
-    "build_sweep_spec",
 ]
 
 
@@ -192,11 +191,3 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         values = apply_overrides(values, overrides)
     source, channel = _build_source_channel(values)
     return RunConfig(source=source, channel=channel, values=values)
-
-
-def build_sweep_spec(config: RunConfig) -> SweepSpec:
-    return SweepSpec(
-        source=config.source,
-        channel=config.channel,
-        **config.section("sweep", required=("variable", "lo", "hi", "points")),
-    )

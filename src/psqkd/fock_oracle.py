@@ -1,10 +1,11 @@
 """Truncated Fock-space brute force for the subtraction pipeline.
 
 Everything in this module recomputes the closed forms of `moments` from
-first principles: prepare the displaced two-mode squeezed state as an
-amplitude tensor, mix one mode with a vacuum ancilla on a beam splitter,
-project the ancilla on a photon-number outcome, and read moments off the
-surviving amplitudes with quadrature operators x = a + a', p = i(a' - a).
+first principles: prepare the displaced two-mode squeezed state as its
+amplitude array (a state here is that ndarray), mix one mode with a vacuum
+ancilla on a beam splitter, project the ancilla on a photon-number outcome,
+and read moments off the surviving amplitudes with quadrature operators
+x = a + a', p = i(a' - a).
 
 The state is a closed-form product of non-negative terms (build_tmsc_fock)
 and the beam splitter's vacuum-ancilla column is real, so it stays float64:
@@ -30,7 +31,6 @@ from .errors import TruncationError, ZeroProbabilityError
 from .moments import TwoModeCM, _source_stage
 
 __all__ = [
-    "FockTwoModeState",
     "build_tmsc_fock",
     "apply_bs_and_project",
     "state_covariance",
@@ -45,24 +45,15 @@ _LEAK_TOL = 1e-8
 _GEMM_SIZE = 64**3
 
 
-@dataclass
-class FockTwoModeState:
-    """Normalized two-mode state as an (N+1) x (N+1) amplitude tensor."""
-
-    amps: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return self.amps.shape[0] - 1
-
-    def leakage(self) -> float:
-        """Probability mass in the top 5 retained Fock levels of either mode."""
-        top, right = self.amps[-_LEAK_LEVELS:], self.amps[:, -_LEAK_LEVELS:]
-        return float(np.vdot(top, top).real + np.vdot(right, right).real)
+def _leakage(amps: np.ndarray) -> float:
+    """Probability mass in the top 5 retained Fock levels of either mode."""
+    top, right = amps[-_LEAK_LEVELS:], amps[:, -_LEAK_LEVELS:]
+    return float(np.vdot(top, top).real + np.vdot(right, right).real)
 
 
-def build_tmsc_fock(r: float, d: float, n_max: int) -> FockTwoModeState:
-    """Displaced two-mode squeezed state, truncated at n_max per mode.
+def build_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
+    """Displaced two-mode squeezed state, truncated at n_max per mode: the
+    normalized (n_max+1) x (n_max+1) amplitude tensor.
 
     The displacement d is the x-quadrature mean of each mode before
     squeezing, i.e. coherent amplitude alpha = d/2 in x = a + a' units. The
@@ -105,41 +96,38 @@ def build_tmsc_fock(r: float, d: float, n_max: int) -> FockTwoModeState:
     kept = float(np.linalg.norm(amps))
     cropped = abs(1.0 - kept * kept)
     amps /= kept
-    state = FockTwoModeState(amps)
-    if cropped + state.leakage() > _LEAK_TOL:
+    if cropped + _leakage(amps) > _LEAK_TOL:
         raise TruncationError(
             f"truncation insufficient at n_max={n_max} for r={r}, d={d}: "
-            f"mass above n_max {cropped:.3e}, top-level mass {state.leakage():.3e}"
+            f"mass above n_max {cropped:.3e}, top-level mass {_leakage(amps):.3e}"
         )
-    return state
+    return amps
 
 
-def apply_bs_and_project(
-    state: FockTwoModeState, tau: float, k: int
-) -> tuple[FockTwoModeState, float]:
+def apply_bs_and_project(amps: np.ndarray, tau: float, k: int) -> tuple[np.ndarray, float]:
     """Tap mode 2 with a vacuum ancilla and detect exactly k tap photons.
 
-    Returns the normalized post-detection state and its probability. With
-    the ancilla in vacuum only the beam splitter's |n, 0> input column acts:
-    mode-2 level j + k keeps j photons with amplitude
+    Returns the normalized post-detection amplitudes and their probability.
+    With the ancilla in vacuum only the beam splitter's |n, 0> input column
+    acts: mode-2 level j + k keeps j photons with amplitude
     sqrt(C(j+k, j)) sqrt(tau)^j (-sqrt(1-tau))^k.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = np.zeros_like(state.amps)
-    kept = max(0, state.n_max - k + 1)  # output levels j reachable from j + k
+    out = np.zeros_like(amps)
+    kept = max(0, amps.shape[0] - k)  # output levels j reachable from j + k
     binom = np.array([math.comb(j + k, k) for j in range(kept)], dtype=float)
     column = np.sqrt(binom) * math.sqrt(tau) ** np.arange(kept) * (-math.sqrt(1.0 - tau)) ** k
-    out[:, :kept] = state.amps[:, k : k + kept] * column
+    out[:, :kept] = amps[:, k : k + kept] * column
     prob = float(np.vdot(out, out).real)
     if prob < 1e-300:
         raise ZeroProbabilityError(
             f"{k}-photon detection has probability {prob:.1e} (treated as zero)"
         )
     out /= math.sqrt(prob)
-    return FockTwoModeState(out), prob
+    return out, prob
 
 
 def _x_and_w(v: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +142,7 @@ def _x_and_w(v: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raised + lowered, raised - lowered
 
 
-def state_covariance(state: FockTwoModeState) -> TwoModeCM:
+def state_covariance(amps: np.ndarray) -> TwoModeCM:
     """Means and covariance of a two-mode Fock state, x and w once per mode.
 
     P = iW gives ||P psi|| = ||W psi||, <P1 psi|P2 psi> = <W1 psi|W2 psi>
@@ -162,8 +150,7 @@ def state_covariance(state: FockTwoModeState) -> TwoModeCM:
     <X1 psi|X2 psi> these are the Weyl-ordered moments. The p means enter
     the p variances only; TwoModeCM carries the x means.
     """
-    amps = state.amps
-    root = np.sqrt(np.arange(1.0, state.n_max + 1))[:, None]
+    root = np.sqrt(np.arange(1.0, amps.shape[0]))[:, None]
     x1, w1 = _x_and_w(amps, root)
     x2, w2 = (q.T for q in _x_and_w(amps.T, root))
     mean_x1, mean_x2 = np.vdot(amps, x1).real, np.vdot(amps, x2).real

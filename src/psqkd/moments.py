@@ -102,7 +102,10 @@ def _probability(r: float, d: float, tau: float, k: int, nu: float, big_d: float
     er2 = math.exp(2.0 * r)  # (mu + nu)^2
     ay = (1.0 - tau) * d * d * er2 / (4.0 * big_d * big_d)
     expo = -d * d * (1.0 - tau) * er2 / (4.0 * big_d)
-    p = math.exp(expo) / big_d * scaled_laguerre(k, a_coef, -ay)
+    weight = math.exp(expo)
+    if weight == 0.0:  # p underflows; skip the sum, whose ay may be inf / inf
+        return 0.0
+    p = weight / big_d * scaled_laguerre(k, a_coef, -ay)
     return min(max(p, 0.0), 1.0)
 
 

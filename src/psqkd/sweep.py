@@ -3,17 +3,17 @@
 A sweep evaluates the key-rate pipeline over a grid of one variable for a
 list of state families. Families are realized as limits of the same source
 parametrization: "tmsv" pins (k=0, tau=1, d=0), "<k>-pstmsv" pins d=0, and
-"<k>-pstmsc" uses the source values as-is. `_evaluate` runs the grid on
-floats and keeps a failed cell's message rather than aborting, so the output
-shape is always predictable; `psqkd sweep` writes its CSV straight from
-those floats. Sweeps and `optimize_scalar` stage alike, through `_Staged`.
+"<k>-pstmsc" uses the source values as-is. `_evaluate` checks its
+arguments, then runs the grid on floats and keeps a failed cell's message
+rather than aborting, so the output shape is always predictable; `psqkd
+sweep` writes its CSV straight from those floats. Sweeps and
+`optimize_scalar` stage alike, through `_Staged`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .channel import ChannelParams, _breakdown_at
 from .errors import (
@@ -29,7 +29,6 @@ from .phase_space import SqueezedSourceParams
 __all__ = [
     "SWEEP_VARIABLES",
     "DEFAULT_FAMILIES",
-    "SweepSpec",
     "resolve_family",
     "resolve_families",
     "max_secure_distance",
@@ -45,35 +44,6 @@ _FAMILY_RE = re.compile(r"(0|[1-9][0-9]*)-pstms([cv])")
 # distance search: 1 km pre-scan cap and bisection tolerance
 _SCAN_LIMIT_KM = 1000.0
 _DISTANCE_TOL_KM = 0.01
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-variable grid over the key-rate pipeline."""
-
-    variable: str
-    lo: float
-    hi: float
-    points: int
-    source: SqueezedSourceParams
-    channel: ChannelParams
-    families: tuple[str, ...] = DEFAULT_FAMILIES
-
-    def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(
-                f"unknown sweep variable {self.variable!r}; expected one of {SWEEP_VARIABLES}"
-            )
-        if not (type(self.points) is int and self.points >= 0):
-            raise ValueError(f"points must be a non-negative integer, got {self.points!r}")
-        if self.points > 1 and not self.lo < self.hi:
-            raise ValueError(f"need lo < hi for a multi-point grid, got [{self.lo}, {self.hi}]")
-        if self.points > 1:
-            _check_width(self.lo, self.hi)
-        _parse_families(self.families)
-
-    def grid(self) -> list[float]:
-        return _grid(self.lo, self.hi, self.points)
 
 
 def _check_width(lo: float, hi: float) -> None:
@@ -226,17 +196,39 @@ def _cell(stage, noise, beta: float):
         return str(exc)
 
 
-def _evaluate(spec: SweepSpec):
-    """Yield (swept value, `_cell` of each family) per grid point, on floats."""
-    staged = _Staged(spec.source, spec.channel, spec.variable, spec.families)
-    for value in spec.grid():
+def _evaluate(
+    source: SqueezedSourceParams,
+    channel: ChannelParams,
+    variable: str,
+    lo: float,
+    hi: float,
+    points: int,
+    families: tuple[str, ...] = DEFAULT_FAMILIES,
+) -> list[tuple]:
+    """(swept value, family, `_cell`) of each family at each grid point, on
+    floats; the arguments are checked before the first point."""
+    if variable not in SWEEP_VARIABLES:
+        raise ValueError(f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}")
+    if not (type(points) is int and points >= 0):
+        raise ValueError(f"points must be a non-negative integer, got {points!r}")
+    if points > 1:
+        if not lo < hi:
+            raise ValueError(f"need lo < hi for a multi-point grid, got [{lo}, {hi}]")
+        _check_width(lo, hi)
+    staged = _Staged(source, channel, variable, families)
+    rows = []
+    for value in _grid(lo, hi, points):
         try:
             ch, stages = staged.at(value)
         except (PsqkdError, ValueError) as exc:
-            yield value, [str(exc)] * len(spec.families)
+            rows += [(value, family, str(exc)) for family in families]
             continue
         noise = staged.reduction(ch)
-        yield value, [_cell(stage, noise, ch.beta) for stage in stages]
+        rows += [
+            (value, family, _cell(stage, noise, ch.beta))
+            for family, stage in zip(families, stages)
+        ]
+    return rows
 
 
 def _rate_at_distance(stage: tuple[float, ...], channel: ChannelParams, l_ac: float) -> float:

@@ -18,7 +18,6 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from psqkd.fock_oracle import FockTwoModeState
 from psqkd.moments import TwoModeCM
 
 # levels carried above n_max through the squeeze exponential, then cropped;
@@ -55,7 +54,7 @@ def recurrence_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
     return amps
 
 
-def expm_tmsc_fock(r: float, d: float, n_max: int) -> FockTwoModeState:
+def expm_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
     """Displaced two-mode squeezed state by exponentiating the squeezer.
 
     Coherent amplitude d/2 in both modes, then exp(r (a1' a2' - a1 a2)) on a
@@ -74,7 +73,7 @@ def expm_tmsc_fock(r: float, d: float, n_max: int) -> FockTwoModeState:
         gen = r * (scipy.sparse.kron(adag, adag) - scipy.sparse.kron(a, a)).tocsc()
         vec = expm_multiply(gen, vec)
     amps = vec.reshape(dim, dim)[: n_max + 1, : n_max + 1]
-    return FockTwoModeState(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def bs_block(total_n: int, tau: float, lo: int, hi: int) -> np.ndarray:
@@ -140,7 +139,7 @@ def _weyl_apply(v: np.ndarray, n_x: int, n_p: int, root: np.ndarray) -> np.ndarr
     return acc / len(words)
 
 
-def fock_moment(state: FockTwoModeState, i: int, j: int, m: int, n: int) -> float:
+def fock_moment(state: np.ndarray, i: int, j: int, m: int, n: int) -> float:
     """Phase-space moment <x1^i p1^j x2^m p2^n> of a two-mode Fock state.
 
     Uses symmetric operator ordering, which is what moments of a Wigner
@@ -152,15 +151,15 @@ def fock_moment(state: FockTwoModeState, i: int, j: int, m: int, n: int) -> floa
         raise ValueError("moment orders must be non-negative")
     if sum(orders) > 4:
         raise ValueError(f"order {orders} too high for the truncation margin")
-    amps = np.asarray(state.amps, dtype=complex)
-    root = np.sqrt(np.arange(1.0, state.n_max + 1))[:, None]
+    amps = np.asarray(state, dtype=complex)
+    root = np.sqrt(np.arange(1.0, state.shape[0]))[:, None]
     applied = _weyl_apply(_weyl_apply(amps, i, j, root).T, m, n, root).T
     val = np.vdot(amps, applied)
     assert abs(val.imag) < 1e-10, f"non-real moment {val}"
     return float(val.real)
 
 
-def moment_covariance(state: FockTwoModeState) -> TwoModeCM:
+def moment_covariance(state: np.ndarray) -> TwoModeCM:
     """Means and covariance of a two-mode Fock state from ten fock_moment calls."""
     m_x1 = fock_moment(state, 1, 0, 0, 0)
     m_p1 = fock_moment(state, 0, 1, 0, 0)

@@ -51,18 +51,20 @@ def _cells(key: tuple, noise: tuple, beta: float) -> list[str] | None:
 def _sweep_rows(fig: str) -> list:
     """[swept value, family, the seven CSV cells or null] per CSV row, in
     the CSV's order."""
-    from psqkd.config import build_sweep_spec, load_run_config
-    from psqkd.sweep import _apply_value, _family_pins, _pinned
+    from psqkd.config import load_run_config
+    from psqkd.sweep import DEFAULT_FAMILIES, _apply_value, _family_pins, _grid, _pinned
 
     import mp_reference
 
-    spec = build_sweep_spec(load_run_config(f"configs/{fig}.cfg"))
-    pins = [_family_pins(name) for name in spec.families]
+    config = load_run_config(f"configs/{fig}.cfg")
+    grid = config.section("sweep")
+    families = grid.get("families", DEFAULT_FAMILIES)
+    pins = [_family_pins(name) for name in families]
     rows = []
-    for value in spec.grid():
-        src, ch = _apply_value(spec.source, spec.channel, spec.variable, value)
+    for value in _grid(grid["lo"], grid["hi"], grid["points"]):
+        src, ch = _apply_value(config.source, config.channel, grid["variable"], value)
         noise = mp_reference.breakdown(ch, ch.l_ac)
-        for family, pin in zip(spec.families, pins):
+        for family, pin in zip(families, pins):
             rows.append([value, family, _cells(_pinned(src, pin), noise, ch.beta)])
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows

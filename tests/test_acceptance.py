@@ -24,7 +24,6 @@ from psqkd.moments import pstmsc_covariance, subtraction_probability
 from psqkd.phase_space import SqueezedSourceParams, scaled_laguerre
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
-    SweepSpec,
     _evaluate,
     max_secure_distance,
     resolve_family,
@@ -365,8 +364,7 @@ def test_acceptance_7_property_suite(capsys):
             lag_ok = False
 
     # deterministic sweeps: a second run must not change a single byte
-    spec = SweepSpec("L_AC", 0.0, 50.0, 11, SOURCE, ASYM)
-    csv = [render_csv(spec.families, list(_evaluate(spec))) for _ in range(2)]
+    csv = [render_csv(_evaluate(SOURCE, ASYM, "L_AC", 0.0, 50.0, 11)) for _ in range(2)]
     sweeps_ok = csv[0] == csv[1]
 
     ok = physical and monotone and chi_ok and lag_ok and sweeps_ok

@@ -1,5 +1,6 @@
 """Config parsing, CSV rendering, exit codes, and golden-file stability."""
 
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -29,7 +30,6 @@ from psqkd.config import (
     _KNOWN_KEYS,
     ConfigError,
     apply_overrides,
-    build_sweep_spec,
     load_run_config,
     parse_config_file,
 )
@@ -40,9 +40,9 @@ from psqkd.phase_space import SqueezedSourceParams
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
     SWEEP_VARIABLES,
-    SweepSpec,
     _apply_value,
     _evaluate,
+    _grid,
     max_secure_distance,
     optimize_scalar,
     resolve_family,
@@ -151,17 +151,19 @@ class TestConfigParsing:
             "source.d": "2"
         }
 
-    def test_build_sweep_spec_requires_grid_keys(self, base_cfg):
+    def test_sweep_requires_grid_keys(self, base_cfg, tmp_path):
+        out = argparse.Namespace(out=str(tmp_path / "s.csv"))
         config = load_run_config(base_cfg)
         with pytest.raises(ConfigError, match="sweep.variable"):
-            build_sweep_spec(config)
+            cli.cmd_sweep(config, out)
         config = load_run_config(
             base_cfg, ["sweep.variable=L_AC", "sweep.lo=0", "sweep.hi=10"]
         )
         with pytest.raises(ConfigError, match="sweep.points"):
-            build_sweep_spec(config)
+            cli.cmd_sweep(config, out)
+        assert not (tmp_path / "s.csv").exists()
 
-    def test_build_sweep_spec_families_list(self, base_cfg):
+    def test_sweep_families_list(self, base_cfg):
         config = load_run_config(
             base_cfg,
             [
@@ -172,15 +174,14 @@ class TestConfigParsing:
                 "sweep.families=tmsv, 1-pstmsc",
             ],
         )
-        spec = build_sweep_spec(config)
-        assert spec.families == ("tmsv", "1-pstmsc")
+        assert config.section("sweep")["families"] == ("tmsv", "1-pstmsc")
 
 
 # the library call each config section configures
 SECTION_CALLS = {
     "source": SqueezedSourceParams,
     "channel": ChannelParams,
-    "sweep": SweepSpec,
+    "sweep": _evaluate,
     "max_distance": max_secure_distance,
     "optimize": optimize_scalar,
     "oracle": compare_random_grid,
@@ -209,42 +210,41 @@ class TestRenderCsv:
                 "sweep.families=" + ",".join(families),
             ],
         )
-        spec = build_sweep_spec(config)
-        return spec.families, list(_evaluate(spec))
+        return _evaluate(config.source, config.channel, **config.section("sweep"))
 
     def test_header_and_shape(self, base_cfg):
-        text = render_csv(*self.make_points(base_cfg))
+        text = render_csv(self.make_points(base_cfg))
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 3 * 2
         assert text.endswith("\n")
 
     def test_rows_sorted_by_value_then_family(self, base_cfg):
-        lines = render_csv(*self.make_points(base_cfg)).strip().split("\n")[1:]
+        lines = render_csv(self.make_points(base_cfg)).strip().split("\n")[1:]
         keys = [(float(l.split(",")[0]), l.split(",")[1]) for l in lines]
         assert keys == sorted(keys)
 
     def test_failed_cells_render_as_nan(self, base_cfg):
-        lines = render_csv(*self.make_points(base_cfg)).strip().split("\n")
+        lines = render_csv(self.make_points(base_cfg)).strip().split("\n")
         tau_one = [l for l in lines if l.startswith("1,1-pstmsc")]
         assert tau_one == ["1,1-pstmsc" + ",nan" * 7]
 
     def test_twelve_significant_digits(self, base_cfg):
-        lines = render_csv(*self.make_points(base_cfg)).strip().split("\n")
+        lines = render_csv(self.make_points(base_cfg)).strip().split("\n")
         row = next(l for l in lines if l.startswith("0.8,1-pstmsc"))
         p_ps = row.split(",")[2]
         assert len(p_ps.replace("0.", "")) >= 11
 
 
-def _records(spec) -> list[tuple]:
+def _records(source, channel, variable, lo, hi, points, families) -> list[tuple]:
     """(swept value, family, KeyRateResult or None where it fails) of each
-    cell of `spec`, from `secret_key_rate` cell by cell."""
+    cell of the sweep, from `secret_key_rate` cell by cell."""
     cells = []
-    for value in spec.grid():
-        for family in spec.families:
+    for value in _grid(lo, hi, points):
+        for family in families:
             try:
-                source, channel = _apply_value(spec.source, spec.channel, spec.variable, value)
-                result = secret_key_rate(resolve_family(family, source), channel)
+                src, ch = _apply_value(source, channel, variable, value)
+                result = secret_key_rate(resolve_family(family, src), ch)
             except (PsqkdError, ValueError):
                 result = None
             cells.append((value, family, result))
@@ -261,11 +261,12 @@ def _csv_of_records(cells) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _seeded_specs(variable):
-    """Sweeps of `variable` from seeded base points, with 0, 1 and 9 points.
+def _seeded_sweeps(variable):
+    """`_evaluate`'s arguments for sweeps of `variable` from seeded base
+    points, with 0, 1 and 9 points.
     Each 9-point range runs into failed cells: an underflowing fiber
     transmittance, V_A < 1, an overflowing source stage, a zero-probability
-    subtraction at tau = 1, eta = 0. The last spec repeats grid values."""
+    subtraction at tau = 1, eta = 0. The last sweep repeats grid values."""
     lo, hi = {"L_AC": (0.0, 1e6), "V_A": (0.5, 300.0), "d": (0.0, 60.0),
               "tau": (0.0, 1.0), "eta": (0.0, 1.0)}[variable]
     families = DEFAULT_FAMILIES + ("0-pstmsc", "3-pstmsv", "4-pstmsc")
@@ -281,9 +282,9 @@ def _seeded_specs(variable):
             v_a=v_a, beta=float(rng.uniform(0.8, 1.0)), eps_a=0.002, eps_b=0.002,
             eta=float(rng.uniform(0.5, 1.0)), v_el=float(rng.uniform(0.0, 0.1)),
         )
-        yield SweepSpec(variable, lo, hi, points, source, channel, families)
+        yield source, channel, variable, lo, hi, points, families
     # 1e17 + 2 i rounds to 1e17 or 1e17 + 16: the rows of equal values interleave
-    yield SweepSpec(variable, 1e17, 100000000000000016, 9, source, channel, families)
+    yield source, channel, variable, 1e17, 100000000000000016, 9, families
 
 
 class TestSweepCells:
@@ -292,27 +293,27 @@ class TestSweepCells:
         # the cells themselves are checked against the records in
         # test_sweep.py's test_seeded_sweeps_match_cell_by_cell_pipeline
         failed = succeeded = 0
-        for spec in _seeded_specs(variable):
-            records = _records(spec)
-            assert render_csv(spec.families, list(_evaluate(spec))) == _csv_of_records(records)
+        for args in _seeded_sweeps(variable):
+            records = _records(*args)
+            assert render_csv(_evaluate(*args)) == _csv_of_records(records)
             failed += sum(result is None for _, _, result in records)
             succeeded += sum(result is not None for _, _, result in records)
         assert failed > 0
         assert succeeded > 0
 
     def test_repeated_grid_values_interleave_by_family(self):
-        spec = SweepSpec(
-            "V_A", 1e17, 100000000000000016, 9,
+        grid = _grid(1e17, 100000000000000016, 9)
+        low = grid.count(1e17)
+        assert 1 < low < 9 and set(grid) == {1e17, 100000000000000016}
+        rows = _evaluate(
             SqueezedSourceParams(1.0, 2.0, 0.9, 1),
             ChannelParams("asymmetric", 20.0, 50.0, 0.96, 0.002, 0.002),
+            "V_A", 1e17, 100000000000000016, 9,
         )
-        low = spec.grid().count(1e17)
-        assert 1 < low < 9 and set(spec.grid()) == {1e17, 100000000000000016}
-        lines = render_csv(spec.families, list(_evaluate(spec))).splitlines()[1:]
-        families = [line.split(",")[1] for line in lines]
+        families = [line.split(",")[1] for line in render_csv(rows).splitlines()[1:]]
         # each family's rows of the lower value, then the next family's
-        assert families[: 5 * low] == sorted(spec.families * low)
-        assert families[5 * low :] == sorted(spec.families * (9 - low))
+        assert families[: 5 * low] == sorted(DEFAULT_FAMILIES * low)
+        assert families[5 * low :] == sorted(DEFAULT_FAMILIES * (9 - low))
 
 
 class TestMainExitCodes:

@@ -21,7 +21,6 @@ from fock_reference import (
 from mp_reference import fock_oracle_50
 from psqkd.errors import TruncationError, ZeroProbabilityError
 from psqkd.fock_oracle import (
-    FockTwoModeState,
     _rel_dev,
     apply_bs_and_project,
     build_tmsc_fock,
@@ -39,25 +38,25 @@ CM_FIELDS = ("vax", "vap", "vbx", "vbp", "vcx", "vcp", "mean_x1", "mean_x2")
 class TestBuildState:
     def test_vacuum(self):
         state = build_tmsc_fock(0.0, 0.0, 5)
-        assert state.n_max == 5
-        assert state.amps[0, 0] == pytest.approx(1.0, rel=1e-14)
-        assert np.sum(np.abs(state.amps)) == pytest.approx(1.0, rel=1e-14)
+        assert state.shape == (6, 6)
+        assert state[0, 0] == pytest.approx(1.0, rel=1e-14)
+        assert np.sum(np.abs(state)) == pytest.approx(1.0, rel=1e-14)
 
     def test_two_mode_squeezing_gives_schmidt_diagonal(self):
         r = 0.5
         state = build_tmsc_fock(r, 0.0, 30)
         th = math.tanh(r)
         for n in range(6):
-            assert state.amps[n, n].real == pytest.approx(
+            assert state[n, n].real == pytest.approx(
                 th**n / math.cosh(r), rel=1e-10
             )
-        off = state.amps - np.diag(np.diag(state.amps))
+        off = state - np.diag(np.diag(state))
         assert np.max(np.abs(off)) < 1e-12
 
     def test_normalized(self):
         state = build_tmsc_fock(0.7, 1.5, suggested_truncation(0.7, 1.5))
-        assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
-        assert state.leakage() < 1e-8
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+        assert fock_oracle._leakage(state) < 1e-8
 
     def test_truncation_guard_fires_when_too_small(self):
         with pytest.raises(TruncationError):
@@ -72,8 +71,8 @@ class TestBuildState:
     )
     def test_product_matches_squeezer_exponential(self, r, d):
         n_max = suggested_truncation(r, d)
-        got = build_tmsc_fock(r, d, n_max).amps
-        reference = expm_tmsc_fock(r, d, n_max).amps
+        got = build_tmsc_fock(r, d, n_max)
+        reference = expm_tmsc_fock(r, d, n_max)
         assert np.max(np.abs(got - reference)) < 1e-12
 
     def test_product_matches_row_recurrence(self):
@@ -84,7 +83,7 @@ class TestBuildState:
             n_max = suggested_truncation(r, d)
             while True:  # the wide box's corner outgrows suggested_truncation
                 try:
-                    got = build_tmsc_fock(r, d, n_max).amps
+                    got = build_tmsc_fock(r, d, n_max)
                     break
                 except TruncationError:
                     assert n_max < 500, (r, d, n_max)
@@ -101,7 +100,7 @@ class TestBuildState:
         for n_max in (base, 2 * base, 400):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = build_tmsc_fock(r, d, n_max).amps
+                got = build_tmsc_fock(r, d, n_max)
             reference = recurrence_tmsc_fock(r, d, n_max)
             reference /= np.linalg.norm(reference)
             assert np.all(np.isfinite(got))
@@ -127,7 +126,7 @@ def _projected_columns(tau, n_max):
     unnormalized amplitude cols[j + k, j] / sqrt(n_max + 1) at [j + k, j].
     """
     dim = n_max + 1
-    diagonal = FockTwoModeState(np.eye(dim, dtype=complex) / math.sqrt(dim))
+    diagonal = np.eye(dim, dtype=complex) / math.sqrt(dim)
     cols = np.zeros((dim, dim))
     for k in range(dim):
         try:
@@ -135,7 +134,7 @@ def _projected_columns(tau, n_max):
         except ZeroProbabilityError:
             continue
         for j in range(dim - k):
-            cols[j + k, j] = out.amps[j + k, j].real * math.sqrt(prob * dim)
+            cols[j + k, j] = out[j + k, j].real * math.sqrt(prob * dim)
     return cols
 
 
@@ -160,7 +159,7 @@ class TestClosedFormColumn:
 
 class TestProjection:
     def test_more_tap_photons_than_levels(self):
-        state = FockTwoModeState(np.ones((9, 9), dtype=complex) / 9.0)
+        state = np.ones((9, 9), dtype=complex) / 9.0
         _, prob = apply_bs_and_project(state, 0.5, 8)
         assert prob > 0.0
         for k in (9, 20):
@@ -198,22 +197,20 @@ class TestProjection:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def _subtracted_state() -> FockTwoModeState:
+def _subtracted_state() -> np.ndarray:
     state, _ = apply_bs_and_project(build_tmsc_fock(0.5, 1.0, 50), 0.7, 2)
     return state
 
 
-def _rotated_state() -> FockTwoModeState:
+def _rotated_state() -> np.ndarray:
     """A subtracted state with both modes rotated in phase space.
 
     The rotation makes the amplitudes complex, so that moments odd in p do
     not vanish.
     """
     state = _subtracted_state()
-    levels = np.arange(state.n_max + 1)
-    return FockTwoModeState(
-        state.amps * np.exp(0.4j * levels)[:, None] * np.exp(-0.7j * levels)
-    )
+    levels = np.arange(state.shape[0])
+    return state * np.exp(0.4j * levels)[:, None] * np.exp(-0.7j * levels)
 
 
 def _assert_matches_moment_reference(state, context=None):
@@ -250,7 +247,7 @@ class TestMoments:
 
     def test_matches_dense_weyl_reference(self):
         state = _rotated_state()
-        dim = state.n_max + 1
+        dim = state.shape[0]
         a = destroy(dim)
         x = a + a.T
         p = 1j * (a.T - a)
@@ -270,7 +267,7 @@ class TestMoments:
                 continue
             i, j, m, n = orders
             w1, w2 = weyl(i, j), weyl(m, n)
-            reference = np.vdot(state.amps, w1 @ state.amps @ w2.T).real
+            reference = np.vdot(state, w1 @ state @ w2.T).real
             got = fock_moment(state, *orders)
             assert abs(got - reference) <= 1e-12 * max(1.0, abs(reference)), orders
 
@@ -321,9 +318,9 @@ class TestStateCovariance:
 
     def test_real_state_stays_float64(self):
         state = build_tmsc_fock(0.5, 1.0, 50)
-        assert state.amps.dtype == np.float64
+        assert state.dtype == np.float64
         state, prob = apply_bs_and_project(state, 0.7, 2)
-        assert state.amps.dtype == np.float64
+        assert state.dtype == np.float64
         assert type(prob) is float
         cm = state_covariance(state)
         assert all(type(getattr(cm, field)) is float for field in CM_FIELDS)
@@ -343,10 +340,10 @@ class TestFiftyDigitOracle:
         n_max = suggested_truncation(r, d)
         built, prob, projected, cm = fock_oracle_50(r, d, tau, k, n_max)
         state = build_tmsc_fock(r, d, n_max)
-        assert np.max(np.abs(state.amps - np.array(built, dtype=float))) <= 1e-14
+        assert np.max(np.abs(state - np.array(built, dtype=float))) <= 1e-14
         state, got_prob = apply_bs_and_project(state, tau, k)
         assert _rel_dev(got_prob, float(prob)) <= 1e-14
-        assert np.max(np.abs(state.amps - np.array(projected, dtype=float))) <= 1e-14
+        assert np.max(np.abs(state - np.array(projected, dtype=float))) <= 1e-14
         got = state_covariance(state)
         for field, value in zip(CM_FIELDS, cm):
             assert _rel_dev(getattr(got, field), float(value)) <= 1e-14, field

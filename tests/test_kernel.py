@@ -20,7 +20,7 @@ import mp_reference
 import psqkd.sweep as sweep
 from keyrate_reference import RATE_FIELDS, channel_stage
 from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, _breakdown_at
-from psqkd.config import build_sweep_spec, load_run_config
+from psqkd.config import load_run_config
 from psqkd.errors import PsqkdError, ZeroProbabilityError
 from psqkd.keyrate import _PURITY_EPS, _channel_stage
 from psqkd.moments import _LIMIT_Y, SUBTRACTION_CAP, TwoModeCM, _source_stage
@@ -81,11 +81,15 @@ def _golden_cells() -> list[tuple]:
     that reaches the channel stage."""
     pairs = []
     for path in CONFIGS:
-        spec = build_sweep_spec(load_run_config(str(path)))
-        pins = [sweep._family_pins(name) for name in spec.families]
-        for value in spec.grid():
+        config = load_run_config(str(path))
+        grid = config.section("sweep")
+        families = grid.get("families", sweep.DEFAULT_FAMILIES)
+        pins = [sweep._family_pins(name) for name in families]
+        for value in sweep._grid(grid["lo"], grid["hi"], grid["points"]):
             try:
-                src, ch = sweep._apply_value(spec.source, spec.channel, spec.variable, value)
+                src, ch = sweep._apply_value(
+                    config.source, config.channel, grid["variable"], value
+                )
                 noise = _breakdown_at(ch, ch.l_ac)
             except (PsqkdError, ValueError):
                 continue

@@ -287,17 +287,23 @@ class TestSecretKeyRate:
                 SqueezedSourceParams(r=0.5, d=0.0, tau=1.0, k=1),
                 reference_channel(),
             )
-
-    @pytest.mark.parametrize(
-        "source, channel",
-        [
-            # OverflowError in the source stage's Laguerre terms
+        # exp(-y D A) underflows to 0: p_ps is 0, not an overflow of the
+        # Laguerre sum, nor NaN where d^2 e^{2r} and D^2 both overflow
+        for source, channel in [
             (SqueezedSourceParams(r=1.0, d=1e150, tau=0.9, k=2), reference_channel()),
-            # NaN source moments: d^2 e^{2r} and D^2 both overflow
             (
                 SqueezedSourceParams(r=0.5 * math.acosh(1e300), d=1e5, tau=0.9, k=1),
                 reference_channel(v_a=1e300),
             ),
+        ]:
+            with pytest.raises(ZeroProbabilityError):
+                secret_key_rate(source, channel)
+
+    @pytest.mark.parametrize(
+        "source, channel",
+        [
+            # OverflowError in the source stage: e^{2r} overflows
+            (SqueezedSourceParams(r=400.0, d=1.0, tau=0.9, k=2), reference_channel()),
             # OverflowError in the symplectic eigenvalues
             (tmsv_source(50.0), reference_channel(eps_a=1e150)),
             # a NaN key rate

@@ -15,7 +15,6 @@ import pytest
 
 from psqkd.errors import ZeroProbabilityError
 from psqkd.fock_oracle import (
-    FockTwoModeState,
     _rel_dev,
     apply_bs_and_project,
     build_tmsc_fock,
@@ -305,6 +304,12 @@ class TestCovariance:
             pstmsc_covariance(params(tau=1.0, k=1))
         with pytest.raises(ZeroProbabilityError):
             pstmsc_covariance(params(r=0.0, d=0.0, tau=0.5, k=1))
+        # d^2 e^{2r} and D^2 both overflow, so exp(-y D A) underflows to 0
+        # where y A = inf / inf; p_ps is 0, not NaN
+        for r, d in ((345.73, 1e5), (354.0, 20.0)):
+            with pytest.raises(ZeroProbabilityError):
+                moments._source_stage(r, d, 0.9, 1)
+            assert subtraction_probability(params(r=r, d=d, tau=0.9, k=1)) == 0.0
 
     def test_physicality_on_random_grid(self):
         rng = np.random.default_rng(20240817)
@@ -347,7 +352,7 @@ class TestCovariance:
         # is even in p, so the reflected oracle must still match
         state = build_tmsc_fock(0.5, 1.0, suggested_truncation(0.5, 1.0))
         state, _ = apply_bs_and_project(state, 0.8, 1)
-        reflected = FockTwoModeState(np.conj(state.amps))
+        reflected = np.conj(state)
         closed = pstmsc_covariance(params(r=0.5, d=1.0, tau=0.8, k=1))
         mean1 = fock_moment(reflected, 1, 0, 0, 0)
         mean2 = fock_moment(reflected, 0, 0, 1, 0)

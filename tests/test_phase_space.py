@@ -58,8 +58,8 @@ def origin_wigner_parity(r: float, d: float, tau: float, k: int, n_max: int) -> 
     state = build_tmsc_fock(r, d, n_max)
     if not (tau == 1.0 and k == 0):
         state, _ = apply_bs_and_project(state, tau, k)
-    n1, n2 = np.indices(state.amps.shape)
-    return 4.0 * float(np.sum((-1.0) ** (n1 + n2) * np.abs(state.amps) ** 2))
+    n1, n2 = np.indices(state.shape)
+    return 4.0 * float(np.sum((-1.0) ** (n1 + n2) * np.abs(state) ** 2))
 
 
 def hermite_wigner(n: int, x: float, p: float) -> float:

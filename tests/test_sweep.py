@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 import psqkd.sweep as sweep
 from psqkd import cli
 from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown
-from psqkd.config import build_sweep_spec, load_run_config
+from psqkd.config import load_run_config
 from psqkd.errors import NoSecureRegionError, PsqkdError, TargetUnreachableError
 from psqkd.keyrate import KeyRateResult, secret_key_rate
 from psqkd.phase_space import SqueezedSourceParams
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
     SWEEP_VARIABLES,
-    SweepSpec,
     max_secure_distance,
     optimize_scalar,
     resolve_family,
@@ -70,67 +69,74 @@ class TestResolveFamily:
                 resolve_family(name, base_source())
 
 
-class TestSweepSpecValidation:
+class TestSweepArguments:
+    # `_evaluate` checks its arguments before the first grid point
     def test_unknown_variable(self):
         with pytest.raises(ValueError, match="unknown sweep variable"):
-            SweepSpec("L", 0, 1, 2, base_source(), base_channel())
+            sweep._evaluate(base_source(), base_channel(), "L", 0, 1, 2)
 
     def test_negative_points(self):
         # a float or a bool is no point count either; 2.5 once failed in
         # grid() with a bare TypeError, and True gave a one-point grid
         for points in (-1, 2.5, 3.0, True):
             with pytest.raises(ValueError, match="points"):
-                SweepSpec("L_AC", 0, 1, points, base_source(), base_channel())
+                sweep._evaluate(base_source(), base_channel(), "L_AC", 0, 1, points)
 
     def test_reversed_bounds(self):
         with pytest.raises(ValueError, match="lo < hi"):
-            SweepSpec("L_AC", 5, 1, 3, base_source(), base_channel())
+            sweep._evaluate(base_source(), base_channel(), "L_AC", 5, 1, 3)
 
     @pytest.mark.parametrize("lo, hi", [(-1.7e308, 1.7e308), (0.0, math.inf), (-math.inf, 0.0)])
     def test_overflowing_width_is_rejected(self, lo, hi):
         # lo + i * (hi - lo) / (points - 1) would give nan and inf swept values
         with pytest.raises(ValueError, match="hi - lo overflows"):
-            SweepSpec("d", lo, hi, 3, base_source(), base_channel())
+            sweep._evaluate(base_source(), base_channel(), "d", lo, hi, 3)
         # the widest finite range still gives finite values
-        spec = SweepSpec("d", -8.9e307, 8.9e307, 3, base_source(), base_channel())
-        assert spec.grid() == [-8.9e307, 0.0, 8.9e307]
+        rows = sweep._evaluate(base_source(), base_channel(), "d", -8.9e307, 8.9e307, 3, ("tmsv",))
+        assert sweep._grid(-8.9e307, 8.9e307, 3) == [-8.9e307, 0.0, 8.9e307]
+        assert [value for value, _, _ in rows] == [-8.9e307, 0.0, 8.9e307]
 
     def test_single_point_ignores_hi(self):
-        spec = SweepSpec("L_AC", 5, 1, 1, base_source(), base_channel())
-        assert list(spec.grid()) == [5.0]
+        rows = sweep._evaluate(base_source(), base_channel(), "L_AC", 5, 1, 1, ("tmsv",))
+        assert sweep._grid(5, 1, 1) == [5.0]
+        assert [value for value, _, _ in rows] == [5.0]
 
     def test_zero_points_is_empty(self):
-        spec = SweepSpec("L_AC", 0, 1, 0, base_source(), base_channel())
-        assert spec.grid() == []
+        assert sweep._grid(0, 1, 0) == []
+        assert sweep._evaluate(base_source(), base_channel(), "L_AC", 0, 1, 0) == []
 
     def test_empty_families(self):
         with pytest.raises(ValueError, match="family list"):
-            SweepSpec("L_AC", 0, 1, 2, base_source(), base_channel(), families=())
+            sweep._evaluate(base_source(), base_channel(), "L_AC", 0, 1, 2, families=())
 
     def test_duplicate_family_rejected(self):
         with pytest.raises(ValueError, match="names a family twice"):
-            SweepSpec(
-                "L_AC", 0, 1, 2, base_source(), base_channel(),
+            sweep._evaluate(
+                base_source(), base_channel(), "L_AC", 0, 1, 2,
                 families=("tmsv", "1-pstmsc", "tmsv"),
             )
         # a second spelling of the same family is no longer a second label
         with pytest.raises(ValueError, match="unknown family '01-pstmsc'"):
-            SweepSpec(
-                "L_AC", 0, 1, 2, base_source(), base_channel(),
+            sweep._evaluate(
+                base_source(), base_channel(), "L_AC", 0, 1, 2,
                 families=("1-pstmsc", "01-pstmsc"),
             )
 
     def test_bad_family_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown family"):
-            SweepSpec(
-                "L_AC", 0, 1, 2, base_source(), base_channel(), families=("qq",)
-            )
+            sweep._evaluate(base_source(), base_channel(), "L_AC", 0, 1, 2, families=("qq",))
 
     def test_family_check_builds_no_source_record(self, monkeypatch):
         source = base_source()
         built = _counting_inits(monkeypatch, SqueezedSourceParams)
-        SweepSpec("L_AC", 0, 1, 2, source, base_channel(), families=DEFAULT_FAMILIES)
+        sweep._evaluate(source, base_channel(), "L_AC", 0, 1, 2, families=DEFAULT_FAMILIES)
         assert built == []
+
+    def test_cli_sweep_parses_the_families_once(self, monkeypatch, tmp_path):
+        parsed = _counting(monkeypatch, "_parse_families")
+        argv = ["sweep", "--config", str(CONFIGS / "fig7.cfg"), "--out", str(tmp_path / "f.csv")]
+        assert cli.main(argv + ["--set", "sweep.families=" + ",".join(DEFAULT_FAMILIES)]) == 0
+        assert parsed == [(DEFAULT_FAMILIES,)]
 
     def test_variable_catalogue(self):
         assert SWEEP_VARIABLES == ("L_AC", "V_A", "d", "tau", "eta")
@@ -146,9 +152,10 @@ class TestSweepSpecValidation:
 class TestGrid:
     def test_fixture_grids_match_linspace(self):
         for path in sorted(CONFIGS.glob("fig*.cfg")):
-            spec = build_sweep_spec(load_run_config(str(path)))
-            expect = np.linspace(spec.lo, spec.hi, spec.points).tolist()
-            assert spec.grid() == expect, path.name
+            grid = load_run_config(str(path)).section("sweep")
+            lo, hi, points = grid["lo"], grid["hi"], grid["points"]
+            expect = np.linspace(lo, hi, points).tolist()
+            assert sweep._grid(lo, hi, points) == expect, path.name
 
     def test_random_grids_match_linspace(self):
         rng = np.random.default_rng(20240817)
@@ -162,28 +169,24 @@ class TestGrid:
 
 class TestEvaluate:
     def test_single_point_matches_direct_evaluation(self):
-        spec = SweepSpec(
-            "L_AC", 20.0, 20.0, 1, base_source(), base_channel(),
-            families=("1-pstmsc",),
+        [(value, family, cell)] = sweep._evaluate(
+            base_source(), base_channel(), "L_AC", 20.0, 20.0, 1, families=("1-pstmsc",)
         )
-        [(value, (cell,))] = sweep._evaluate(spec)
-        assert value == 20.0
+        assert (value, family) == (20.0, "1-pstmsc")
         assert cell == astuple(secret_key_rate(base_source(), base_channel()))[:7]
 
-    def test_two_runs_of_one_spec_are_identical(self):
-        spec = SweepSpec("L_AC", 0.0, 40.0, 9, base_source(), base_channel())
-        first, second = list(sweep._evaluate(spec)), list(sweep._evaluate(spec))
-        assert len(first) == 9
+    def test_two_runs_of_one_sweep_are_identical(self):
+        args = (base_source(), base_channel(), "L_AC", 0.0, 40.0, 9)
+        first, second = sweep._evaluate(*args), sweep._evaluate(*args)
+        assert len(first) == 9 * len(DEFAULT_FAMILIES)
         assert first == second
 
     def test_errors_recorded_per_point_not_raised(self):
         # tau sweep hitting 1.0: subtraction is impossible there for k >= 1
-        spec = SweepSpec(
-            "tau", 0.8, 1.0, 3, base_source(), base_channel(),
-            families=("tmsv", "1-pstmsc"),
+        rows = sweep._evaluate(
+            base_source(), base_channel(), "tau", 0.8, 1.0, 3, families=("tmsv", "1-pstmsc")
         )
-        points = list(sweep._evaluate(spec))
-        value, (tmsv, pstmsc) = points[-1]
+        (value, _, tmsv), (_, _, pstmsc) = rows[-2:]
         assert value == 1.0
         with pytest.raises(PsqkdError) as error:
             secret_key_rate(base_source(tau=1.0), base_channel())
@@ -191,47 +194,44 @@ class TestEvaluate:
         tmsv_source = resolve_family("tmsv", base_source(tau=1.0))
         assert tmsv == astuple(secret_key_rate(tmsv_source, base_channel()))[:7]
         # interior points untouched
-        assert all(isinstance(cell, tuple) for _, cells in points[:-1] for cell in cells)
+        assert all(isinstance(cell, tuple) for _, _, cell in rows[:-2])
 
     def test_v_a_sweep_rewires_squeezing_and_gain(self):
-        spec = SweepSpec(
-            "V_A", 30.0, 30.0, 1, base_source(), base_channel(),
-            families=("1-pstmsc",),
+        [(_, _, cell)] = sweep._evaluate(
+            base_source(), base_channel(), "V_A", 30.0, 30.0, 1, families=("1-pstmsc",)
         )
-        [(_, (cell,))] = sweep._evaluate(spec)
         expect = secret_key_rate(
             base_source(r=0.5 * math.acosh(30.0)), base_channel(v_a=30.0)
         )
         assert cell == astuple(expect)[:7]
 
     def test_v_a_below_one_is_an_in_row_error(self):
-        spec = SweepSpec(
-            "V_A", 0.5, 0.5, 1, base_source(), base_channel(),
-            families=("tmsv",),
+        [(_, _, cell)] = sweep._evaluate(
+            base_source(), base_channel(), "V_A", 0.5, 0.5, 1, families=("tmsv",)
         )
-        [(_, (cell,))] = sweep._evaluate(spec)
         with pytest.raises(ValueError, match="V_A") as error:
             sweep._apply_value(base_source(), base_channel(), "V_A", 0.5)
         assert cell == str(error.value)
 
 
-def _unstaged_cells(spec, value):
-    """`_evaluate`'s cells at one grid value the way the unstaged pipeline
-    computes them, cell by cell: the KeyRateResult fields p_ps to lambda3,
-    or the error message."""
-    cells = []
-    for name in spec.families:
-        try:
-            src, ch = sweep._apply_value(spec.source, spec.channel, spec.variable, value)
-            cells.append(astuple(secret_key_rate(resolve_family(name, src), ch))[:7])
-        except (PsqkdError, ValueError) as exc:
-            cells.append(str(exc))
-    return cells
+def _unstaged_rows(source, channel, variable, lo, hi, points, families=DEFAULT_FAMILIES):
+    """`_evaluate`'s rows the way the unstaged pipeline computes them, cell
+    by cell: the KeyRateResult fields p_ps to lambda3, or the error message."""
+    rows = []
+    for value in sweep._grid(lo, hi, points):
+        for name in families:
+            try:
+                src, ch = sweep._apply_value(source, channel, variable, value)
+                cell = astuple(secret_key_rate(resolve_family(name, src), ch))[:7]
+            except (PsqkdError, ValueError) as exc:
+                cell = str(exc)
+            rows.append((value, name, cell))
+    return rows
 
 
-def _succeeds(spec):
-    """Whether every cell of `spec`'s sweep is a result, not a message."""
-    return all(isinstance(cell, tuple) for _, cells in sweep._evaluate(spec) for cell in cells)
+def _succeeds(*args):
+    """Whether every cell of the sweep of `args` is a result, not a message."""
+    return all(isinstance(cell, tuple) for _, _, cell in sweep._evaluate(*args))
 
 
 def _counting_inits(monkeypatch, *records):
@@ -300,14 +300,11 @@ class TestStagedSweep:
         ],
     )
     def test_matches_cell_by_cell_pipeline(self, variable, lo, hi, channel):
-        spec = SweepSpec(variable, lo, hi, 5, base_source(), channel)
-        points = list(sweep._evaluate(spec))
-        assert [value for value, _ in points] == spec.grid()
-        errors = 0
-        for value, cells in points:
-            assert cells == _unstaged_cells(spec, value)
-            errors += sum(isinstance(cell, str) for cell in cells)
-        assert errors > 0
+        args = (base_source(), channel, variable, lo, hi, 5)
+        rows = sweep._evaluate(*args)
+        assert [value for value, _, _ in rows[:: len(DEFAULT_FAMILIES)]] == sweep._grid(lo, hi, 5)
+        assert rows == _unstaged_rows(*args)
+        assert any(isinstance(cell, str) for _, _, cell in rows)
 
     @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
     def test_seeded_sweeps_match_cell_by_cell_pipeline(self, variable):
@@ -330,23 +327,23 @@ class TestStagedSweep:
                 v_a=v_a, beta=float(rng.uniform(0.8, 1.0)), eta=float(rng.uniform(0.5, 1.0)),
                 v_el=float(rng.uniform(0.0, 0.1)),
             )
-            spec = SweepSpec(variable, *span, 9, source, channel, families)
-            for value, cells in sweep._evaluate(spec):
-                assert cells == _unstaged_cells(spec, value)
-                errors += sum(isinstance(cell, str) for cell in cells)
+            args = (source, channel, variable, *span, 9, families)
+            rows = sweep._evaluate(*args)
+            assert rows == _unstaged_rows(*args)
+            errors += sum(isinstance(cell, str) for _, _, cell in rows)
         assert (errors > 0) == (variable != "L_AC")
 
     def test_families_are_parsed_once_and_sources_built_on_a_miss(self, monkeypatch):
-        v_a_sweep = SweepSpec("V_A", 5.0, 100.0, 51, base_source(), base_channel())
-        d_sweep = SweepSpec("d", 0.5, 3.0, 41, base_source(), base_channel())
+        v_a_sweep = (base_source(), base_channel(), "V_A", 5.0, 100.0, 51)
+        d_sweep = (base_source(), base_channel(), "d", 0.5, 3.0, 41)
         parsed = _counting(monkeypatch, "_family_pins")
         built = _counting(monkeypatch, "_source_stage")
-        assert _succeeds(v_a_sweep)
+        assert _succeeds(*v_a_sweep)
         assert parsed == [(name,) for name in DEFAULT_FAMILIES]
         assert len(built) == 51 * 5  # r moves at every point
         parsed.clear()
         built.clear()
-        assert _succeeds(d_sweep)
+        assert _succeeds(*d_sweep)
         assert len(parsed) == 5
         # (k, d pinned to 0) of each built source: tmsv, 1-pstmsv and
         # 2-pstmsv do not move with d, the pstmsc sources do
@@ -357,24 +354,21 @@ class TestStagedSweep:
     def test_l_ac_sweep_runs_each_stage_once(self, monkeypatch):
         sources = _counting(monkeypatch, "_source_stage")
         channels = _counting(monkeypatch, "_breakdown_at")
-        spec = SweepSpec("L_AC", 0.0, 40.0, 9, base_source(), base_channel())
-        assert _succeeds(spec)
+        assert _succeeds(base_source(), base_channel(), "L_AC", 0.0, 40.0, 9)
         assert len(sources) == 5
         assert len(channels) == 9
 
     def test_tmsv_source_is_shared_across_a_tau_sweep(self, monkeypatch):
         sources = _counting(monkeypatch, "_source_stage")
-        spec = SweepSpec(
-            "tau", 0.5, 0.9, 5, base_source(), base_channel(),
-            families=("tmsv", "1-pstmsc"),
+        sweep._evaluate(
+            base_source(), base_channel(), "tau", 0.5, 0.9, 5, families=("tmsv", "1-pstmsc")
         )
-        list(sweep._evaluate(spec))
         assert len(sources) == 1 + 5
 
     @pytest.mark.parametrize("variable, lo, hi", [("d", 0.0, 3.0), ("tau", 0.5, 0.99)])
     def test_source_sweep_runs_the_channel_reduction_once(self, monkeypatch, variable, lo, hi):
         channels = _counting(monkeypatch, "_breakdown_at")
-        assert _succeeds(SweepSpec(variable, lo, hi, 7, base_source(), base_channel()))
+        assert _succeeds(base_source(), base_channel(), variable, lo, hi, 7)
         assert channels == [(base_channel(), base_channel().l_ac)]
 
     def test_search_runs_the_source_stage_once(self, monkeypatch):
@@ -385,10 +379,10 @@ class TestStagedSweep:
         assert len(channels) > 50
 
     def test_sweep_builds_a_source_record_only_per_swept_value(self, monkeypatch):
-        spec = SweepSpec("V_A", 5.0, 100.0, 51, base_source(), base_channel())
+        args = (base_source(), base_channel(), "V_A", 5.0, 100.0, 51)
         built = _counting_inits(monkeypatch, SqueezedSourceParams)
         rebuilt = _counting(monkeypatch, "_rebuilt")
-        assert _succeeds(spec)
+        assert _succeeds(*args)
         # one per grid point, rebuilt in _apply_value; none per (r, d, tau, k) key
         assert built == []
         assert Counter(type(record).__name__ for record, in rebuilt) == {
