@@ -29,10 +29,6 @@ __all__ = [
     "secret_key_rate",
 ]
 
-# eigenvalues below 1 + this are treated as numerically pure
-_PURITY_EPS = 1e-9
-
-
 @dataclass(frozen=True)
 class KeyRateResult:
     """One key-rate evaluation with its diagnostic intermediates."""
@@ -117,19 +113,15 @@ def _channel_stage(
         lam3 = math.sqrt(vx * vp)
         # I_AB in bits; measured variances are (V + 1) / 2
         i_ab = 0.5 * (math.log2((vax + 1.0) / (vx + 1.0)) + math.log2((vap + 1.0) / (vp + 1.0)))
-        # chi_BE: a numerically pure joint state leaks nothing, and
-        # eigenvalue excursions below 1 are float noise, G(0) = 0
-        if lam1 < 1.0 + _PURITY_EPS and lam2 < 1.0 + _PURITY_EPS:
-            chi_be = 0.0
-        else:
-            x1 = (lam1 - 1.0) / 2.0
-            x2 = (lam2 - 1.0) / 2.0
-            x3 = (lam3 - 1.0) / 2.0
-            chi_be = (
-                entropy_G(x1 if x1 > 0.0 else 0.0)
-                + entropy_G(x2 if x2 > 0.0 else 0.0)
-                - entropy_G(x3 if x3 > 0.0 else 0.0)
-            )
+        # chi_BE; eigenvalue excursions below 1 are float noise, G(0) = 0
+        x1 = (lam1 - 1.0) / 2.0
+        x2 = (lam2 - 1.0) / 2.0
+        x3 = (lam3 - 1.0) / 2.0
+        chi_be = (
+            entropy_G(x1 if x1 > 0.0 else 0.0)
+            + entropy_G(x2 if x2 > 0.0 else 0.0)
+            - entropy_G(x3 if x3 > 0.0 else 0.0)
+        )
         rate = (i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3)
         finite = all(map(math.isfinite, rate))
     except OverflowError:

@@ -28,6 +28,7 @@ cosh r, sinh r and D once for all its terms, the probability's included.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NonFiniteError, ZeroProbabilityError
@@ -38,10 +39,6 @@ __all__ = ["SUBTRACTION_CAP", "TwoModeCM", "subtraction_probability", "pstmsc_co
 # the source stage rejects subtraction orders above this; their probabilities
 # are negligible for the parameter ranges of interest
 SUBTRACTION_CAP = 16
-
-# past this argument (r -> 0 at fixed d > 0) the three moment terms that grow
-# like y are taken at their y -> inf limits
-_LIMIT_Y = 1e200
 
 
 @dataclass(frozen=True)
@@ -103,9 +100,16 @@ def _probability(r: float, d: float, tau: float, k: int, nu: float, big_d: float
     ay = (1.0 - tau) * d * d * er2 / (4.0 * big_d * big_d)
     expo = -d * d * (1.0 - tau) * er2 / (4.0 * big_d)
     weight = math.exp(expo)
-    if weight == 0.0:  # p underflows; skip the sum, whose ay may be inf / inf
+    if weight >= sys.float_info.min:
+        p = weight / big_d * scaled_laguerre(k, a_coef, -ay)
+    elif expo == -math.inf:  # p underflows, and ay may be inf / inf
         return 0.0
-    p = weight / big_d * scaled_laguerre(k, a_coef, -ay)
+    else:
+        # e^expo is subnormal or 0 while p may be normal: the product in
+        # logs, the sum scaled by ay^-k when ay > 1 as in `_laguerre_ratios`
+        s = ay if ay > 1.0 else 1.0
+        sum_s = scaled_laguerre(k, a_coef / s, -ay / s)
+        p = math.exp(expo + k * math.log(s) + math.log(sum_s / big_d))
     return min(max(p, 0.0), 1.0)
 
 
@@ -161,9 +165,10 @@ def _source_moments(r: float, d: float, tau: float, k: int) -> tuple[float, ...]
     er = math.exp(r)  # mu + nu
     g = d * er / (2.0 * nu)  # sqrt(y D), with no nu^2 to underflow
     y = g * g / big_d
-    if y > _LIMIT_Y:
-        # r -> 0 at fixed d > 0, where R1 = k/y and y cur = -k/y to double
-        # precision: the terms below at their y -> inf limits
+    if y == math.inf:
+        # r -> 0 at fixed d > 0, where y overflows and y cur would be
+        # inf * 0: the terms below at their y -> inf limits, from
+        # R1 = k/y and y cur = -k/y
         r1 = cur = y_cur = 0.0
         g_r1 = k * big_d / g
     else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from psqkd.errors import NonFiniteError, UnphysicalStateError
-from psqkd.keyrate import _PURITY_EPS, entropy_G
+from psqkd.keyrate import entropy_G
 
 # the KeyRateResult fields the channel stage returns, in its order
 RATE_FIELDS = ["i_ab", "chi_be", "key_rate", "lambda1", "lambda2", "lambda3"]
@@ -85,11 +85,9 @@ def holevo_bound(lam1: float, lam2: float, lam3: float) -> float:
 
     chi_BE = G((l1-1)/2) + G((l2-1)/2) - G((l3-1)/2) with l1, l2 the
     symplectic eigenvalues of the joint CM and l3 = sqrt(V_{A|B,x} V_{A|B,p})
-    that of Alice's heterodyne-conditioned block. A numerically pure joint
-    state short-circuits to 0; eigenvalue excursions below 1 enter as 0.
+    that of Alice's heterodyne-conditioned block. Eigenvalue excursions
+    below 1 enter as 0.
     """
-    if lam1 < 1.0 + _PURITY_EPS and lam2 < 1.0 + _PURITY_EPS:
-        return 0.0
     return (
         entropy_G(max(0.0, (lam1 - 1.0) / 2.0))
         + entropy_G(max(0.0, (lam2 - 1.0) / 2.0))

@@ -12,6 +12,7 @@ those on a seeded box and on both sides of each of their switches.
 import dataclasses
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,8 @@ from keyrate_reference import RATE_FIELDS, channel_stage
 from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, _breakdown_at
 from psqkd.config import load_run_config
 from psqkd.errors import PsqkdError, ZeroProbabilityError
-from psqkd.keyrate import _PURITY_EPS, _channel_stage
-from psqkd.moments import _LIMIT_Y, SUBTRACTION_CAP, TwoModeCM, _source_stage
+from psqkd.keyrate import _channel_stage
+from psqkd.moments import SUBTRACTION_CAP, TwoModeCM, _source_stage
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("fig*.cfg"))
 # L_AC (km) past which 0.2 dB/km of fiber transmits 0.0 in floats
@@ -137,10 +138,8 @@ class TestPinnedToReference:
             (_stage(1.0, 1.0, 1.0, -2.0, -0.5, 5e-6, -5e-6), _noise(1.0, 0.0), "clamped"),
             # Delta < 0 with a zero discriminant: lambda1^2 <= 0
             (_stage(1.0, 1.0, 1.0, 1.0, 1.0, 1.3, -1.3), _noise(1.0, 0.0), "lambda1 = 0"),
-            # lambda1 - 1 = 2.6e-10, inside _PURITY_EPS: chi_BE short-circuits to 0
+            # lambda1 - 1 = 2.6e-10: a near-pure state still leaks
             (TMSV50, _noise(1.0, 1e-11), "pure"),
-            # lambda1 - 1 = 2.5e-9, outside it
-            (TMSV50, _noise(1.0, 1e-10), "mixed"),
             # (det A - det B)^2 overflows
             (TMSV50, _noise(1.0, 1e100), "channel stage overflows"),
         ],
@@ -155,9 +154,7 @@ class TestPinnedToReference:
         if expect == "lambda1 = 0":
             assert lam1 == lam2 == 0.0
         elif expect == "pure":
-            assert 1.0 < lam1 < 1.0 + _PURITY_EPS and chi_be == 0.0
-        elif expect == "mixed":
-            assert lam1 > 1.0 + _PURITY_EPS and chi_be > 0.0
+            assert lam1 > 1.0 and chi_be > 0.0
         else:
             assert lam1 > 0.0
 
@@ -179,10 +176,25 @@ def _within_bounds(stage, t, chi_tot, beta=0.96) -> dict[str, bool]:
 # coherent state as r -> 0; both have near-coincident eigenvalues near 1
 WEAK_SOURCES = [(0.0, 1.0, 0), (2.0, 0.9, 1)]
 WEAK_CHANNELS = [(1.0, 0.0), (0.38, 1.62)]  # identity; the 20 km asymmetric channel
-# chi_tot added to the V_A = 50 tmsv on either side of _PURITY_EPS:
-# lambda1 - 1 = 2.6e-10 and 7.6e-10 below it, 2.5e-9 to 2.5e-7 above it
-PURE_SIDE = [1e-11, 3e-11]
-MIXED_SIDE = [1e-10, 1e-9, 1e-8]
+# chi_tot added to the V_A = 50 tmsv: a pure state, then lambda1 - 1 from
+# 2.6e-11 to 2.5e-7
+NEAR_PURE = [0.0, 1e-12, 1e-11, 3e-11, 1e-10, 1e-9, 1e-8]
+NEAR_PURE_SOURCES = [*WEAK_SOURCES, (0.0, 0.9, 1)]  # and 1-pstmsv
+
+
+def _near_pure_box(seed: int, n: int) -> list[tuple]:
+    """n (source stage, T, chi_tot): r from 0.1 to 2.3, the identity, a
+    lossy and the 20 km asymmetric transmittance, and half of them with a
+    chi_tot from 1e-14 to 1e-8, the others with none."""
+    rng = random.Random(seed)
+    return [
+        (
+            _source_stage(rng.uniform(0.1, 2.3), *rng.choice(NEAR_PURE_SOURCES)),
+            rng.choice((1.0, 0.9, 0.38)),
+            rng.choice((0.0, 10.0 ** rng.uniform(-14.0, -8.0))),
+        )
+        for _ in range(n)
+    ]
 
 
 class TestFiftyDigitReference:
@@ -194,7 +206,6 @@ class TestFiftyDigitReference:
         assert [ok["lambda1"], ok["lambda2"], ok["lambda3"]] == [True] * 3
 
     @pytest.mark.xfail(
-        strict=True,
         reason="I_AB = log2 of a ratio that rounds near 1 loses its digits "
         "as r -> 0 (see CHANGES.md, FOUND)",
     )
@@ -203,32 +214,28 @@ class TestFiftyDigitReference:
         ok = _within_bounds(_source_stage(r, 0.0, 1.0, 0), 1.0, 0.0)
         assert ok["i_ab"] and ok["key_rate"]
 
-    @pytest.mark.parametrize("chi_tot", PURE_SIDE + MIXED_SIDE)
-    def test_both_sides_of_purity_eps(self, chi_tot):
-        lam1 = _channel_stage(TMSV50, _noise(1.0, chi_tot), 0.96)[3]
-        assert (lam1 < 1.0 + _PURITY_EPS) == (chi_tot in PURE_SIDE)
+    @pytest.mark.parametrize("chi_tot", NEAR_PURE)
+    def test_near_pure_states(self, chi_tot):
         ok = _within_bounds(TMSV50, 1.0, chi_tot)
-        assert [ok[name] for name in ("i_ab", "lambda1", "lambda2", "lambda3")] == [True] * 4
-        if chi_tot in MIXED_SIDE:
-            assert ok["key_rate"]
+        fields = ("key_rate", "i_ab", "lambda1", "lambda2", "lambda3")
+        assert [ok[name] for name in fields] == [True] * 5
 
     @pytest.mark.xfail(
-        strict=True,
-        reason="the _PURITY_EPS short-circuit drops a chi_BE of up to ~3e-8 "
-        "(see CHANGES.md, FOUND)",
-    )
-    @pytest.mark.parametrize("chi_tot", PURE_SIDE)
-    def test_key_rate_inside_purity_eps(self, chi_tot):
-        assert _within_bounds(TMSV50, 1.0, chi_tot)["key_rate"]
-
-    @pytest.mark.xfail(
-        strict=True,
         reason="chi_BE = G + G - G cancels near purity and keeps ~5 digits "
         "(see CHANGES.md, FOUND)",
     )
-    @pytest.mark.parametrize("chi_tot", MIXED_SIDE)
-    def test_holevo_bound_outside_purity_eps(self, chi_tot):
+    @pytest.mark.parametrize("chi_tot", [chi_tot for chi_tot in NEAR_PURE if chi_tot])
+    def test_holevo_bound_near_purity(self, chi_tot):
         assert _within_bounds(TMSV50, 1.0, chi_tot)["chi_be"]
+
+    def test_key_rate_on_a_near_pure_box(self):
+        misses = []
+        for stage, t, chi_tot in _near_pure_box(seed=7, n=400):
+            ok = _within_bounds(stage, t, chi_tot)
+            chi_be = _channel_stage(stage, _noise(t, chi_tot), 0.96)[1]
+            if not ok["key_rate"] or chi_be < 0.0:
+                misses.append((stage[:2], t, chi_tot))
+        assert misses == []
 
 
 STAGE_FIELDS = ("p_ps", *(field.name for field in dataclasses.fields(TwoModeCM)))
@@ -252,13 +259,20 @@ def _reduction_off(channel, l_ac) -> list[str]:
 def _y(r, d, tau):
     """The Laguerre argument y as `_source_moments` rounds it."""
     nu = math.sinh(r)
-    return (d * math.exp(r) / (2.0 * nu)) ** 2 / (1.0 + (1.0 - tau) * nu * nu)
+    g = d * math.exp(r) / (2.0 * nu)
+    return g * g / (1.0 + (1.0 - tau) * nu * nu)
 
 
 def _d_at(y, r, tau):
     """The d that puts the Laguerre argument at y, for r > 0."""
     nu = math.sinh(r)
     return 2.0 * nu * math.sqrt(y * (1.0 + (1.0 - tau) * nu * nu)) / math.exp(r)
+
+
+def _d_at_expo(expo, r, tau):
+    """The d that puts the exponent of p_ps's weight e^expo at expo < 0."""
+    big_d = 1.0 + (1.0 - tau) * math.sinh(r) ** 2
+    return math.sqrt(-4.0 * big_d * expo / ((1.0 - tau) * math.exp(2.0 * r)))
 
 
 def _source_box(seed: int, n: int) -> list[tuple]:
@@ -325,18 +339,22 @@ class TestSourceAndReductionReference:
         [
             *(((1.0, _d_at(1.0, 1.0, 0.9) * (1.0 + s * 1e-12), 0.9, k), s)
               for s in (-1, 1) for k in (1, 2, 5, SUBTRACTION_CAP)),
-            *(((1e-100, _d_at(_LIMIT_Y, 1e-100, 0.9) * (1.0 + s * 1e-3), 0.9, k), s)
-              for s in (-1, 1) for k in (0, 1, 2, 5)),
+            *(((1e-154, _d_at(sys.float_info.max, 1e-154, 0.9) * (1.0 + s * 1e-3), 0.9, k), s)
+              for s in (-1, 1) for k in (0, 1, 2, 5, SUBTRACTION_CAP)),
             *(((0.0, 2.0, 0.9, k), None) for k in (0, 1, 2)),
             *(((1e-300, 2.0, 0.9, k), None) for k in (0, 1, 2)),
-            # y = 2.5e199 and 1e320: either side of _LIMIT_Y
-            *(((R_SUBNORMAL_NU, d, 0.9, k), None) for d in (1e-60, 2.0) for k in (0, 1, 2)),
+            # y = 1e308 and 1e320: either side of where y overflows
+            *(((R_SUBNORMAL_NU, d, 0.9, k), None) for d in (2e-6, 2.0) for k in (0, 1, 2)),
+            # p_ps's weight e^expo normal, subnormal, then 0: p_ps = 2.7e-276,
+            # 2.7e-293, 7.7e-296 and 8.5e-302
+            *(((1.0, _d_at_expo(expo, 1.0, 0.5), 0.5, SUBTRACTION_CAP), None)
+              for expo in (-700.0, -740.0, -746.0, -760.0)),
         ],
     )
     def test_source_stage_on_both_sides_of_each_switch(self, key, y_side):
         r, d, tau, _ = key
         if y_side is not None:  # -1: below the switch, 1: above it
-            switch = 1.0 if r == 1.0 else _LIMIT_Y
+            switch = 1.0 if r == 1.0 else sys.float_info.max
             assert (_y(r, d, tau) > switch) == (y_side > 0)
         assert _stage_off(key) == []
 
@@ -368,7 +386,6 @@ class TestSourceAndReductionReference:
         assert _reduction_off(channel, l_ac) == []
 
     @pytest.mark.xfail(
-        strict=True,
         reason="eps_th = (T_B/T_A)(eps_B - 2) + eps_A + 2/T_A cancels 2/T_A "
         "when T_B = 1 and eps_B = 0 (see CHANGES.md, FOUND)",
     )

@@ -196,7 +196,11 @@ class TestConditionalCm:
 
 class TestHolevoBound:
     def test_pure_state_leaks_nothing(self):
-        assert chi_be(*fields(tmsv_cm(0.7))) == 0.0
+        # cosh 2r = 5/4 and sinh 2r = 3/4, exact in floats, so the state is
+        # pure to the last bit (tmsv_cm rounds cosh and sinh, and its
+        # chi_BE is ~1e-14, at 50 digits too)
+        cm = TwoModeCM(vax=1.25, vap=1.25, vbx=1.25, vbp=1.25, vcx=0.75, vcp=-0.75)
+        assert chi_be(*fields(cm)) == 0.0
 
     def test_grows_with_excess_noise(self):
         source = tmsv_source(50.0)

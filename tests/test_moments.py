@@ -129,13 +129,12 @@ class TestSubtractionProbability:
         ]
         r_zero = [params(r=0.0, d=d, tau=0.6, k=k) for d in (0.5, 2.0) for k in (0, 1, 3)]
         tau_one = [params(r=r, d=d, tau=1.0, k=0) for r in (0.0, 0.7) for d in (0.0, 2.0)]
-        # a subnormal nu^2 with y <= _LIMIT_Y, and y > _LIMIT_Y
-        small_nu = [params(r=1e-160, d=1e-100, tau=0.9, k=k) for k in (0, 1, 2)]
-        large_y = [params(r=1e-120, d=1.0, tau=0.9, k=k) for k in (0, 1, 2)]
-        for p in small_nu:
-            assert (p.d / (2.0 * math.sinh(p.r))) ** 2 <= moments._LIMIT_Y
-        for p in large_y:
-            assert (p.d / (2.0 * math.sinh(p.r))) ** 2 > moments._LIMIT_Y
+        # a subnormal nu^2 with y = 1e308, and y past the float range
+        small_nu = [params(r=1e-160, d=2e-6, tau=0.9, k=k) for k in (0, 1, 2)]
+        large_y = [params(r=1e-160, d=1.0, tau=0.9, k=k) for k in (0, 1, 2)]
+        for p in [*small_nu, *large_y]:
+            g = p.d / (2.0 * math.sinh(p.r))
+            assert (g * g == math.inf) == (p in large_y)
         for p in [*box, *r_zero, *tau_one, *small_nu, *large_y]:
             try:
                 stage = moments._source_stage(*dataclasses.astuple(p))
