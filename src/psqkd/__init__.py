@@ -7,7 +7,7 @@ a Gaussian key-rate pipeline; a truncated Fock-space oracle independently
 validates every closed form.
 """
 
-from .channel import ChannelParams, NoiseBreakdown, gain, noise_breakdown, transmittance
+from .channel import ChannelParams, NoiseBreakdown, breakdown, gain, transmittance
 from .errors import (
     NonFiniteError,
     NoSecureRegionError,
@@ -17,8 +17,8 @@ from .errors import (
     UnphysicalStateError,
     ZeroProbabilityError,
 )
-from .keyrate import KeyRateResult, entropy_G, secret_key_rate
-from .moments import TwoModeCM, pstmsc_covariance, subtraction_probability
+from .keyrate import KeyRateResult, channel_stage, entropy_G, secret_key_rate
+from .moments import TwoModeCM, source_stage
 from .phase_space import SqueezedSourceParams, scaled_laguerre
 from .sweep import max_secure_distance, optimize_scalar, resolve_family
 
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelParams",
     "NoiseBreakdown",
+    "breakdown",
     "gain",
-    "noise_breakdown",
     "transmittance",
     "NonFiniteError",
     "NoSecureRegionError",
@@ -38,11 +38,11 @@ __all__ = [
     "UnphysicalStateError",
     "ZeroProbabilityError",
     "KeyRateResult",
+    "channel_stage",
     "entropy_G",
     "secret_key_rate",
     "TwoModeCM",
-    "pstmsc_covariance",
-    "subtraction_probability",
+    "source_stage",
     "SqueezedSourceParams",
     "scaled_laguerre",
     "max_secure_distance",

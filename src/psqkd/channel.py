@@ -11,9 +11,9 @@ Two geometries:
   * asymmetric: the relay is at Bob's site, L_BC = 0.
 
 One function per formula: `transmittance` of a fiber link, `gain` for the
-noise-minimizing displacement gain, and `noise_breakdown`, the one entry that
-builds a NoiseBreakdown, for T, the thermal excess at that gain
-(T_B/T_A)(eps_B - 2) + eps_A + 2/T_A and the added noises.
+noise-minimizing displacement gain, and `breakdown`, the reduction itself,
+for T, the thermal excess at that gain (T_B/T_A)(eps_B - 2) + eps_A + 2/T_A
+and the added noises, as the NoiseBreakdown fields.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "NoiseBreakdown",
     "transmittance",
     "gain",
-    "noise_breakdown",
+    "breakdown",
 ]
 
 GEOMETRIES = ("symmetric", "asymmetric")
@@ -129,14 +129,14 @@ def gain(v_a: float, t_b: float) -> float:
     return math.sqrt(2.0 * (v_a - 1.0) / (t_b * (v_a + 1.0)))
 
 
-def noise_breakdown(params: ChannelParams) -> NoiseBreakdown:
-    """All derived channel quantities for one configuration, one
-    `transmittance` call per link. Raises ValueError when a transmittance
-    or T underflows to 0, and NonFiniteError when a quantity overflows."""
-    return NoiseBreakdown(*_breakdown_at(params, params.l_ac))
+def breakdown(params: ChannelParams, l_ac: float) -> tuple[float, ...]:
+    """The NoiseBreakdown fields at L_AC = l_ac, one `transmittance` call per
+    link. Raises ValueError when a transmittance or T underflows to 0, and
+    NonFiniteError when a quantity overflows.
 
-
-def _breakdown_at(params: ChannelParams, l_ac: float) -> tuple[float, ...]:
+    >>> breakdown(ChannelParams("asymmetric", 0.0, 3.0, 1.0), 0.0)
+    (1.0, 1.0, 1.0, 0.5, 0.0, 1.0, 0.0, 1.0)
+    """
     loss = params.loss_db_per_km
     t_a = transmittance(l_ac, loss)
     t_b = transmittance(l_ac if params.geometry == "symmetric" else 0.0, loss)

@@ -22,13 +22,7 @@ import sys
 from .config import ConfigError, RunConfig, load_run_config
 from .errors import PsqkdError
 from .keyrate import secret_key_rate
-from .sweep import (
-    DEFAULT_FAMILIES,
-    _evaluate,
-    max_secure_distance,
-    optimize_scalar,
-    resolve_families,
-)
+from .sweep import DEFAULT_FAMILIES, _evaluate, _family_distances, optimize_scalar
 
 __all__ = ["main"]
 
@@ -80,22 +74,17 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_max_distance(config: RunConfig, args: argparse.Namespace) -> int:
     families = config.section("sweep").get("families", DEFAULT_FAMILIES)
-    sources = resolve_families(families, config.source)
-    search = config.section("max_distance")
+    distances = _family_distances(
+        config.source, config.channel, families, **config.section("max_distance")
+    )
     payload: dict[str, float | None] = {}
-    failures = []
-    for family, source in zip(families, sources):
-        try:
-            km = max_secure_distance(source, config.channel, **search)
-            payload[family] = round(km, 4)
-        except PsqkdError as exc:
-            payload[family] = None
-            failures.append(f"error: {family}: {exc}")
-    # after every search: a caller error of a later family stays the only line
-    for line in failures:
-        print(line, file=sys.stderr)
+    for family, km in zip(families, distances):
+        failed = isinstance(km, str)
+        if failed:
+            print(f"error: {family}: {km}", file=sys.stderr)
+        payload[family] = None if failed else round(km, 4)
     _print_json(payload)
-    return _DOMAIN_EXIT if failures else 0
+    return _DOMAIN_EXIT if None in payload.values() else 0
 
 
 def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:

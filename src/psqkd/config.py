@@ -7,14 +7,14 @@ overrides reuse the same validation with a synthetic source location.
 
 Each section configures one library call: `source`, `channel`, `sweep`,
 `max_distance`, `optimize` and `oracle` configure SqueezedSourceParams,
-ChannelParams, the sweep (`sweep._evaluate`), max_secure_distance,
-optimize_scalar and compare_random_grid. `prefix.name` is keyword `name`
-of that call, an absent key takes that call's default, and the call
-checks the value. The
-exceptions: `source.r` or `source.variance` is resolved here into r and the
-channel's v_a; `source.k` and `channel.l_ac`, which the calls require,
-default to 0 here; `channel.eps_A`/`eps_B` are `eps_a`/`eps_b`; and
-`max-distance` takes its family list from `sweep.families`.
+ChannelParams, the sweep (`sweep._evaluate`), the per-family distance
+searches (`sweep._family_distances`), optimize_scalar and
+compare_random_grid. `prefix.name` is keyword `name` of that call, an
+absent key takes that call's default, and the call checks the value. The
+exceptions: `source.r` or `source.variance` is resolved here into r and
+the channel's v_a; `source.k` and `channel.l_ac`, which the calls
+require, default to 0 here; `channel.eps_A`/`eps_B` are `eps_a`/`eps_b`;
+and `max-distance` takes its family list from `sweep.families`.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError, ZeroProbabilityError
-from .moments import TwoModeCM, _source_stage
+from .moments import TwoModeCM, source_stage
 
 __all__ = [
     "build_tmsc_fock",
@@ -43,12 +43,22 @@ __all__ = [
 _LEAK_LEVELS = 5
 _LEAK_TOL = 1e-8
 _GEMM_SIZE = 64**3
+_DOT_SIZE = 10_000
+
+
+def _vdot(a: np.ndarray, b: np.ndarray):
+    """np.vdot(a, b) in chunks of fewer than 10,000 elements, which OpenBLAS
+    keeps on one thread, as the GEMM blocks below; a smaller array is one call."""
+    if a.size < _DOT_SIZE:
+        return np.vdot(a, b)
+    a, b, step = a.ravel(), b.ravel(), _DOT_SIZE - 1
+    return sum(np.vdot(a[i : i + step], b[i : i + step]) for i in range(0, a.size, step))
 
 
 def _leakage(amps: np.ndarray) -> float:
     """Probability mass in the top 5 retained Fock levels of either mode."""
     top, right = amps[-_LEAK_LEVELS:], amps[:, -_LEAK_LEVELS:]
-    return float(np.vdot(top, top).real + np.vdot(right, right).real)
+    return float(_vdot(top, top).real + _vdot(right, right).real)
 
 
 def build_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
@@ -93,7 +103,7 @@ def build_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
     for top in range(0, dim, rows):
         end = min(top + rows, dim)  # rows n < end need only columns j < end
         amps[top:end] = qt[:end, top:end].T @ qt[:end]
-    kept = float(np.linalg.norm(amps))
+    kept = math.sqrt(_vdot(amps, amps))
     cropped = abs(1.0 - kept * kept)
     amps /= kept
     if cropped + _leakage(amps) > _LEAK_TOL:
@@ -121,7 +131,7 @@ def apply_bs_and_project(amps: np.ndarray, tau: float, k: int) -> tuple[np.ndarr
     binom = np.array([math.comb(j + k, k) for j in range(kept)], dtype=float)
     column = np.sqrt(binom) * math.sqrt(tau) ** np.arange(kept) * (-math.sqrt(1.0 - tau)) ** k
     out[:, :kept] = amps[:, k : k + kept] * column
-    prob = float(np.vdot(out, out).real)
+    prob = float(_vdot(out, out).real)
     if prob < 1e-300:
         raise ZeroProbabilityError(
             f"{k}-photon detection has probability {prob:.1e} (treated as zero)"
@@ -153,15 +163,15 @@ def state_covariance(amps: np.ndarray) -> TwoModeCM:
     root = np.sqrt(np.arange(1.0, amps.shape[0]))[:, None]
     x1, w1 = _x_and_w(amps, root)
     x2, w2 = (q.T for q in _x_and_w(amps.T, root))
-    mean_x1, mean_x2 = np.vdot(amps, x1).real, np.vdot(amps, x2).real
-    mean_p1, mean_p2 = -np.vdot(amps, w1).imag, -np.vdot(amps, w2).imag
+    mean_x1, mean_x2 = _vdot(amps, x1).real, _vdot(amps, x2).real
+    mean_p1, mean_p2 = -_vdot(amps, w1).imag, -_vdot(amps, w2).imag
     return TwoModeCM(
-        vax=float(np.vdot(x1, x1).real - mean_x1**2),
-        vap=float(np.vdot(w1, w1).real - mean_p1**2),
-        vbx=float(np.vdot(x2, x2).real - mean_x2**2),
-        vbp=float(np.vdot(w2, w2).real - mean_p2**2),
-        vcx=float(np.vdot(x1, x2).real - mean_x1 * mean_x2),
-        vcp=float(np.vdot(w1, w2).real - mean_p1 * mean_p2),
+        vax=float(_vdot(x1, x1).real - mean_x1**2),
+        vap=float(_vdot(w1, w1).real - mean_p1**2),
+        vbx=float(_vdot(x2, x2).real - mean_x2**2),
+        vbp=float(_vdot(w2, w2).real - mean_p2**2),
+        vcx=float(_vdot(x1, x2).real - mean_x1 * mean_x2),
+        vcp=float(_vdot(w1, w2).real - mean_p1 * mean_p2),
         mean_x1=float(mean_x1),
         mean_x2=float(mean_x2),
     )
@@ -243,7 +253,7 @@ def compare_random_grid(
         n_max = suggested_truncation(r, d)
 
         state, prob = apply_bs_and_project(build_tmsc_fock(r, d, n_max), tau, k)
-        closed_p, *closed = _source_stage(r, d, tau, k)
+        closed_p, *closed = source_stage(r, d, tau, k)
         dev_p = abs(closed_p - prob) / abs(prob)
         oracle = vars(state_covariance(state)).values()  # in field order
         devs = list(map(_rel_dev, closed, oracle))

@@ -1,14 +1,15 @@
 """Secret key rate under reverse reconciliation and collective attacks.
 
-`secret_key_rate` is the one entry that builds a KeyRateResult: the source
-stage of `moments`, the channel reduction of `channel`, then the channel
-stage below. That stage is one straight-line kernel on the covariance
-fields (the source states have zeros on every x-p cross term, so
-conditioning needs only scalar divisions, never a Schur complement): the
-Alice-Bob covariance after the one-way channel, Alice's variances given
-Bob's heterodyne outcome, the symplectic eigenvalues, I_AB for homodyne
-readouts and chi_BE through `entropy_G` (Weedbrook et al., RMP 84, 621
-(2012)), then K = P_detect * (beta * I_AB - chi_BE), in bits per pulse.
+Three stages on floats: `moments.source_stage`, the channel reduction
+`channel.breakdown`, then `channel_stage` below; `secret_key_rate` runs
+them and builds the one record, a KeyRateResult. `channel_stage` is one
+straight-line kernel on the covariance fields (the source states have
+zeros on every x-p cross term, so conditioning needs only scalar
+divisions, never a Schur complement): the Alice-Bob covariance after the
+one-way channel, Alice's variances given Bob's heterodyne outcome, the
+symplectic eigenvalues, I_AB for homodyne readouts and chi_BE through
+`entropy_G` (Weedbrook et al., RMP 84, 621 (2012)), then
+K = P_detect * (beta * I_AB - chi_BE), in bits per pulse.
 `tests/keyrate_reference.py` keeps one function per formula as the
 reference that pins the kernel.
 """
@@ -18,14 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelParams, NoiseBreakdown, _breakdown_at
+from .channel import ChannelParams, NoiseBreakdown, breakdown
 from .errors import NonFiniteError, UnphysicalStateError
-from .moments import _source_stage
+from .moments import source_stage
 from .phase_space import SqueezedSourceParams
 
 __all__ = [
     "KeyRateResult",
     "entropy_G",
+    "channel_stage",
     "secret_key_rate",
 ]
 
@@ -61,15 +63,19 @@ def entropy_G(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-def _channel_stage(
+def channel_stage(
     stage: tuple[float, ...], noise: tuple[float, ...], beta: float
 ) -> tuple[float, ...]:
     """The channel half of the pipeline on floats: the source stage (p_ps,
     then the TwoModeCM fields) through the channel reduction `noise` (the
-    NoiseBreakdown fields, which `_breakdown_at` has checked), with
+    NoiseBreakdown fields, which `breakdown` has checked), with
     efficiency beta. Returns the KeyRateResult fields i_ab to lambda3.
     Raises UnphysicalStateError, or NonFiniteError when the arithmetic
     overflows or one of these is not finite.
+
+    >>> noise = breakdown(ChannelParams("asymmetric", 0.0, 3.0, 1.0), 0.0)
+    >>> channel_stage(source_stage(0.0, 0.0, 1.0, 0), noise, 1.0)
+    (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
     """
     p_ps, vax, vap, vbx, vbp, vcx, vcp, _, _ = stage
     t, chi_tot = noise[3], noise[7]
@@ -142,7 +148,7 @@ def secret_key_rate(source: SqueezedSourceParams, channel: ChannelParams) -> Key
     Raises ZeroProbabilityError when the subtraction event cannot occur, and
     NonFiniteError when a stage overflows or yields a non-finite value.
     """
-    stage = _source_stage(source.r, source.d, source.tau, source.k)
-    noise = _breakdown_at(channel, channel.l_ac)
-    rate = _channel_stage(stage, noise, channel.beta)
+    stage = source_stage(source.r, source.d, source.tau, source.k)
+    noise = breakdown(channel, channel.l_ac)
+    rate = channel_stage(stage, noise, channel.beta)
     return KeyRateResult(stage[0], *rate, NoiseBreakdown(*noise))

@@ -18,11 +18,9 @@ Stable algebraic rewrites used throughout:
     mu + nu = e^r                   A = nu^2 (1-tau) / D
     A*y = (1-tau) d^2 (mu+nu)^2 / (4 D^2)   (finite as nu -> 0)
 
-One formula per quantity: `subtraction_probability` for the heralding
-probability, and `pstmsc_covariance`, the one entry that builds a
-TwoModeCM, for the means and covariance. Sweeps, searches and the Fock
-oracle call `_source_stage(r, d, tau, k)`, floats in and out; it computes
-cosh r, sinh r and D once for all its terms, the probability's included.
+`source_stage(r, d, tau, k)` is the one entry, floats in and out: the
+heralding probability, then the TwoModeCM fields. It computes cosh r,
+sinh r and D once for all its terms, the probability's included.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 from .errors import NonFiniteError, ZeroProbabilityError
 from .phase_space import SqueezedSourceParams, scaled_laguerre
 
-__all__ = ["SUBTRACTION_CAP", "TwoModeCM", "subtraction_probability", "pstmsc_covariance"]
+__all__ = ["SUBTRACTION_CAP", "TwoModeCM", "source_stage"]
 
 # the source stage rejects subtraction orders above this; their probabilities
 # are negligible for the parameter ranges of interest
@@ -79,22 +77,15 @@ def _laguerre_ratios(k: int, y: float) -> tuple[float, float]:
     return r1, r2
 
 
-def subtraction_probability(params: SqueezedSourceParams) -> float:
-    """Probability of detecting exactly k photons on the subtraction tap.
+def _probability(r: float, d: float, tau: float, k: int, nu: float, big_d: float) -> float:
+    """Probability of detecting exactly k photons on the subtraction tap,
+    from nu = sinh r and D, which `source_stage` computes once.
 
     Evaluates A^k L_k(-y) as a joint positive sum in A and A*y so the
     r -> 0 limits come out exactly: a coherent-only source gives Poisson
     weights with mean (1-tau) d^2 / 4, and the empty source gives 1 for
     k = 0 and 0 otherwise.
     """
-    r, d, tau, k = params.r, params.d, params.tau, params.k
-    nu = math.sinh(r)
-    return _probability(r, d, tau, k, nu, 1.0 + (1.0 - tau) * nu * nu)
-
-
-def _probability(r: float, d: float, tau: float, k: int, nu: float, big_d: float) -> float:
-    """`subtraction_probability` from nu = sinh r and D, which the source
-    stage computes once for all its terms."""
     a_coef = nu * nu * (1.0 - tau) / big_d
     er2 = math.exp(2.0 * r)  # (mu + nu)^2
     ay = (1.0 - tau) * d * d * er2 / (4.0 * big_d * big_d)
@@ -113,21 +104,18 @@ def _probability(r: float, d: float, tau: float, k: int, nu: float, big_d: float
     return min(max(p, 0.0), 1.0)
 
 
-def pstmsc_covariance(params: SqueezedSourceParams) -> TwoModeCM:
-    """Means and covariance matrix of the k-photon-subtracted state.
+def source_stage(r: float, d: float, tau: float, k: int) -> tuple[float, ...]:
+    """The source half of the key-rate pipeline, on the fields of a checked
+    SqueezedSourceParams: p_ps, then the TwoModeCM fields.
 
     Raises ValueError when k exceeds SUBTRACTION_CAP, ZeroProbabilityError
     when the conditioning event has probability zero (tau = 1 with k >= 1,
     or r = 0 and d = 0 with k >= 1), and NonFiniteError when the arithmetic
     overflows or a moment is not finite.
+
+    >>> source_stage(0.0, 0.0, 1.0, 0)
+    (1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     """
-    return TwoModeCM(*_source_stage(params.r, params.d, params.tau, params.k)[1:])
-
-
-def _source_stage(r: float, d: float, tau: float, k: int) -> tuple[float, ...]:
-    """The source half of the key-rate pipeline, on the fields of a checked
-    SqueezedSourceParams: p_ps, then the TwoModeCM fields. Raises as
-    `pstmsc_covariance` does."""
     try:
         stage = _source_moments(r, d, tau, k)
         finite = all(map(math.isfinite, stage))

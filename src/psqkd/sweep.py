@@ -15,22 +15,21 @@ from __future__ import annotations
 import math
 import re
 
-from .channel import ChannelParams, _breakdown_at
+from .channel import ChannelParams, breakdown
 from .errors import (
     NoSecureRegionError,
     PsqkdError,
     TargetUnreachableError,
 )
 # secret_key_rate stays for perfbench's tracer
-from .keyrate import _channel_stage, secret_key_rate
-from .moments import _capped, _source_stage
+from .keyrate import channel_stage, secret_key_rate
+from .moments import _capped, source_stage
 from .phase_space import SqueezedSourceParams
 
 __all__ = [
     "SWEEP_VARIABLES",
     "DEFAULT_FAMILIES",
     "resolve_family",
-    "resolve_families",
     "max_secure_distance",
     "optimize_scalar",
 ]
@@ -105,13 +104,6 @@ def _parse_families(names: tuple[str, ...]) -> list[tuple[bool, bool, int]]:
     return [_family_pins(name) for name in names]
 
 
-def resolve_families(
-    names: tuple[str, ...], source: SqueezedSourceParams
-) -> list[SqueezedSourceParams]:
-    """`resolve_family` of each name, under `_parse_families`' rules."""
-    return [SqueezedSourceParams(*_pinned(source, pins)) for pins in _parse_families(names)]
-
-
 def _apply_value(
     source: SqueezedSourceParams,
     channel: ChannelParams,
@@ -167,7 +159,7 @@ class _Staged:
                 key = _pinned(src, pins)
                 if key not in self.table:
                     try:
-                        self.table[key] = _source_stage(*key)
+                        self.table[key] = source_stage(*key)
                     except (PsqkdError, ValueError) as exc:
                         self.table[key] = str(exc)
                 self.stages.append(self.table[key])
@@ -177,7 +169,7 @@ class _Staged:
         if ch is not self.ch:
             self.ch = ch
             try:
-                self.noise = _breakdown_at(ch, ch.l_ac)
+                self.noise = breakdown(ch, ch.l_ac)
             except (PsqkdError, ValueError) as exc:
                 self.noise = str(exc)
         return self.noise
@@ -191,7 +183,7 @@ def _cell(stage, noise, beta: float):
     if isinstance(noise, str):
         return noise
     try:
-        return (stage[0], *_channel_stage(stage, noise, beta))
+        return (stage[0], *channel_stage(stage, noise, beta))
     except (PsqkdError, ValueError) as exc:
         return str(exc)
 
@@ -232,7 +224,7 @@ def _evaluate(
 
 
 def _rate_at_distance(stage: tuple[float, ...], channel: ChannelParams, l_ac: float) -> float:
-    return _channel_stage(stage, _breakdown_at(channel, l_ac), channel.beta)[2]
+    return channel_stage(stage, breakdown(channel, l_ac), channel.beta)[2]
 
 
 def _check_k_target(k_target: float) -> None:
@@ -259,7 +251,21 @@ def max_secure_distance(
     rate meets, or a negative one, which K can meet again past it.
     """
     _check_k_target(k_target)
-    return _search(_source_stage(source.r, source.d, source.tau, source.k), channel, k_target)
+    return _search(source_stage(source.r, source.d, source.tau, source.k), channel, k_target)
+
+
+def _family_distances(source, channel, families, k_target: float = 0.0) -> list:
+    """`max_secure_distance` of each family's source, staged from its pins,
+    or the message of the search's PsqkdError; all checks come first."""
+    pins = _parse_families(families)
+    _check_k_target(k_target)
+    distances = []
+    for pin in pins:
+        try:
+            distances.append(_search(source_stage(*_pinned(source, pin)), channel, k_target))
+        except PsqkdError as exc:
+            distances.append(str(exc))
+    return distances
 
 
 def _search(stage, channel: ChannelParams, k_target: float) -> float:

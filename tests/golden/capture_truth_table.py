@@ -9,7 +9,7 @@ channel with the swept value moved in by `sweep._apply_value` and each
 family pinned by `sweep._family_pins`; for a `keyrate` case, its argv. From
 there `tests/mp_reference.py` computes the source stage, the channel
 reduction and the channel stage at 50 digits. The float pipeline
-(`_source_stage`, `_breakdown_at`, `_channel_stage`) is never called, so
+(`source_stage`, `breakdown`, `channel_stage`) is never called, so
 the table says what is true, not what the code printed. Each value is kept
 to 25 significant digits, enough to decide 12-digit rounding and every
 bound. A row whose subtraction event has probability 0 is `null`, as the

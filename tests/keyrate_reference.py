@@ -1,8 +1,8 @@
 """One function per formula of the key-rate channel stage.
 
-`psqkd.keyrate._channel_stage` writes these formulas inline as one
+`psqkd.keyrate.channel_stage` writes these formulas inline as one
 straight-line kernel. The functions below keep each formula apart, under its
-own name, and `channel_stage` composes them in the kernel's order, with the
+own name, and `composed_stage` composes them in the kernel's order, with the
 finiteness check the kernel and the channel reduction split between them;
 the tests pin the kernel against that composition bit for bit, exceptions
 included.
@@ -110,7 +110,7 @@ def channel_stage_fields(stage, t: float, chi_tot: float, beta: float) -> tuple[
     return i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3
 
 
-def channel_stage(stage, noise, beta: float) -> tuple[float, ...]:
+def composed_stage(stage, noise, beta: float) -> tuple[float, ...]:
     """`channel_stage_fields` at the reduction `noise` (the NoiseBreakdown
     fields), checked: raises NonFiniteError on an overflow or on a
     non-finite value among the outputs and `noise`.

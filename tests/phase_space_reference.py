@@ -11,7 +11,7 @@ Conventions (shot-noise units, SNU):
 The k-photon-subtracted Wigner density is a Gaussian times a polynomial of
 degree 2k, so Gauss-Hermite quadrature fitted to that Gaussian integrates
 its means and second moments exactly. `gauss_hermite_moments` does that;
-the tests pin `psqkd.moments.pstmsc_covariance` against it at squeezing,
+the tests pin `psqkd.moments.source_stage` against it at squeezing,
 displacement and subtraction orders past the Fock oracle's truncation.
 """
 
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from psqkd.errors import ZeroProbabilityError
-from psqkd.moments import TwoModeCM, subtraction_probability
+from psqkd.moments import TwoModeCM, source_stage
 from psqkd.phase_space import SqueezedSourceParams, scaled_laguerre
 
 
@@ -132,12 +131,7 @@ def wigner_pstmsc(pt: PhasePoint, params: SqueezedSourceParams):
     Raises ZeroProbabilityError when the k-photon detection event cannot
     occur (tau = 1 with k >= 1, or r = 0 and d = 0 with k >= 1).
     """
-    p_ps = subtraction_probability(params)
-    if p_ps <= 0.0:
-        raise ZeroProbabilityError(
-            f"{params.k}-photon subtraction has probability 0 at "
-            f"r={params.r}, d={params.d}, tau={params.tau}"
-        )
+    p_ps = source_stage(params.r, params.d, params.tau, params.k)[0]
     mu, nu = math.cosh(params.r), math.sinh(params.r)
     d, tau = params.d, params.tau
     x1, p1, x2, p2 = pt.x1, pt.p1, pt.x2, pt.p2

@@ -20,7 +20,7 @@ from psqkd.channel import ChannelParams
 from psqkd.cli import render_csv
 from psqkd.fock_oracle import compare_random_grid
 from psqkd.keyrate import secret_key_rate
-from psqkd.moments import pstmsc_covariance, subtraction_probability
+from psqkd.moments import TwoModeCM, source_stage
 from psqkd.phase_space import SqueezedSourceParams, scaled_laguerre
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
@@ -83,7 +83,7 @@ def test_acceptance_1_oracle_equivalence(capsys):
 def test_acceptance_2_limit_recovery(capsys):
     worst_tmsv = 0.0
     for r in (0.2, 0.6, 1.0):
-        cm = pstmsc_covariance(SqueezedSourceParams(r=r, d=0.0, tau=1.0, k=0))
+        cm = TwoModeCM(*source_stage(r, 0.0, 1.0, 0)[1:])
         ch2, sh2 = math.cosh(2 * r), math.sinh(2 * r)
         devs = [
             abs(cm.vax - ch2), abs(cm.vap - ch2),
@@ -95,20 +95,14 @@ def test_acceptance_2_limit_recovery(capsys):
 
     # d -> 0 continuously recovers photon subtraction from the undisplaced
     # state: variances approach quadratically, means linearly
-    base = SqueezedSourceParams(r=0.5, d=0.0, tau=0.8, k=1)
-    at_zero = pstmsc_covariance(base)
-    small = pstmsc_covariance(replace(base, d=1e-8))
+    p_zero, *at_zero = source_stage(0.5, 0.0, 0.8, 1)
+    p_small, *small = source_stage(0.5, 1e-8, 0.8, 1)
+    at_zero, small = TwoModeCM(*at_zero), TwoModeCM(*small)
     worst_limit = max(
         abs(getattr(small, f) - getattr(at_zero, f))
         for f in ("vax", "vap", "vbx", "vbp", "vcx", "vcp")
     )
-    worst_limit = max(
-        worst_limit,
-        abs(
-            subtraction_probability(replace(base, d=1e-8))
-            - subtraction_probability(base)
-        ),
-    )
+    worst_limit = max(worst_limit, abs(p_small - p_zero))
     mean_leak = max(abs(small.mean_x1), abs(small.mean_x2))
     undisplaced_isotropy = max(
         abs(at_zero.vax - at_zero.vap),
@@ -323,7 +317,7 @@ def test_acceptance_7_property_suite(capsys):
             tau=float(rng.uniform(0.3, 0.99)),
             k=int(rng.integers(0, 3)),
         )
-        lam1, lam2 = symplectic_eigenvalues(*astuple(pstmsc_covariance(params))[:6])
+        lam1, lam2 = symplectic_eigenvalues(*source_stage(*astuple(params))[1:7])
         lam_floor = min(lam_floor, lam1, lam2)
     physical = lam_floor >= 1.0 - 1e-9
 

@@ -1,4 +1,4 @@
-"""Equivalent one-way channel: transmittance, gain, and noise breakdown."""
+"""Equivalent one-way channel: transmittance, gain, and the reduction."""
 
 import math
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 import psqkd.channel as channel_module
-from psqkd.channel import (
-    ChannelParams,
-    NoiseBreakdown,
-    gain,
-    noise_breakdown,
-    transmittance,
-)
+from psqkd.channel import ChannelParams, NoiseBreakdown, breakdown, gain, transmittance
 from psqkd.phase_space import SqueezedSourceParams
+
+
+def reduced(params: ChannelParams) -> NoiseBreakdown:
+    return NoiseBreakdown(*breakdown(params, params.l_ac))
 
 
 def thermal_excess_at_gain(params: ChannelParams, g: float) -> float:
@@ -21,9 +19,9 @@ def thermal_excess_at_gain(params: ChannelParams, g: float) -> float:
 
     The general form: relay-quadrature variance S plus the displacement
     cross term. Its minimum over g is at `gain(v_a, T_B)`, where it reduces
-    to the closed form that `noise_breakdown` evaluates.
+    to the closed form that `breakdown` evaluates.
     """
-    nb = noise_breakdown(params)
+    nb = reduced(params)
     t_a, t_b, v = nb.t_a, nb.t_b, params.v_a
     s = 0.5 * (
         t_b * (v + params.eps_b) + 1.0 - t_b + t_a * (v + params.eps_a) + 1.0 - t_a
@@ -85,13 +83,13 @@ class TestGain:
 
 class TestGeometry:
     def test_asymmetric_bob_link_is_lossless(self):
-        nb = noise_breakdown(channel(geometry="asymmetric", l_ac=37.0))
+        nb = reduced(channel(geometry="asymmetric", l_ac=37.0))
         t_a, t_b = nb.t_a, nb.t_b
         assert t_b == 1.0
         assert t_a == pytest.approx(transmittance(37.0, 0.2))
 
     def test_symmetric_links_are_equal(self):
-        nb = noise_breakdown(channel(geometry="symmetric", l_ac=12.5))
+        nb = reduced(channel(geometry="symmetric", l_ac=12.5))
         t_a, t_b = nb.t_a, nb.t_b
         assert t_a == t_b
 
@@ -103,23 +101,23 @@ class TestGeometry:
 class TestThermalExcess:
     def test_lossless_noiseless_channel(self):
         ch = channel(geometry="asymmetric", l_ac=0.0)
-        assert noise_breakdown(ch).eps_th == pytest.approx(0.0, abs=1e-14)
+        assert reduced(ch).eps_th == pytest.approx(0.0, abs=1e-14)
 
     def test_ten_db_alice_link(self):
         # T_A = 0.1, T_B = 1, both excess noises 0.002
         ch = channel(geometry="asymmetric", l_ac=50.0, eps_a=0.002, eps_b=0.002)
-        assert noise_breakdown(ch).eps_th == pytest.approx(0.022, rel=1e-9)
+        assert reduced(ch).eps_th == pytest.approx(0.022, rel=1e-9)
 
     def test_lossless_with_excess(self):
         ch = channel(geometry="asymmetric", l_ac=0.0, eps_a=0.002, eps_b=0.002)
-        assert noise_breakdown(ch).eps_th == pytest.approx(0.004, rel=1e-12)
+        assert reduced(ch).eps_th == pytest.approx(0.004, rel=1e-12)
 
     def test_override_at_minimizer_matches_closed_form(self):
         base = channel(geometry="symmetric", l_ac=8.0, eps_a=0.002, eps_b=0.002)
-        t_b = noise_breakdown(base).t_b
+        t_b = reduced(base).t_b
         pinned = thermal_excess_at_gain(base, gain(base.v_a, t_b))
         assert pinned == pytest.approx(
-            noise_breakdown(base).eps_th, rel=1e-12
+            reduced(base).eps_th, rel=1e-12
         )
 
     def test_default_gain_minimizes_thermal_excess(self):
@@ -132,8 +130,8 @@ class TestThermalExcess:
                 eps_a=float(rng.uniform(0.0, 0.05)),
                 eps_b=float(rng.uniform(0.0, 0.05)),
             )
-            g_star = noise_breakdown(ch).g
-            best = noise_breakdown(ch).eps_th
+            g_star = reduced(ch).g
+            best = reduced(ch).eps_th
             for bump in (1.0 - 1e-3, 1.0 + 1e-3):
                 perturbed = thermal_excess_at_gain(ch, g_star * bump)
                 assert perturbed >= best - 1e-12
@@ -141,19 +139,19 @@ class TestThermalExcess:
 
 class TestNoiseBreakdown:
     def test_perfect_detector_adds_nothing(self):
-        nb = noise_breakdown(channel(eta=1.0, v_el=0.0))
+        nb = reduced(channel(eta=1.0, v_el=0.0))
         assert nb.chi_homo == 0.0
         assert nb.chi_tot == nb.chi_line
 
     def test_noisy_detector_value(self):
-        nb = noise_breakdown(channel(eta=0.995, v_el=0.01))
+        nb = reduced(channel(eta=0.995, v_el=0.01))
         assert nb.chi_homo == pytest.approx(0.0150754, abs=1e-6)
 
     def test_full_breakdown_independent_recompute(self):
         # asymmetric, 20 km, V_A = 50, excess 0.002: every intermediate
         # rebuilt from scratch here, then compared field by field
         ch = channel(l_ac=20.0, eps_a=0.002, eps_b=0.002)
-        nb = noise_breakdown(ch)
+        nb = reduced(ch)
         t_a = 10.0 ** (-0.2 * 20.0 / 10.0)
         t_b = 1.0
         g = math.sqrt(2.0 * 49.0 / (t_b * 51.0))
@@ -172,7 +170,7 @@ class TestNoiseBreakdown:
     def test_chi_tot_identity(self):
         rng = np.random.default_rng(77)
         for _ in range(200):
-            nb = noise_breakdown(
+            nb = reduced(
                 channel(
                     geometry=("symmetric", "asymmetric")[int(rng.integers(0, 2))],
                     l_ac=float(rng.uniform(0.0, 60.0)),
@@ -191,7 +189,7 @@ class TestNoiseBreakdown:
 
     def test_chi_line_grows_with_distance(self):
         values = [
-            noise_breakdown(channel(l_ac=l, eps_a=0.002, eps_b=0.002)).chi_line
+            reduced(channel(l_ac=l, eps_a=0.002, eps_b=0.002)).chi_line
             for l in (0.0, 5.0, 10.0, 20.0, 40.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -210,7 +208,7 @@ class TestNoiseBreakdown:
         # T = T_A g^2 / 2 underflows for a subnormal T_A at the smallest gain
         underflow = channel(geometry="asymmetric", l_ac=15500.0, v_a=1.0000000000000002)
         with pytest.raises(ValueError, match="transmittance"):
-            noise_breakdown(underflow)
+            reduced(underflow)
 
     @pytest.mark.parametrize(
         "record, field",
@@ -275,10 +273,10 @@ class TestNoiseBreakdown:
             return transmittance(*args)
 
         monkeypatch.setattr(channel_module, "transmittance", counted)
-        noise_breakdown(channel(geometry="symmetric", l_ac=12.0))
+        reduced(channel(geometry="symmetric", l_ac=12.0))
         assert len(calls) == 2  # one per link
 
     def test_breakdown_is_plain_data(self):
-        nb = noise_breakdown(channel())
-        assert isinstance(nb, NoiseBreakdown)
-        assert nb.t_b == 1.0
+        noise = breakdown(channel(), 20.0)
+        assert type(noise) is tuple and set(map(type, noise)) == {float}
+        assert NoiseBreakdown(*noise).t_b == 1.0

@@ -13,6 +13,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 import warnings
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
@@ -42,8 +43,8 @@ from psqkd.sweep import (
     SWEEP_VARIABLES,
     _apply_value,
     _evaluate,
+    _family_distances,
     _grid,
-    max_secure_distance,
     optimize_scalar,
     resolve_family,
 )
@@ -182,7 +183,7 @@ SECTION_CALLS = {
     "source": SqueezedSourceParams,
     "channel": ChannelParams,
     "sweep": _evaluate,
-    "max_distance": max_secure_distance,
+    "max_distance": _family_distances,
     "optimize": optimize_scalar,
     "oracle": compare_random_grid,
 }
@@ -822,16 +823,35 @@ class TestImports:
             if not hasattr(importlib.import_module(module), name)
         }
         # already dark: the keyrate and oracle names moved to the test
-        # references, and run_sweep went with the sweep's record layer
-        # (`psqkd sweep` runs `_evaluate`); ROADMAP item 1 re-points the
-        # tracer at the stages that run
+        # references, run_sweep went with the sweep's record layer (`psqkd
+        # sweep` runs `_evaluate`), and the moments and channel names went
+        # with the record-returning twins of the stages, which no pipeline
+        # called; ROADMAP item 1 re-points the tracer at the stages that run
         assert missing == {
             "psqkd.sweep.run_sweep",
             "psqkd.keyrate.holevo_bound",
             "psqkd.keyrate.symplectic_eigenvalues",
             "psqkd.keyrate.conditional_cm_after_heterodyne",
+            "psqkd.moments.pstmsc_covariance",
+            "psqkd.moments.subtraction_probability",
+            "psqkd.channel.noise_breakdown",
             "psqkd.fock_oracle.fock_moment",
         }
+
+    def test_benchmark_warmup_ops_pass_their_checks(self, tmp_path):
+        # each workload's fixed warm-up op, run against this tree and judged
+        # by the workload's own check; the module is read, not imported, so
+        # nothing is written beside it. oracle_grid's set-up only draws the
+        # timed ops' seeds, which the warm-up does not need
+        path = REPO / "perfbench" / "workloads.py"
+        workloads = types.ModuleType("workloads")
+        workloads.__file__ = str(path)
+        exec(compile(path.read_text(), str(path), "exec"), vars(workloads))
+        figures = workloads.Figures(0, 0, str(tmp_path))
+        figures.setup()
+        for workload in (figures, workloads.OracleGrid(0, 0, str(tmp_path))):
+            op = workload.warmup
+            assert workload.check(op, workload.run(op)) is None, type(workload).__name__
 
     def test_exported_names_resolve(self):
         # a name retired from a module must leave its __all__ too
@@ -870,7 +890,7 @@ assert main(["sweep", *base, "--out", {str(tmp_path / "fig6.csv")!r}]) == 0
 assert main(["max-distance", *base]) == 0
 assert main(["optimize", *base, *opt]) == 0
 source = psqkd.SqueezedSourceParams(r=0.5, d=1.0, tau=0.9, k=1)
-psqkd.pstmsc_covariance(source)
+psqkd.source_stage(source.r, source.d, source.tau, source.k)
 channel = psqkd.ChannelParams("asymmetric", 20.0, math.cosh(2.0 * source.r), 0.96)
 psqkd.secret_key_rate(source, channel)
 assert "numpy" not in sys.modules, "numpy loaded"

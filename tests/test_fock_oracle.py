@@ -29,8 +29,7 @@ from psqkd.fock_oracle import (
     state_covariance,
     suggested_truncation,
 )
-from psqkd.moments import pstmsc_covariance, subtraction_probability
-from psqkd.phase_space import SqueezedSourceParams
+from psqkd.moments import TwoModeCM, source_stage
 
 CM_FIELDS = ("vax", "vap", "vbx", "vbp", "vcx", "vcp", "mean_x1", "mean_x2")
 
@@ -180,10 +179,7 @@ class TestProjection:
         for r, d, tau, k in [(0.5, 0.0, 0.8, 1), (0.4, 1.0, 0.7, 2), (0.3, 0.5, 0.9, 0)]:
             state = build_tmsc_fock(r, d, suggested_truncation(r, d))
             _, prob = apply_bs_and_project(state, tau, k)
-            closed = subtraction_probability(
-                SqueezedSourceParams(r=r, d=d, tau=tau, k=k)
-            )
-            assert prob == pytest.approx(closed, rel=1e-8)
+            assert prob == pytest.approx(source_stage(r, d, tau, k)[0], rel=1e-8)
 
     def test_probabilities_sum_to_one(self):
         state = build_tmsc_fock(0.4, 0.6, 40)
@@ -238,10 +234,9 @@ class TestMoments:
         )
 
     def test_displaced_mean_matches_closed_form(self):
-        params = SqueezedSourceParams(r=0.4, d=1.0, tau=0.8, k=1)
         state = build_tmsc_fock(0.4, 1.0, 40)
         state, _ = apply_bs_and_project(state, 0.8, 1)
-        cm = pstmsc_covariance(params)
+        cm = TwoModeCM(*source_stage(0.4, 1.0, 0.8, 1)[1:])
         assert fock_moment(state, 1, 0, 0, 0) == pytest.approx(cm.mean_x1, abs=1e-8)
         assert fock_moment(state, 0, 0, 1, 0) == pytest.approx(cm.mean_x2, abs=1e-8)
 
@@ -372,11 +367,11 @@ class TestOracleCovariance:
     )
     def test_three_and_four_photon_subtraction(self, r, d, tau, k):
         n_max = suggested_truncation(r, d)
-        params = SqueezedSourceParams(r=r, d=d, tau=tau, k=k)
+        closed_p, *closed = source_stage(r, d, tau, k)
         _, prob = apply_bs_and_project(build_tmsc_fock(r, d, n_max), tau, k)
-        assert prob == pytest.approx(subtraction_probability(params), rel=1e-8)
+        assert prob == pytest.approx(closed_p, rel=1e-8)
         oracle = oracle_covariance(r, d, tau, k, n_max)
-        closed = pstmsc_covariance(params)
+        closed = TwoModeCM(*closed)
         for field in CM_FIELDS:
             assert getattr(closed, field) == pytest.approx(
                 getattr(oracle, field), rel=1e-8
@@ -401,10 +396,10 @@ class TestOracleCovariance:
                     assert n_max < 300, (r, d, n_max)
                     n_max += n_max // 2
             state, prob = apply_bs_and_project(state, tau, k)
-            params = SqueezedSourceParams(r=r, d=d, tau=tau, k=k)
-            assert prob == pytest.approx(subtraction_probability(params), rel=1e-7)
+            closed_p, *closed = source_stage(r, d, tau, k)
+            assert prob == pytest.approx(closed_p, rel=1e-7)
             oracle = state_covariance(state)
-            closed = pstmsc_covariance(params)
+            closed = TwoModeCM(*closed)
             for field in CM_FIELDS:
                 dev = _rel_dev(getattr(closed, field), getattr(oracle, field))
                 assert dev < 1e-7, (field, r, d, tau, k, n_max)

@@ -1,11 +1,11 @@
 """The key-rate kernels against their references.
 
-`keyrate._channel_stage` is one straight-line kernel. `keyrate_reference`
+`keyrate.channel_stage` is one straight-line kernel. `keyrate_reference`
 keeps its formulas one function each, and the kernel must match that
 composition bit for bit, exceptions included. `mp_reference` recomputes it
 at 50 digits, which bounds the kernel's rounding at its branch switches,
-and recomputes the source stage (`moments._source_stage`) and the channel
-reduction (`channel._breakdown_at`) in their textbook forms, which pins
+and recomputes the source stage (`moments.source_stage`) and the channel
+reduction (`channel.breakdown`) in their textbook forms, which pins
 those on a seeded box and on both sides of each of their switches.
 """
 
@@ -19,12 +19,12 @@ import pytest
 
 import mp_reference
 import psqkd.sweep as sweep
-from keyrate_reference import RATE_FIELDS, channel_stage
-from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, _breakdown_at
+from keyrate_reference import RATE_FIELDS, composed_stage
+from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, breakdown
 from psqkd.config import load_run_config
 from psqkd.errors import PsqkdError, ZeroProbabilityError
-from psqkd.keyrate import _channel_stage
-from psqkd.moments import SUBTRACTION_CAP, TwoModeCM, _source_stage
+from psqkd.keyrate import channel_stage
+from psqkd.moments import SUBTRACTION_CAP, TwoModeCM, source_stage
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("fig*.cfg"))
 # L_AC (km) past which 0.2 dB/km of fiber transmits 0.0 in floats
@@ -42,7 +42,7 @@ def _outcome(stage_fn, stage, noise, beta):
 def _mismatches(pairs):
     return [
         pair for pair in pairs
-        if _outcome(_channel_stage, *pair) != _outcome(channel_stage, *pair)
+        if _outcome(channel_stage, *pair) != _outcome(composed_stage, *pair)
     ]
 
 
@@ -71,7 +71,7 @@ def _box(seed: int, n: int) -> list[tuple]:
             v_el=rng.choice((0.0, rng.uniform(0.0, 0.1))),
         )
         try:
-            pairs.append((_source_stage(*key), _breakdown_at(channel, l_ac), channel.beta))
+            pairs.append((source_stage(*key), breakdown(channel, l_ac), channel.beta))
         except (PsqkdError, ValueError):
             continue
     return pairs
@@ -91,12 +91,12 @@ def _golden_cells() -> list[tuple]:
                 src, ch = sweep._apply_value(
                     config.source, config.channel, grid["variable"], value
                 )
-                noise = _breakdown_at(ch, ch.l_ac)
+                noise = breakdown(ch, ch.l_ac)
             except (PsqkdError, ValueError):
                 continue
             for family in pins:
                 try:
-                    pairs.append((_source_stage(*sweep._pinned(src, family)), noise, ch.beta))
+                    pairs.append((source_stage(*sweep._pinned(src, family)), noise, ch.beta))
                 except (PsqkdError, ValueError):
                     continue
     return pairs
@@ -110,14 +110,14 @@ def _noise(t, chi_tot):
     return (1.0, 1.0, 1.0, t, 0.0, 0.0, 0.0, chi_tot)  # the stage reads T and chi_tot
 
 
-TMSV50 = _source_stage(0.5 * math.acosh(50.0), 0.0, 1.0, 0)
+TMSV50 = source_stage(0.5 * math.acosh(50.0), 0.0, 1.0, 0)
 
 
 class TestPinnedToReference:
     def test_seeded_box(self):
         pairs = _box(seed=2012, n=10_000)
         assert _mismatches(pairs) == []
-        failed = {_outcome(_channel_stage, *pair).startswith("(<class") for pair in pairs}
+        failed = {_outcome(channel_stage, *pair).startswith("(<class") for pair in pairs}
         assert failed == {False, True}  # results and errors both
 
     def test_every_golden_cell(self):
@@ -147,7 +147,7 @@ class TestPinnedToReference:
     def test_each_branch(self, stage, noise, expect):
         assert _mismatches([(stage, noise, 0.96)]) == []
         try:
-            i_ab, chi_be, _, lam1, lam2, _ = _channel_stage(stage, noise, 0.96)
+            i_ab, chi_be, _, lam1, lam2, _ = channel_stage(stage, noise, 0.96)
         except PsqkdError as exc:
             assert expect in str(exc)
             return
@@ -163,7 +163,7 @@ def _within_bounds(stage, t, chi_tot, beta=0.96) -> dict[str, bool]:
     """Per output field, whether the kernel is within its bound of the
     50-digit reference: 1e-10 relative, and for K, which cancels at the
     security edge, 1e-10 * p_ps * (beta I_AB + chi_BE) absolute."""
-    got = _channel_stage(stage, _noise(t, chi_tot), beta)
+    got = channel_stage(stage, _noise(t, chi_tot), beta)
     ref = mp_reference.channel_stage(stage, t, chi_tot, beta)
     k_bound = 1e-10 * stage[0] * (beta * ref[0] + ref[1])
     return {
@@ -189,7 +189,7 @@ def _near_pure_box(seed: int, n: int) -> list[tuple]:
     rng = random.Random(seed)
     return [
         (
-            _source_stage(rng.uniform(0.1, 2.3), *rng.choice(NEAR_PURE_SOURCES)),
+            source_stage(rng.uniform(0.1, 2.3), *rng.choice(NEAR_PURE_SOURCES)),
             rng.choice((1.0, 0.9, 0.38)),
             rng.choice((0.0, 10.0 ** rng.uniform(-14.0, -8.0))),
         )
@@ -202,7 +202,7 @@ class TestFiftyDigitReference:
     @pytest.mark.parametrize("source", WEAK_SOURCES)
     @pytest.mark.parametrize("t, chi_tot", WEAK_CHANNELS)
     def test_eigenvalues_of_weakly_squeezed_pure_states(self, r, source, t, chi_tot):
-        ok = _within_bounds(_source_stage(r, *source), t, chi_tot)
+        ok = _within_bounds(source_stage(r, *source), t, chi_tot)
         assert [ok["lambda1"], ok["lambda2"], ok["lambda3"]] == [True] * 3
 
     @pytest.mark.xfail(
@@ -211,7 +211,7 @@ class TestFiftyDigitReference:
     )
     @pytest.mark.parametrize("r", [1e-8, 1e-6, 1e-4])
     def test_information_of_weakly_squeezed_states(self, r):
-        ok = _within_bounds(_source_stage(r, 0.0, 1.0, 0), 1.0, 0.0)
+        ok = _within_bounds(source_stage(r, 0.0, 1.0, 0), 1.0, 0.0)
         assert ok["i_ab"] and ok["key_rate"]
 
     @pytest.mark.parametrize("chi_tot", NEAR_PURE)
@@ -232,7 +232,7 @@ class TestFiftyDigitReference:
         misses = []
         for stage, t, chi_tot in _near_pure_box(seed=7, n=400):
             ok = _within_bounds(stage, t, chi_tot)
-            chi_be = _channel_stage(stage, _noise(t, chi_tot), 0.96)[1]
+            chi_be = channel_stage(stage, _noise(t, chi_tot), 0.96)[1]
             if not ok["key_rate"] or chi_be < 0.0:
                 misses.append((stage[:2], t, chi_tot))
         assert misses == []
@@ -249,11 +249,11 @@ def _off(fields, got, ref) -> list[str]:
 
 
 def _stage_off(key) -> list[str]:
-    return _off(STAGE_FIELDS, _source_stage(*key), mp_reference.source_stage(*key))
+    return _off(STAGE_FIELDS, source_stage(*key), mp_reference.source_stage(*key))
 
 
 def _reduction_off(channel, l_ac) -> list[str]:
-    return _off(NOISE_FIELDS, _breakdown_at(channel, l_ac), mp_reference.breakdown(channel, l_ac))
+    return _off(NOISE_FIELDS, breakdown(channel, l_ac), mp_reference.breakdown(channel, l_ac))
 
 
 def _y(r, d, tau):
@@ -362,7 +362,7 @@ class TestSourceAndReductionReference:
         # d^2 mu^2 e^{2r} and nu^2 D^2 both overflow here, so no moment term
         # may carry 1/nu^2
         key = (0.5 * math.acosh(1e300), 2.0, 0.9, 1)
-        p_ps, vax, *_ = _source_stage(*key)
+        p_ps, vax, *_ = source_stage(*key)
         assert p_ps == pytest.approx(3.663e-301, rel=1e-3)
         assert vax == pytest.approx(39.0)
         assert _stage_off(key) == []
@@ -382,7 +382,7 @@ class TestSourceAndReductionReference:
     def test_reduction_on_both_sides_of_tiny_t(self, l_ac):
         channel = ChannelParams("asymmetric", l_ac, 50.0, 0.96, eps_a=0.002, eps_b=0.002,
                                 eta=0.9, v_el=0.01)
-        assert (_breakdown_at(channel, l_ac)[3] < 1e-30) == (l_ac > 1499.1)
+        assert (breakdown(channel, l_ac)[3] < 1e-30) == (l_ac > 1499.1)
         assert _reduction_off(channel, l_ac) == []
 
     @pytest.mark.xfail(

@@ -19,15 +19,15 @@ from keyrate_reference import (
     symplectic_eigenvalues,
 )
 from phase_space_reference import cm_matrix
-from psqkd.channel import GEOMETRIES, ChannelParams, _breakdown_at, noise_breakdown
+from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, breakdown
 from psqkd.errors import (
     NonFiniteError,
     PsqkdError,
     UnphysicalStateError,
     ZeroProbabilityError,
 )
-from psqkd.keyrate import _channel_stage, entropy_G, secret_key_rate
-from psqkd.moments import TwoModeCM, pstmsc_covariance, subtraction_probability
+from psqkd.keyrate import channel_stage, entropy_G, secret_key_rate
+from psqkd.moments import TwoModeCM, source_stage
 from psqkd.phase_space import SqueezedSourceParams
 
 OMEGA = np.array(
@@ -144,7 +144,7 @@ class TestSymplecticEigenvalues:
 
 class TestEffectiveCm:
     def test_identity_channel_is_noop(self):
-        cm = pstmsc_covariance(SqueezedSourceParams(r=0.5, d=1.0, tau=0.8, k=1))
+        cm = TwoModeCM(*source_stage(0.5, 1.0, 0.8, 1)[1:])
         out = effective_cm(*fields(cm), 1.0, 0.0)
         assert out == fields(cm)
 
@@ -207,9 +207,9 @@ class TestHolevoBound:
         values = []
         for eps in (0.0, 0.01, 0.05, 0.1):
             ch = reference_channel(l_ac=10.0, eps_a=eps, eps_b=eps)
-            noise = noise_breakdown(ch)
+            noise = NoiseBreakdown(*breakdown(ch, ch.l_ac))
             cm = effective_cm(
-                *fields(pstmsc_covariance(source)), noise.t, noise.chi_tot
+                *source_stage(*dataclasses.astuple(source))[1:7], noise.t, noise.chi_tot
             )
             values.append(chi_be(*cm))
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -357,13 +357,12 @@ class TestStageGuards:
 
     @pytest.mark.parametrize("field", SOURCE_FIELDS)
     def test_source_stage_rejects_inf_in_any_field(self, monkeypatch, field):
-        p_ps, cm = subtraction_probability(self.SOURCE), pstmsc_covariance(self.SOURCE)
-        stage = [p_ps] + [getattr(cm, name) for name in self.SOURCE_FIELDS[1:]]
-        assert tuple(stage) == moments._source_stage(*self.KEY)  # in field order
+        stage = list(source_stage(*self.KEY))
+        assert len(stage) == len(self.SOURCE_FIELDS)
         stage[self.SOURCE_FIELDS.index(field)] = math.inf
         monkeypatch.setattr(moments, "_source_moments", lambda *params: tuple(stage))
         with pytest.raises(NonFiniteError, match="source stage"):
-            pstmsc_covariance(self.SOURCE)
+            source_stage(*self.KEY)
 
     @pytest.mark.parametrize(
         "channel",
@@ -379,9 +378,7 @@ class TestStageGuards:
     def test_reduction_rejects_an_overflow(self, channel):
         match = r"^channel stage overflows at T=\S+, chi_tot=\S+$"
         with pytest.raises(NonFiniteError, match=match):
-            _breakdown_at(channel, channel.l_ac)
-        with pytest.raises(NonFiniteError, match=match):
-            noise_breakdown(channel)
+            breakdown(channel, channel.l_ac)
 
     # (output, source stage fields p_ps..vcp, T, chi_tot): inputs at which
     # that output of the unchecked formulas is not finite; the first three
@@ -403,7 +400,7 @@ class TestStageGuards:
             assert sum(map(math.isfinite, rate)) == 5
         noise = (1.0, 1.0, 1.0, t, 0.0, 0.0, 0.0, chi_tot)  # the stage reads T and chi_tot
         with pytest.raises(NonFiniteError, match="channel stage overflows"):
-            _channel_stage(cm + (0.0, 0.0), noise, 0.96)
+            channel_stage(cm + (0.0, 0.0), noise, 0.96)
 
 
 _RECORD_FIELDS = [

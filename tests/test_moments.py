@@ -25,18 +25,23 @@ import psqkd.moments as moments
 from fock_reference import fock_moment
 from keyrate_reference import symplectic_eigenvalues
 from phase_space_reference import cm_matrix, cm_means, gauss_hermite_moments
-from psqkd.moments import (
-    SUBTRACTION_CAP,
-    TwoModeCM,
-    _laguerre_ratios,
-    pstmsc_covariance,
-    subtraction_probability,
-)
+from psqkd.moments import SUBTRACTION_CAP, TwoModeCM, _laguerre_ratios, source_stage
 from psqkd.phase_space import SqueezedSourceParams
 
 
 def params(r=0.5, d=1.0, tau=0.8, k=1) -> SqueezedSourceParams:
     return SqueezedSourceParams(r=r, d=d, tau=tau, k=k)
+
+
+def covariance(p: SqueezedSourceParams) -> TwoModeCM:
+    return TwoModeCM(*source_stage(*dataclasses.astuple(p))[1:])
+
+
+def probability(p: SqueezedSourceParams) -> float:
+    """p_ps by the source stage's own formula, with nu and D computed
+    afresh; 0.0 where `source_stage` raises ZeroProbabilityError."""
+    nu = math.sinh(p.r)
+    return moments._probability(p.r, p.d, p.tau, p.k, nu, 1.0 + (1.0 - p.tau) * nu * nu)
 
 
 CM_FIELDS = ("vax", "vap", "vbx", "vbp", "vcx", "vcp", "mean_x1", "mean_x2")
@@ -56,16 +61,16 @@ ORACLE_FROZEN = TwoModeCM(
 
 class TestSubtractionProbability:
     def test_tau_one_keeps_everything(self):
-        assert subtraction_probability(params(tau=1.0, k=0)) == 1.0
-        assert subtraction_probability(params(r=1.3, d=2.0, tau=1.0, k=0)) == 1.0
+        assert probability(params(tau=1.0, k=0)) == 1.0
+        assert probability(params(r=1.3, d=2.0, tau=1.0, k=0)) == 1.0
 
     def test_tau_one_cannot_subtract(self):
-        assert subtraction_probability(params(tau=1.0, k=1)) == 0.0
-        assert subtraction_probability(params(tau=1.0, k=3)) == 0.0
+        assert probability(params(tau=1.0, k=1)) == 0.0
+        assert probability(params(tau=1.0, k=3)) == 0.0
 
     def test_known_value_without_displacement(self):
         # closed form reduces to (1-tau) nu^2 / D^2 at k=1, d=0
-        p = subtraction_probability(params(r=0.5, d=0.0, tau=0.8, k=1))
+        p = probability(params(r=0.5, d=0.0, tau=0.8, k=1))
         nu2 = math.sinh(0.5) ** 2
         big_d = 1.0 + 0.2 * nu2
         assert p == pytest.approx(0.2 * nu2 / big_d**2, rel=1e-12)
@@ -74,14 +79,14 @@ class TestSubtractionProbability:
     def test_matches_oracle_with_displacement(self):
         state = build_tmsc_fock(0.5, 1.0, 40)
         _, prob = apply_bs_and_project(state, 0.8, 1)
-        assert subtraction_probability(params(r=0.5, d=1.0, tau=0.8, k=1)) == (
+        assert probability(params(r=0.5, d=1.0, tau=0.8, k=1)) == (
             pytest.approx(prob, rel=1e-7)
         )
 
     def test_empty_source_limit(self):
         # nothing in the tap: k=0 certain, k>=1 impossible
-        assert subtraction_probability(params(r=0.0, d=0.0, tau=0.5, k=0)) == 1.0
-        assert subtraction_probability(params(r=0.0, d=0.0, tau=0.5, k=2)) == 0.0
+        assert probability(params(r=0.0, d=0.0, tau=0.5, k=0)) == 1.0
+        assert probability(params(r=0.0, d=0.0, tau=0.5, k=2)) == 0.0
 
     def test_coherent_only_source_is_poissonian(self):
         # r=0: the tap sees a coherent beam of mean photon number
@@ -90,13 +95,13 @@ class TestSubtractionProbability:
         mean_n = (1.0 - tau) * d * d / 4.0
         for k in range(5):
             expect = math.exp(-mean_n) * mean_n**k / math.factorial(k)
-            got = subtraction_probability(params(r=0.0, d=d, tau=tau, k=k))
+            got = probability(params(r=0.0, d=d, tau=tau, k=k))
             assert got == pytest.approx(expect, rel=1e-12)
 
     def test_completeness_over_k(self):
         for r, d, tau in [(0.5, 1.0, 0.8), (1.0, 2.0, 0.3), (0.8, 0.0, 0.5)]:
             total = sum(
-                subtraction_probability(params(r=r, d=d, tau=tau, k=k))
+                probability(params(r=r, d=d, tau=tau, k=k))
                 for k in range(41)
             )
             assert total == pytest.approx(1.0, abs=1e-6)
@@ -104,7 +109,7 @@ class TestSubtractionProbability:
     def test_each_probability_in_unit_interval(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
-            p = subtraction_probability(
+            p = probability(
                 params(
                     r=float(rng.uniform(0.0, 1.5)),
                     d=float(rng.uniform(0.0, 3.0)),
@@ -137,15 +142,15 @@ class TestSubtractionProbability:
             assert (g * g == math.inf) == (p in large_y)
         for p in [*box, *r_zero, *tau_one, *small_nu, *large_y]:
             try:
-                stage = moments._source_stage(*dataclasses.astuple(p))
+                stage = source_stage(*dataclasses.astuple(p))
             except ZeroProbabilityError:
-                assert subtraction_probability(p) == 0.0
+                assert probability(p) == 0.0
                 continue
-            assert stage[0] == subtraction_probability(p), p
+            assert stage[0] == probability(p), p
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="stability cap"):
-            pstmsc_covariance(params(k=SUBTRACTION_CAP + 1))
+            covariance(params(k=SUBTRACTION_CAP + 1))
 
 
 # both sides of 1, where the sums switch to a = 1/y, and of 1e8 and 1e16, and
@@ -196,7 +201,7 @@ def test_source_stage_matches_gauss_hermite_past_the_fock_box():
     ]
     for r, d, tau, k in [*corners, *seeded]:
         p = params(r=r, d=d, tau=tau, k=k)
-        closed, ref = pstmsc_covariance(p), gauss_hermite_moments(p)
+        closed, ref = covariance(p), gauss_hermite_moments(p)
         for field in CM_FIELDS:
             dev = _rel_dev(getattr(closed, field), getattr(ref, field))
             assert dev <= 1e-10, (p, field, dev)
@@ -205,7 +210,7 @@ def test_source_stage_matches_gauss_hermite_past_the_fock_box():
 class TestCovariance:
     def test_no_subtraction_is_tmsv(self):
         for r in (0.2, 0.6, 1.1):
-            cm = pstmsc_covariance(params(r=r, d=0.7, tau=1.0, k=0))
+            cm = covariance(params(r=r, d=0.7, tau=1.0, k=0))
             ch, sh = math.cosh(2 * r), math.sinh(2 * r)
             assert cm.vax == pytest.approx(ch, abs=1e-9)
             assert cm.vap == pytest.approx(ch, abs=1e-9)
@@ -215,13 +220,13 @@ class TestCovariance:
             assert cm.vcp == pytest.approx(-sh, abs=1e-9)
 
     def test_tmsc_mean_is_amplified_displacement(self):
-        cm = pstmsc_covariance(params(r=0.6, d=0.9, tau=1.0, k=0))
+        cm = covariance(params(r=0.6, d=0.9, tau=1.0, k=0))
         assert cm.mean_x1 == pytest.approx(0.9 * math.exp(0.6), rel=1e-12)
         assert cm.mean_x2 == pytest.approx(0.9 * math.exp(0.6), rel=1e-12)
 
     def test_tau_to_one_limit_is_continuous(self):
-        exact = pstmsc_covariance(params(r=0.8, d=1.2, tau=1.0, k=0))
-        near = pstmsc_covariance(params(r=0.8, d=1.2, tau=1.0 - 1e-11, k=0))
+        exact = covariance(params(r=0.8, d=1.2, tau=1.0, k=0))
+        near = covariance(params(r=0.8, d=1.2, tau=1.0 - 1e-11, k=0))
         for field in CM_FIELDS:
             assert getattr(near, field) == pytest.approx(
                 getattr(exact, field), abs=1e-9
@@ -231,7 +236,7 @@ class TestCovariance:
         # d=0: Laguerre ratios collapse to constants, variances to
         # (E + 2 mu^2 k) / D and friends
         r, tau, k = 0.5, 0.8, 1
-        cm = pstmsc_covariance(params(r=r, d=0.0, tau=tau, k=k))
+        cm = covariance(params(r=r, d=0.0, tau=tau, k=k))
         mu2, nu2 = math.cosh(r) ** 2, math.sinh(r) ** 2
         big_d = mu2 - tau * nu2
         big_e = mu2 + tau * nu2
@@ -249,7 +254,7 @@ class TestCovariance:
 
     def test_subtracted_tmsv_matches_oracle(self):
         for k, n_max in ((1, 30), (2, 35)):
-            closed = pstmsc_covariance(params(r=0.5, d=0.0, tau=0.8, k=k))
+            closed = covariance(params(r=0.5, d=0.0, tau=0.8, k=k))
             oracle = oracle_covariance(0.5, 0.0, 0.8, k, n_max)
             for field in CM_FIELDS:
                 assert getattr(closed, field) == pytest.approx(
@@ -257,14 +262,14 @@ class TestCovariance:
                 )
 
     def test_frozen_oracle_values(self):
-        closed = pstmsc_covariance(params(r=0.4, d=1.0, tau=0.8, k=1))
+        closed = covariance(params(r=0.4, d=1.0, tau=0.8, k=1))
         for field in CM_FIELDS:
             assert getattr(closed, field) == pytest.approx(
                 getattr(ORACLE_FROZEN, field), abs=1e-9
             )
 
     def test_k2_with_displacement_matches_oracle(self):
-        closed = pstmsc_covariance(params(r=0.5, d=1.0, tau=0.8, k=2))
+        closed = covariance(params(r=0.5, d=1.0, tau=0.8, k=2))
         oracle = oracle_covariance(0.5, 1.0, 0.8, 2, 35)
         for field in CM_FIELDS:
             assert getattr(closed, field) == pytest.approx(
@@ -273,14 +278,14 @@ class TestCovariance:
 
     def test_no_squeezing_leaves_coherent_state_unchanged(self):
         # subtracting from a coherent tap is an eigen-operation
-        cm = pstmsc_covariance(params(r=0.0, d=1.5, tau=0.64, k=2))
+        cm = covariance(params(r=0.0, d=1.5, tau=0.64, k=2))
         assert (cm.vax, cm.vap, cm.vbx, cm.vbp) == (1.0, 1.0, 1.0, 1.0)
         assert (cm.vcx, cm.vcp) == (0.0, 0.0)
         assert cm.mean_x1 == pytest.approx(1.5)
         assert cm.mean_x2 == pytest.approx(0.8 * 1.5)
 
     def test_no_squeezing_branch_matches_oracle(self):
-        closed = pstmsc_covariance(params(r=0.0, d=1.5, tau=0.64, k=1))
+        closed = covariance(params(r=0.0, d=1.5, tau=0.64, k=1))
         oracle = oracle_covariance(0.0, 1.5, 0.64, 1, 30)
         for field in CM_FIELDS:
             assert getattr(closed, field) == pytest.approx(
@@ -290,9 +295,9 @@ class TestCovariance:
     @pytest.mark.parametrize("k", [1, 2])
     def test_vanishing_squeezing_tends_to_the_coherent_product(self, k):
         # 1/nu^2 underflows below r ~ 1e-162 and y overflows below ~1e-154
-        ref = moments._source_stage(0.0, 2.0, 0.9, k)
+        ref = source_stage(0.0, 2.0, 0.9, k)
         for j in range(301):
-            got = moments._source_stage(10.0**-j, 2.0, 0.9, k)
+            got = source_stage(10.0**-j, 2.0, 0.9, k)
             assert all(map(math.isfinite, got)), j
             if j >= 14:  # the moments leave the limit at O(r)
                 for value, expect in zip(got, ref):
@@ -300,15 +305,15 @@ class TestCovariance:
 
     def test_zero_probability_event_raises(self):
         with pytest.raises(ZeroProbabilityError):
-            pstmsc_covariance(params(tau=1.0, k=1))
+            covariance(params(tau=1.0, k=1))
         with pytest.raises(ZeroProbabilityError):
-            pstmsc_covariance(params(r=0.0, d=0.0, tau=0.5, k=1))
+            covariance(params(r=0.0, d=0.0, tau=0.5, k=1))
         # d^2 e^{2r} and D^2 both overflow, so exp(-y D A) underflows to 0
         # where y A = inf / inf; p_ps is 0, not NaN
         for r, d in ((345.73, 1e5), (354.0, 20.0)):
             with pytest.raises(ZeroProbabilityError):
-                moments._source_stage(r, d, 0.9, 1)
-            assert subtraction_probability(params(r=r, d=d, tau=0.9, k=1)) == 0.0
+                source_stage(r, d, 0.9, 1)
+            assert probability(params(r=r, d=d, tau=0.9, k=1)) == 0.0
 
     def test_physicality_on_random_grid(self):
         rng = np.random.default_rng(20240817)
@@ -319,9 +324,9 @@ class TestCovariance:
                 tau=float(rng.uniform(0.05, 1.0)),
                 k=int(rng.integers(0, 4)),
             )
-            if subtraction_probability(p) <= 0.0:
+            if probability(p) <= 0.0:
                 continue
-            cm = pstmsc_covariance(p)
+            cm = covariance(p)
             # uncertainty products; single diagonals may dip below vacuum
             # (see test_conditional_squeezing_below_vacuum)
             assert cm.vax * cm.vap >= 1.0 - 1e-9
@@ -339,7 +344,7 @@ class TestCovariance:
         # x variance below vacuum while the uncertainty product stays legal;
         # the Fock oracle confirms the closed form at this point
         p = params(r=0.3827, d=1.0047, tau=0.7818, k=2)
-        closed = pstmsc_covariance(p)
+        closed = covariance(p)
         assert closed.vax < 1.0
         oracle = oracle_covariance(p.r, p.d, p.tau, p.k, 60)
         assert closed.vax == pytest.approx(oracle.vax, abs=1e-8)
@@ -352,7 +357,7 @@ class TestCovariance:
         state = build_tmsc_fock(0.5, 1.0, suggested_truncation(0.5, 1.0))
         state, _ = apply_bs_and_project(state, 0.8, 1)
         reflected = np.conj(state)
-        closed = pstmsc_covariance(params(r=0.5, d=1.0, tau=0.8, k=1))
+        closed = covariance(params(r=0.5, d=1.0, tau=0.8, k=1))
         mean1 = fock_moment(reflected, 1, 0, 0, 0)
         mean2 = fock_moment(reflected, 0, 0, 1, 0)
         assert fock_moment(reflected, 2, 0, 0, 0) - mean1**2 == pytest.approx(
@@ -369,7 +374,7 @@ class TestCovariance:
         )
 
     def test_matrix_layout(self):
-        cm = pstmsc_covariance(params())
+        cm = covariance(params())
         mat = cm_matrix(cm)
         assert np.allclose(mat, mat.T)
         # x-p cross terms vanish
@@ -383,7 +388,7 @@ class TestLowOrderMoments:
         state = build_tmsc_fock(0.5, 1.0, suggested_truncation(0.5, 1.0))
         state, _ = apply_bs_and_project(state, 0.8, 1)
         oracle = fock_moment(state, 1, 0, 1, 0)
-        cm = pstmsc_covariance(params())
+        cm = covariance(params())
         assert cm.vcx + cm.mean_x1 * cm.mean_x2 == pytest.approx(
             oracle, abs=1e-7
         )

@@ -27,7 +27,7 @@ from phase_space_reference import (
 )
 from psqkd.errors import ZeroProbabilityError
 from psqkd.fock_oracle import apply_bs_and_project, build_tmsc_fock
-from psqkd.moments import pstmsc_covariance
+from psqkd.moments import TwoModeCM, source_stage
 from psqkd.phase_space import SqueezedSourceParams, scaled_laguerre
 
 ORIGIN = PhasePoint(0.0, 0.0, 0.0, 0.0)
@@ -81,7 +81,7 @@ def box_normalization(fn, params: SqueezedSourceParams, nodes: int = 48) -> floa
     s,q = (p1 +- p2)/sqrt2 where the squeezing is axis-aligned, with the
     half-width set to ten standard deviations of each rotated quadrature.
     """
-    cm = pstmsc_covariance(params)
+    cm = TwoModeCM(*source_stage(params.r, params.d, params.tau, params.k)[1:])
     sig = {
         "u": math.sqrt((cm.vax + cm.vbx + 2 * cm.vcx) / 2),
         "v": math.sqrt((cm.vax + cm.vbx - 2 * cm.vcx) / 2),

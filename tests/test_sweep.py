@@ -1,5 +1,6 @@
 """Grid sweeps, secure-distance search, and scalar optimization."""
 
+import json
 import math
 from collections import Counter
 from dataclasses import astuple, fields, replace
@@ -137,6 +138,17 @@ class TestSweepArguments:
         argv = ["sweep", "--config", str(CONFIGS / "fig7.cfg"), "--out", str(tmp_path / "f.csv")]
         assert cli.main(argv + ["--set", "sweep.families=" + ",".join(DEFAULT_FAMILIES)]) == 0
         assert parsed == [(DEFAULT_FAMILIES,)]
+
+    def test_cli_max_distance_stages_each_family_once(self, monkeypatch, capsys):
+        built = _counting_inits(monkeypatch, SqueezedSourceParams)
+        parsed = _counting(monkeypatch, "_parse_families")
+        stages = _counting(monkeypatch, "source_stage")
+        argv = ["max-distance", "--config", str(CONFIGS / "fig7.cfg")]
+        assert cli.main(argv + ["--set", "sweep.families=" + ",".join(DEFAULT_FAMILIES)]) == 0
+        assert parsed == [(DEFAULT_FAMILIES,)]
+        assert len(stages) == len(DEFAULT_FAMILIES)
+        assert built == ["SqueezedSourceParams"]  # the config's source only
+        assert set(json.loads(capsys.readouterr().out)) == set(DEFAULT_FAMILIES)
 
     def test_variable_catalogue(self):
         assert SWEEP_VARIABLES == ("L_AC", "V_A", "d", "tau", "eta")
@@ -337,7 +349,7 @@ class TestStagedSweep:
         v_a_sweep = (base_source(), base_channel(), "V_A", 5.0, 100.0, 51)
         d_sweep = (base_source(), base_channel(), "d", 0.5, 3.0, 41)
         parsed = _counting(monkeypatch, "_family_pins")
-        built = _counting(monkeypatch, "_source_stage")
+        built = _counting(monkeypatch, "source_stage")
         assert _succeeds(*v_a_sweep)
         assert parsed == [(name,) for name in DEFAULT_FAMILIES]
         assert len(built) == 51 * 5  # r moves at every point
@@ -352,14 +364,14 @@ class TestStagedSweep:
                               (1, False): 41, (2, False): 41}
 
     def test_l_ac_sweep_runs_each_stage_once(self, monkeypatch):
-        sources = _counting(monkeypatch, "_source_stage")
-        channels = _counting(monkeypatch, "_breakdown_at")
+        sources = _counting(monkeypatch, "source_stage")
+        channels = _counting(monkeypatch, "breakdown")
         assert _succeeds(base_source(), base_channel(), "L_AC", 0.0, 40.0, 9)
         assert len(sources) == 5
         assert len(channels) == 9
 
     def test_tmsv_source_is_shared_across_a_tau_sweep(self, monkeypatch):
-        sources = _counting(monkeypatch, "_source_stage")
+        sources = _counting(monkeypatch, "source_stage")
         sweep._evaluate(
             base_source(), base_channel(), "tau", 0.5, 0.9, 5, families=("tmsv", "1-pstmsc")
         )
@@ -367,13 +379,13 @@ class TestStagedSweep:
 
     @pytest.mark.parametrize("variable, lo, hi", [("d", 0.0, 3.0), ("tau", 0.5, 0.99)])
     def test_source_sweep_runs_the_channel_reduction_once(self, monkeypatch, variable, lo, hi):
-        channels = _counting(monkeypatch, "_breakdown_at")
+        channels = _counting(monkeypatch, "breakdown")
         assert _succeeds(base_source(), base_channel(), variable, lo, hi, 7)
         assert channels == [(base_channel(), base_channel().l_ac)]
 
     def test_search_runs_the_source_stage_once(self, monkeypatch):
-        sources = _counting(monkeypatch, "_source_stage")
-        channels = _counting(monkeypatch, "_breakdown_at")
+        sources = _counting(monkeypatch, "source_stage")
+        channels = _counting(monkeypatch, "breakdown")
         max_secure_distance(base_source(), base_channel())
         assert sources == [(R50, 2.0, 0.9, 1)]
         assert len(channels) > 50
@@ -590,14 +602,14 @@ class TestOptimizeScalar:
         # a NaN at the grid's last point must neither win the grid nor move
         # the result; np.argmax picked it
         expect = optimize_scalar(base_source(), base_channel(), "d", 0.0, 3.0)
-        last = sweep._source_stage(R50, 3.0, 0.9, 1)  # the source at d = 3
-        kernel = sweep._channel_stage
+        last = sweep.source_stage(R50, 3.0, 0.9, 1)  # the source at d = 3
+        kernel = sweep.channel_stage
 
         def rate(stage, noise, beta):
             i_ab, chi_be, key, *eigenvalues = kernel(stage, noise, beta)
             return i_ab, chi_be, float("nan") if stage == last else key, *eigenvalues
 
-        monkeypatch.setattr(sweep, "_channel_stage", rate)
+        monkeypatch.setattr(sweep, "channel_stage", rate)
         v, s = optimize_scalar(base_source(), base_channel(), "d", 0.0, 3.0)
         assert (v, s) == expect
         assert not math.isnan(s)
@@ -631,13 +643,13 @@ class TestOptimizeScalar:
         assert searches == []
 
     def test_key_rate_objective_reduces_a_fixed_channel_once(self, monkeypatch):
-        channels = _counting(monkeypatch, "_breakdown_at")
+        channels = _counting(monkeypatch, "breakdown")
         optimize_scalar(base_source(), base_channel(), "tau", 0.5, 0.99)
         assert channels == [(base_channel(), base_channel().l_ac)]
 
     def test_distance_objective_stages_a_pinned_source_once(self, monkeypatch):
         # tmsv pins d, so every point of a d search has the same source
-        sources = _counting(monkeypatch, "_source_stage")
+        sources = _counting(monkeypatch, "source_stage")
         optimize_scalar(
             base_source(), base_channel(), "d", 0.0, 3.0,
             objective="max_distance", family="tmsv",
@@ -654,7 +666,7 @@ class TestOptimizeScalar:
     def test_distance_objective_reduces_only_at_its_probes(self, monkeypatch, capsys):
         # the README example; no reduction at the config's own L_AC, which
         # no search reads
-        channels = _counting(monkeypatch, "_breakdown_at")
+        channels = _counting(monkeypatch, "breakdown")
         probes = _counting(monkeypatch, "_rate_at_distance")
         argv = ["optimize", "--config", str(CONFIGS / "fig4.cfg")]
         for item in ("variable=d", "lo=0", "hi=3", "objective=max_distance", "k_target=1e-4"):
