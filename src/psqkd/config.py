@@ -11,10 +11,10 @@ ChannelParams, the sweep (`sweep._evaluate`), the per-family distance
 searches (`sweep._family_distances`), optimize_scalar and
 compare_random_grid. `prefix.name` is keyword `name` of that call, an
 absent key takes that call's default, and the call checks the value. The
-exceptions: `source.r` or `source.variance` is resolved here into r and
-the channel's v_a; `source.k` and `channel.l_ac`, which the calls
-require, default to 0 here; `channel.eps_A`/`eps_B` are `eps_a`/`eps_b`;
-and `max-distance` takes its family list from `sweep.families`.
+exceptions: `source.variance` is resolved here into r and the channel's
+v_a; `source.k` and `channel.l_ac`, which the calls require, default to 0
+here; `channel.eps_A`/`eps_B` are `eps_a`/`eps_b`; and `max-distance`
+takes its family list from `sweep.families`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class ConfigError(ValueError):
 
 # key -> type tag, used both for validation and conversion
 _KNOWN_KEYS: dict[str, str] = {
-    "source.r": "float",
     "source.variance": "float",
     "source.d": "float",
     "source.tau": "float",
@@ -159,22 +158,12 @@ def apply_overrides(values: dict[str, str], overrides: list[str]) -> dict[str, s
 def _build_source_channel(
     values: dict[str, str],
 ) -> tuple[SqueezedSourceParams, ChannelParams]:
-    source = _section(values, "source", required=("d", "tau"))
+    source = _section(values, "source", required=("variance", "d", "tau"))
     channel = _section(values, "channel", required=("geometry", "eps_A", "eps_B", "beta"))
-    has_r = "r" in source
-    if has_r == ("variance" in source):
-        raise ConfigError("exactly one of source.r or source.variance is required")
-    if has_r:
-        r = source.pop("r")
-        try:
-            v_a = math.cosh(2.0 * r)
-        except OverflowError:
-            raise ConfigError(f"source.r = {r:g} overflows V_A = cosh 2r") from None
-    else:
-        v_a = source.pop("variance")
-        if v_a < 1.0:
-            raise ConfigError(f"source.variance must be >= 1, got {v_a}")
-        r = 0.5 * math.acosh(v_a)
+    v_a = source.pop("variance")
+    if v_a < 1.0:
+        raise ConfigError(f"source.variance must be >= 1, got {v_a}")
+    r = 0.5 * math.acosh(v_a)
     channel = {_CHANNEL_RENAMES.get(name, name): value for name, value in channel.items()}
     try:
         return (

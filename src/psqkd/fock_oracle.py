@@ -76,8 +76,10 @@ def build_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
     One cumprod runs column j down from c tanh(r)^(j/2) by the ratios
     b sqrt(n) / (n - j); as all terms are non-negative and
     sum_j Q[n, j]^2 = psi(n, n) <= 1, no partial product exceeds 1. The
-    product runs in row blocks of at most 64^3 multiply-adds, below which
-    OpenBLAS keeps a GEMM on one thread (idle BLAS threads spin on CPU).
+    product runs in blocks of at most 64^3 multiply-adds, below which
+    OpenBLAS keeps a GEMM on one thread (idle BLAS threads spin on CPU):
+    blocks of whole rows up to n_max 511, single rows split by columns
+    above.
 
     Raises TruncationError when more than 1e-8 of probability lies above
     n_max or sits in the top 5 retained levels.
@@ -100,9 +102,12 @@ def build_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
     qt = np.ndarray((dim, dim), float, skew, 0, ((2 * dim - 1) * step, step))
     amps = np.empty((dim, dim))
     rows = max(1, _GEMM_SIZE // (dim * dim))
+    cols = min(dim, _GEMM_SIZE // (rows * dim))  # below dim once a row exceeds it
     for top in range(0, dim, rows):
         end = min(top + rows, dim)  # rows n < end need only columns j < end
-        amps[top:end] = qt[:end, top:end].T @ qt[:end]
+        for left in range(0, dim, cols):
+            right = left + cols
+            amps[top:end, left:right] = qt[:end, top:end].T @ qt[:end, left:right]
     kept = math.sqrt(_vdot(amps, amps))
     cropped = abs(1.0 - kept * kept)
     amps /= kept

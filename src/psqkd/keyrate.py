@@ -31,6 +31,9 @@ __all__ = [
     "secret_key_rate",
 ]
 
+_LN2 = math.log(2.0)
+
+
 @dataclass(frozen=True)
 class KeyRateResult:
     """One key-rate evaluation with its diagnostic intermediates."""
@@ -49,17 +52,20 @@ def entropy_G(x: float) -> float:
     """Thermal-state von Neumann entropy (x + 1) log2(x + 1) - x log2 x.
 
     G(0) = 0 by continuity; tiny negative arguments from float noise are
-    clamped to 0.
+    clamped to 0. Above x = 1e4, where the two terms cancel, it is
+    log2(x + 1) + x log1p(1/x) / ln 2.
 
     >>> entropy_G(0.0)
     0.0
     >>> entropy_G(1.0)
     2.0
     """
-    if x < -1e-12:
-        raise ValueError(f"entropy argument must be >= 0, got {x}")
     if x <= 0.0:
+        if x < -1e-12:
+            raise ValueError(f"entropy argument must be >= 0, got {x}")
         return 0.0
+    if x > 1e4:
+        return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
@@ -70,13 +76,16 @@ def channel_stage(
     then the TwoModeCM fields) through the channel reduction `noise` (the
     NoiseBreakdown fields, which `breakdown` has checked), with
     efficiency beta. Returns the KeyRateResult fields i_ab to lambda3.
-    Raises UnphysicalStateError, or NonFiniteError when the arithmetic
-    overflows or one of these is not finite.
+    Raises ValueError, in ChannelParams' words, for a beta outside (0, 1];
+    UnphysicalStateError; or NonFiniteError when the arithmetic overflows
+    or one of these is not finite.
 
     >>> noise = breakdown(ChannelParams("asymmetric", 0.0, 3.0, 1.0), 0.0)
     >>> channel_stage(source_stage(0.0, 0.0, 1.0, 0), noise, 1.0)
     (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
     """
+    if not 0.0 < beta <= 1.0:
+        ChannelParams._check({"beta": beta})
     p_ps, vax, vap, vbx, vbp, vcx, vcp, _, _ = stage
     t, chi_tot = noise[3], noise[7]
     try:

@@ -105,17 +105,30 @@ def _probability(r: float, d: float, tau: float, k: int, nu: float, big_d: float
 
 
 def source_stage(r: float, d: float, tau: float, k: int) -> tuple[float, ...]:
-    """The source half of the key-rate pipeline, on the fields of a checked
+    """The source half of the key-rate pipeline, on the fields of a
     SqueezedSourceParams: p_ps, then the TwoModeCM fields.
 
-    Raises ValueError when k exceeds SUBTRACTION_CAP, ZeroProbabilityError
+    Raises ValueError, in SqueezedSourceParams' words, for an r or d that
+    is negative or not finite, a tau outside [0, 1] or a k that is not an
+    int (a bool included) from 0 to SUBTRACTION_CAP; ZeroProbabilityError
     when the conditioning event has probability zero (tau = 1 with k >= 1,
-    or r = 0 and d = 0 with k >= 1), and NonFiniteError when the arithmetic
+    or r = 0 and d = 0 with k >= 1); and NonFiniteError when the arithmetic
     overflows or a moment is not finite.
 
     >>> source_stage(0.0, 0.0, 1.0, 0)
     (1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    >>> source_stage(0.5, 1.0, 1.5, 1)
+    Traceback (most recent call last):
+    ValueError: tau must lie in [0, 1], got 1.5
     """
+    # one range test on the way through, the record's check only to raise
+    # (a bool r, d or tau passes here as the number it is)
+    if not (
+        0.0 <= r < math.inf and 0.0 <= d < math.inf and 0.0 <= tau <= 1.0
+        and type(k) is int and 0 <= k <= SUBTRACTION_CAP
+    ):
+        SqueezedSourceParams._check({"r": r, "d": d, "tau": tau, "k": k})
+        _capped(k)
     try:
         stage = _source_moments(r, d, tau, k)
         finite = all(map(math.isfinite, stage))
@@ -133,8 +146,6 @@ def _capped(k: int) -> int:
 
 
 def _source_moments(r: float, d: float, tau: float, k: int) -> tuple[float, ...]:
-    if k > SUBTRACTION_CAP:
-        _capped(k)  # raises
     mu, nu = math.cosh(r), math.sinh(r)
     tap_nu2 = (1.0 - tau) * nu * nu
     big_d = 1.0 + tap_nu2

@@ -118,21 +118,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="expected int"):
             parse_config_file(str(path))
 
-    def test_missing_required_keys(self, tmp_path):
+    def test_missing_required_keys(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
-        path.write_text("source.r = 1\nsource.d = 0\nsource.tau = 1\n")
-        with pytest.raises(ConfigError, match="missing required keys"):
+        path.write_text("source.variance = 3\nsource.d = 0\nsource.tau = 1\n")
+        with pytest.raises(ConfigError, match="missing required keys: channel.geometry"):
             load_run_config(str(path))
+        path.write_text(BASE_CFG.replace("source.variance = 50", ""))
+        assert main(["keyrate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: missing required keys: source.variance\n"
 
-    def test_r_and_variance_are_mutually_exclusive(self, base_cfg):
-        with pytest.raises(ConfigError, match="exactly one"):
-            load_run_config(base_cfg, ["source.r=1.0"])
-
-    def test_overflowing_squeezing_rejected(self, tmp_path):
+    def test_squeezing_is_set_by_variance_only(self, tmp_path, capsys):
+        # source.r = x is written source.variance = cosh(2x)
         path = tmp_path / "c.cfg"
-        path.write_text(BASE_CFG.replace("source.variance = 50", "source.r = 1000"))
-        with pytest.raises(ConfigError, match="source.r = 1000 overflows"):
-            load_run_config(str(path))
+        path.write_text(BASE_CFG.replace("source.variance = 50", "source.r = 1"))
+        assert main(["keyrate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: unknown key 'source.r'\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_float_rejected(self, tmp_path, value):

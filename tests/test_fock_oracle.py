@@ -105,6 +105,14 @@ class TestBuildState:
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - reference)) <= 1e-15, n_max
 
+    def test_column_blocks_match_row_recurrence(self):
+        # from n_max 512 one row exceeds 64^3 multiply-adds, and each row's
+        # product is split by columns
+        got = build_tmsc_fock(1.0, 2.0, 520)
+        reference = recurrence_tmsc_fock(1.0, 2.0, 520)
+        reference /= np.linalg.norm(reference)
+        assert np.max(np.abs(got - reference)) <= 1e-15
+
 
 class TestBeamSplitterUnitary:
     def test_orthogonal(self):

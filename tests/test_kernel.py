@@ -22,7 +22,7 @@ import psqkd.sweep as sweep
 from keyrate_reference import RATE_FIELDS, composed_stage
 from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, breakdown
 from psqkd.config import load_run_config
-from psqkd.errors import PsqkdError, ZeroProbabilityError
+from psqkd.errors import PsqkdError, UnphysicalStateError, ZeroProbabilityError
 from psqkd.keyrate import channel_stage
 from psqkd.moments import SUBTRACTION_CAP, TwoModeCM, source_stage
 
@@ -236,6 +236,37 @@ class TestFiftyDigitReference:
             if not ok["key_rate"] or chi_be < 0.0:
                 misses.append((stage[:2], t, chi_tot))
         assert misses == []
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("l_ac, v_a", [(0.0, 1e4), (2.0, 1e6), (20.0, 1e6)])
+    def test_key_rate_of_a_strongly_squeezed_tmsv(self, geometry, l_ac, v_a):
+        assert _tmsv_within_bounds(geometry, l_ac, v_a)["key_rate"]
+
+    @pytest.mark.xfail(
+        raises=(AssertionError, UnphysicalStateError),
+        reason="Delta = det A + det B + 2 det C cancels (det C < 0) at large "
+        "V_A (see CHANGES.md, FOUND)",
+    )
+    @pytest.mark.parametrize(
+        "geometry, l_ac, v_a",
+        [
+            ("symmetric", 2.0, 1e8),  # lambda1 2e-4 relative off
+            ("asymmetric", 20.0, 1e12),
+            # `psqkd keyrate --config configs/fig7.cfg --set source.variance=3.2e7
+            # --set source.d=0 --set source.tau=1` exits 2: disc < -1e-9
+            ("symmetric", 0.0, 3.2e7),
+            ("asymmetric", 0.0, 3.2e7),
+        ],
+    )
+    def test_key_rate_of_a_tmsv_past_the_discriminant(self, geometry, l_ac, v_a):
+        assert _tmsv_within_bounds(geometry, l_ac, v_a)["key_rate"]
+
+
+def _tmsv_within_bounds(geometry, l_ac, v_a) -> dict[str, bool]:
+    """`_within_bounds` of the tmsv of variance v_a through the channel at
+    l_ac, with the reference point's excess noises."""
+    noise = breakdown(ChannelParams(geometry, l_ac, v_a, 0.96, 0.002, 0.002), l_ac)
+    return _within_bounds(source_stage(0.5 * math.acosh(v_a), 0.0, 1.0, 0), noise[3], noise[7])
 
 
 STAGE_FIELDS = ("p_ps", *(field.name for field in dataclasses.fields(TwoModeCM)))

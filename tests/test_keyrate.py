@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,20 @@ class TestEntropyG:
     def test_clearly_negative_rejected(self):
         with pytest.raises(ValueError):
             entropy_G(-0.01)
+
+    # (x, relative bound): (x + 1) log2(x + 1) - x log2 x up to the switch at
+    # 1e4, where it keeps ~13 digits; log2(x + 1) + x log1p(1/x) / ln 2 above
+    @pytest.mark.parametrize(
+        "x, rel",
+        [(150.6, 1e-12), (1e4, 1e-12), (math.nextafter(1e4, math.inf), 1e-15)]
+        + [(x, 1e-15) for x in (1e6, 1e8, 1e12, 1e15, 1e300)],
+    )
+    def test_fifty_digits_on_both_sides_of_the_switch(self, x, rel):
+        # x + 1 must not round at the working precision
+        with mpmath.workdps(50 + int(math.log10(x))):
+            xm = mpmath.mpf(x)
+            ref = (xm + 1) * mpmath.log(xm + 1, 2) - xm * mpmath.log(xm, 2)
+        assert abs(entropy_G(x) - ref) <= rel * ref
 
 
 class TestSymplecticEigenvalues:
@@ -363,6 +378,31 @@ class TestStageGuards:
         monkeypatch.setattr(moments, "_source_moments", lambda *params: tuple(stage))
         with pytest.raises(NonFiniteError, match="source stage"):
             source_stage(*self.KEY)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("r", -1.0), ("d", -2.0), ("tau", 1.5), ("tau", -0.5), ("k", True), ("k", 1.5)]
+        + [(name, math.nan) for name in ("r", "d", "tau")]
+        + [("r", math.inf), ("d", math.inf), ("k", -1), ("k", False)],
+    )
+    def test_source_stage_checks_its_arguments_as_the_record_does(self, name, value):
+        args = dict(zip(("r", "d", "tau", "k"), self.KEY), **{name: value})
+        with pytest.raises(ValueError) as record:
+            SqueezedSourceParams(**args)
+        with pytest.raises(ValueError) as stage:
+            source_stage(**args)
+        assert type(stage.value) is ValueError
+        assert str(stage.value) == str(record.value)
+
+    @pytest.mark.parametrize("beta", [1.5, 0.0, -1.0, math.nan, math.inf, False])
+    def test_channel_stage_checks_beta_as_the_record_does(self, beta):
+        with pytest.raises(ValueError) as record:
+            reference_channel(beta=beta)
+        channel = reference_channel()
+        with pytest.raises(ValueError) as stage:
+            channel_stage(source_stage(*self.KEY), breakdown(channel, channel.l_ac), beta)
+        assert type(stage.value) is ValueError
+        assert str(stage.value) == str(record.value)
 
     @pytest.mark.parametrize(
         "channel",
