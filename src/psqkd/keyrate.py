@@ -76,9 +76,10 @@ def channel_stage(
     then the TwoModeCM fields) through the channel reduction `noise` (the
     NoiseBreakdown fields, which `breakdown` has checked), with
     efficiency beta. Returns the KeyRateResult fields i_ab to lambda3.
-    Raises ValueError, in ChannelParams' words, for a beta outside (0, 1];
-    UnphysicalStateError; or NonFiniteError when the arithmetic overflows
-    or one of these is not finite.
+    Raises ValueError for a beta outside (0, 1], in ChannelParams' words,
+    or a T or chi_tot no `breakdown` returns; UnphysicalStateError; or
+    NonFiniteError when the arithmetic overflows or one of these is not
+    finite.
 
     >>> noise = breakdown(ChannelParams("asymmetric", 0.0, 3.0, 1.0), 0.0)
     >>> channel_stage(source_stage(0.0, 0.0, 1.0, 0), noise, 1.0)
@@ -88,6 +89,10 @@ def channel_stage(
         ChannelParams._check({"beta": beta})
     p_ps, vax, vap, vbx, vbp, vcx, vcp, _, _ = stage
     t, chi_tot = noise[3], noise[7]
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"noise t must be finite and > 0, got {t}")
+    if not 0.0 <= chi_tot < math.inf:
+        raise ValueError(f"noise chi_tot must be finite and >= 0, got {chi_tot}")
     try:
         # the one-way channel leaves Alice's block, scales the correlations
         # by sqrt(T), and makes Bob's block T * (V_B + chi_tot)

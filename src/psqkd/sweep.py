@@ -6,21 +6,18 @@ parametrization: "tmsv" pins (k=0, tau=1, d=0), "<k>-pstmsv" pins d=0, and
 "<k>-pstmsc" uses the source values as-is. `_evaluate` checks its
 arguments, then runs the grid on floats and keeps a failed cell's message
 rather than aborting, so the output shape is always predictable; `psqkd
-sweep` writes its CSV straight from those floats. Sweeps and
-`optimize_scalar` stage alike, through `_Staged`.
+sweep` writes its CSV straight from those floats. Sweeps, `optimize_scalar`
+and `psqkd max-distance` stage alike, through `_Staged`.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 from .channel import ChannelParams, breakdown
-from .errors import (
-    NoSecureRegionError,
-    PsqkdError,
-    TargetUnreachableError,
-)
+from .errors import NoSecureRegionError, PsqkdError, TargetUnreachableError
 # secret_key_rate stays for perfbench's tracer
 from .keyrate import channel_stage, secret_key_rate
 from .moments import _capped, source_stage
@@ -72,12 +69,10 @@ def _family_pins(name: str) -> tuple[bool, bool, int]:
     return m.group(2) == "c", True, _capped(int(m.group(1)))
 
 
-def _pinned(
-    source: SqueezedSourceParams, pins: tuple[bool, bool, int]
-) -> tuple[float, float, float, int]:
-    """The (r, d, tau, k) of a family's source, from `source`'s r, d and tau."""
-    keep_d, keep_tau, k = pins
-    return source.r, source.d if keep_d else 0.0, source.tau if keep_tau else 1.0, k
+def _pinned(src: tuple[float, float, float], pins: tuple[bool, bool, int]) -> tuple:
+    """The (r, d, tau, k) of a family's source, from its (r, d, tau) `src`."""
+    (r, d, tau), (keep_d, keep_tau, k) = src, pins
+    return r, d if keep_d else 0.0, tau if keep_tau else 1.0, k
 
 
 def resolve_family(name: str, source: SqueezedSourceParams) -> SqueezedSourceParams:
@@ -91,7 +86,7 @@ def resolve_family(name: str, source: SqueezedSourceParams) -> SqueezedSourcePar
     >>> resolve_family("2-pstmsc", base).k
     2
     """
-    return SqueezedSourceParams(*_pinned(source, _family_pins(name)))
+    return SqueezedSourceParams(*_pinned((source.r, source.d, source.tau), _family_pins(name)))
 
 
 def _parse_families(names: tuple[str, ...]) -> list[tuple[bool, bool, int]]:
@@ -104,56 +99,39 @@ def _parse_families(names: tuple[str, ...]) -> list[tuple[bool, bool, int]]:
     return [_family_pins(name) for name in names]
 
 
-def _apply_value(
-    source: SqueezedSourceParams,
-    channel: ChannelParams,
-    variable: str,
-    value: float,
-) -> tuple[SqueezedSourceParams, ChannelParams]:
-    """Move one swept variable into the parameter pair.
-
-    V_A drives both the squeezing (r = acosh(V_A)/2) and the relay gain,
-    which keeps the source variance and the channel reduction consistent.
-    """
+def _apply_value(source, channel, variable: str, value: float) -> tuple:
+    """The source's (r, d, tau), the channel and the L_AC of its reduction
+    at one value of a checked sweep variable, checked as its record checks
+    it. V_A sets both r = acosh(V_A)/2 and the channel's v_a."""
+    r, d, tau = source.r, source.d, source.tau
     if variable == "L_AC":
-        return source, _rebuilt(channel, l_ac=value)
+        ChannelParams._check({"l_ac": value})
+        return (r, d, tau), channel, value
     if variable == "V_A":
         if value < 1.0:
             raise ValueError(f"V_A must be >= 1, got {value}")
-        return _rebuilt(source, r=0.5 * math.acosh(value)), _rebuilt(channel, v_a=value)
-    if variable == "d":
-        return _rebuilt(source, d=value), channel
-    if variable == "tau":
-        return _rebuilt(source, tau=value), channel
+        r = 0.5 * math.acosh(value)
+        SqueezedSourceParams._check({"r": r})
+        return (r, d, tau), replace(channel, v_a=value), channel.l_ac
     if variable == "eta":
-        return source, _rebuilt(channel, eta=value)
-    raise ValueError(f"unknown sweep variable {variable!r}")
-
-
-def _rebuilt(record, **changes):
-    """dataclasses.replace, cheaper: the other fields of `record` were
-    checked when it was built, so only the changed ones are checked again."""
-    record._check(changes)
-    new = object.__new__(type(record))
-    vars(new).update(vars(record), **changes)
-    return new
+        return (r, d, tau), replace(channel, eta=value), channel.l_ac
+    SqueezedSourceParams._check({variable: value})  # d or tau
+    return ((r, value, tau) if variable == "d" else (r, d, value)), channel, channel.l_ac
 
 
 class _Staged:
     """Staging for one call: family pins parsed once, a source stage per
-    distinct (r, d, tau, k), a reduction per channel record; a failure is
-    kept as its message, as a kept exception holds its traceback."""
+    distinct (r, d, tau, k), the reduction of the last (channel, L_AC); a
+    failure is kept as its message, as a kept exception holds its traceback."""
 
-    def __init__(self, source, channel, variable, families):
+    def __init__(self, families):
         self.pins = _parse_families(families)
-        self.args = source, channel, variable
         self.table = {}
         self.src = self.ch = None
 
-    def at(self, value):
-        """(channel, each family's source stage) at `value`."""
-        src, ch = _apply_value(*self.args, value)
-        if src is not self.src:
+    def sources(self, src):
+        """Each family's source stage at the (r, d, tau) `src`."""
+        if src != self.src:
             self.src, self.stages = src, []
             for pins in self.pins:
                 key = _pinned(src, pins)
@@ -163,13 +141,13 @@ class _Staged:
                     except (PsqkdError, ValueError) as exc:
                         self.table[key] = str(exc)
                 self.stages.append(self.table[key])
-        return ch, self.stages
+        return self.stages
 
-    def reduction(self, ch):
-        if ch is not self.ch:
-            self.ch = ch
+    def reduction(self, ch, l_ac):
+        if ch is not self.ch or l_ac != self.l_ac:
+            self.ch, self.l_ac = ch, l_ac
             try:
-                self.noise = breakdown(ch, ch.l_ac)
+                self.noise = breakdown(ch, l_ac)
             except (PsqkdError, ValueError) as exc:
                 self.noise = str(exc)
         return self.noise
@@ -207,18 +185,18 @@ def _evaluate(
         if not lo < hi:
             raise ValueError(f"need lo < hi for a multi-point grid, got [{lo}, {hi}]")
         _check_width(lo, hi)
-    staged = _Staged(source, channel, variable, families)
+    staged = _Staged(families)
     rows = []
     for value in _grid(lo, hi, points):
         try:
-            ch, stages = staged.at(value)
-        except (PsqkdError, ValueError) as exc:
+            src, ch, l_ac = _apply_value(source, channel, variable, value)
+        except ValueError as exc:
             rows += [(value, family, str(exc)) for family in families]
             continue
-        noise = staged.reduction(ch)
+        noise = staged.reduction(ch, l_ac)
         rows += [
             (value, family, _cell(stage, noise, ch.beta))
-            for family, stage in zip(families, stages)
+            for family, stage in zip(families, staged.sources(src))
         ]
     return rows
 
@@ -255,17 +233,17 @@ def max_secure_distance(
 
 
 def _family_distances(source, channel, families, k_target: float = 0.0) -> list:
-    """`max_secure_distance` of each family's source, staged from its pins,
-    or the message of the search's PsqkdError; all checks come first."""
-    pins = _parse_families(families)
+    """`max_secure_distance` of each family's source, or the message of its
+    failed stage or search; staged as a sweep, all checks first."""
+    staged = _Staged(families)
     _check_k_target(k_target)
-    distances = []
-    for pin in pins:
+    kms = []
+    for stage in staged.sources((source.r, source.d, source.tau)):
         try:
-            distances.append(_search(source_stage(*_pinned(source, pin)), channel, k_target))
+            kms.append(stage if isinstance(stage, str) else _search(stage, channel, k_target))
         except PsqkdError as exc:
-            distances.append(str(exc))
-    return distances
+            kms.append(str(exc))
+    return kms
 
 
 def _search(stage, channel: ChannelParams, k_target: float) -> float:
@@ -320,14 +298,15 @@ def optimize_scalar(
     if family is None:  # the source as is: its own <k>-pstmsc
         family = f"{source.k}-pstmsc"
     # a bad family or target must not score -inf
-    staged = _Staged(source, channel, variable, (family,))
+    staged = _Staged((family,))
     _check_k_target(k_target)
 
     def score(value: float) -> float:
         try:
-            ch, (stage,) = staged.at(value)
+            src, ch, l_ac = _apply_value(source, channel, variable, value)
+            (stage,) = staged.sources(src)
             if objective == "key_rate":
-                cell = _cell(stage, staged.reduction(ch), ch.beta)
+                cell = _cell(stage, staged.reduction(ch, l_ac), ch.beta)
                 return -math.inf if isinstance(cell, str) else cell[3]  # key_rate
             return -math.inf if isinstance(stage, str) else _search(stage, ch, k_target)
         except (PsqkdError, ValueError):
@@ -336,13 +315,12 @@ def optimize_scalar(
     grid = _grid(lo, hi, _GRID_POINTS)
     scores = [score(v) for v in grid]
     # first maximum; a NaN score compares false and never wins
-    best_i, best_s = 0, float("-inf")
+    best_i, best_s = 0, -math.inf
     for i, s in enumerate(scores):
         if s > best_s:
             best_i, best_s = i, s
     best_v = grid[best_i]
-    insecure = best_s == float("-inf") or (objective == "key_rate" and best_s <= 0.0)
-    if insecure:
+    if best_s == -math.inf or (objective == "key_rate" and best_s <= 0.0):
         raise NoSecureRegionError("no secure region")
 
     a = grid[max(best_i - 1, 0)]

@@ -5,8 +5,9 @@ computed from the inputs alone.
     python3 tests/golden/capture_truth_table.py
 
 Each input comes from config parsing: for a sweep, the config's source and
-channel with the swept value moved in by `sweep._apply_value` and each
-family pinned by `sweep._family_pins`; for a `keyrate` case, its argv. From
+channel with the swept value moved in by `dataclasses.replace`
+(`tests/sweep_reference.py`) and each family pinned by
+`sweep.resolve_family`; for a `keyrate` case, its argv. From
 there `tests/mp_reference.py` computes the source stage, the channel
 reduction and the channel stage at 50 digits. The float pipeline
 (`source_stage`, `breakdown`, `channel_stage`) is never called, so
@@ -52,20 +53,21 @@ def _sweep_rows(fig: str) -> list:
     """[swept value, family, the seven CSV cells or null] per CSV row, in
     the CSV's order."""
     from psqkd.config import load_run_config
-    from psqkd.sweep import DEFAULT_FAMILIES, _apply_value, _family_pins, _grid, _pinned
+    from psqkd.sweep import DEFAULT_FAMILIES, _grid, resolve_family
 
     import mp_reference
+    from sweep_reference import point_records
 
     config = load_run_config(f"configs/{fig}.cfg")
     grid = config.section("sweep")
     families = grid.get("families", DEFAULT_FAMILIES)
-    pins = [_family_pins(name) for name in families]
     rows = []
     for value in _grid(grid["lo"], grid["hi"], grid["points"]):
-        src, ch = _apply_value(config.source, config.channel, grid["variable"], value)
+        src, ch = point_records(config.source, config.channel, grid["variable"], value)
         noise = mp_reference.breakdown(ch, ch.l_ac)
-        for family, pin in zip(families, pins):
-            rows.append([value, family, _cells(_pinned(src, pin), noise, ch.beta)])
+        for family in families:
+            fam = resolve_family(family, src)
+            rows.append([value, family, _cells((fam.r, fam.d, fam.tau, fam.k), noise, ch.beta)])
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows
 

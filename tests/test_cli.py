@@ -41,13 +41,13 @@ from psqkd.phase_space import SqueezedSourceParams
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
     SWEEP_VARIABLES,
-    _apply_value,
     _evaluate,
     _family_distances,
     _grid,
     optimize_scalar,
     resolve_family,
 )
+from sweep_reference import point_records
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -244,7 +244,7 @@ def _records(source, channel, variable, lo, hi, points, families) -> list[tuple]
     for value in _grid(lo, hi, points):
         for family in families:
             try:
-                src, ch = _apply_value(source, channel, variable, value)
+                src, ch = point_records(source, channel, variable, value)
                 result = secret_key_rate(resolve_family(family, src), ch)
             except (PsqkdError, ValueError):
                 result = None

@@ -20,6 +20,7 @@ import pytest
 import mp_reference
 import psqkd.sweep as sweep
 from keyrate_reference import RATE_FIELDS, composed_stage
+from sweep_reference import point_records
 from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, breakdown
 from psqkd.config import load_run_config
 from psqkd.errors import PsqkdError, UnphysicalStateError, ZeroProbabilityError
@@ -85,18 +86,16 @@ def _golden_cells() -> list[tuple]:
         config = load_run_config(str(path))
         grid = config.section("sweep")
         families = grid.get("families", sweep.DEFAULT_FAMILIES)
-        pins = [sweep._family_pins(name) for name in families]
         for value in sweep._grid(grid["lo"], grid["hi"], grid["points"]):
             try:
-                src, ch = sweep._apply_value(
-                    config.source, config.channel, grid["variable"], value
-                )
+                src, ch = point_records(config.source, config.channel, grid["variable"], value)
                 noise = breakdown(ch, ch.l_ac)
             except (PsqkdError, ValueError):
                 continue
-            for family in pins:
+            for family in families:
+                fam = sweep.resolve_family(family, src)
                 try:
-                    pairs.append((source_stage(*sweep._pinned(src, family)), noise, ch.beta))
+                    pairs.append((source_stage(fam.r, fam.d, fam.tau, fam.k), noise, ch.beta))
                 except (PsqkdError, ValueError):
                     continue
     return pairs

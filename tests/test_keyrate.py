@@ -404,6 +404,20 @@ class TestStageGuards:
         assert type(stage.value) is ValueError
         assert str(stage.value) == str(record.value)
 
+    # hand-made reductions no `breakdown` returns: a math domain error, a
+    # result with lambda2 = 0, and a division by zero (V_B + chi_tot = -1)
+    BAD_NOISE = [(-0.5, 0.0, "noise t"), (0.0, 0.0, "noise t"), (1.0, None, "noise chi_tot")]
+
+    @pytest.mark.parametrize("t, chi_tot, field", BAD_NOISE)
+    def test_channel_stage_checks_the_noise_it_reads(self, t, chi_tot, field):
+        stage = source_stage(1.15, 2.0, 0.9, 1)
+        if chi_tot is None:
+            chi_tot = -stage[3] - 1.0  # -V_B - 1
+        noise = (1.0, 1.0, 1.0, t, 0.0, 0.0, 0.0, chi_tot)  # the stage reads T and chi_tot
+        with pytest.raises(ValueError, match=f"^{field} must be finite and ") as error:
+            channel_stage(stage, noise, 0.96)
+        assert type(error.value) is ValueError
+
     @pytest.mark.parametrize(
         "channel",
         [

@@ -3,13 +3,11 @@
 import json
 import math
 from collections import Counter
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import psqkd.sweep as sweep
 from psqkd import cli
@@ -25,6 +23,7 @@ from psqkd.sweep import (
     optimize_scalar,
     resolve_family,
 )
+from sweep_reference import point_records
 
 R50 = 0.5 * math.acosh(50.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -233,7 +232,7 @@ def _unstaged_rows(source, channel, variable, lo, hi, points, families=DEFAULT_F
     for value in sweep._grid(lo, hi, points):
         for name in families:
             try:
-                src, ch = sweep._apply_value(source, channel, variable, value)
+                src, ch = point_records(source, channel, variable, value)
                 cell = astuple(secret_key_rate(resolve_family(name, src), ch))[:7]
             except (PsqkdError, ValueError) as exc:
                 cell = str(exc)
@@ -275,25 +274,21 @@ def _counting(monkeypatch, name):
     [("L_AC", 12.5), ("L_AC", -1.0), ("V_A", 30.0), ("d", 1.5), ("d", math.inf),
      ("tau", 0.7), ("tau", 1.5), ("eta", 0.8), ("eta", 0.0)],
 )
-def test_apply_value_rebuilds_each_record_as_replace_does(variable, value):
+def test_apply_value_returns_the_fields_of_the_records_replace_builds(variable, value):
     source, channel = base_source(), base_channel(eta=0.9)
     try:
-        if variable == "V_A":
-            expect = replace(source, r=0.5 * math.acosh(value)), replace(channel, v_a=value)
-        elif variable in ("d", "tau"):
-            expect = replace(source, **{variable: value}), channel
-        else:
-            expect = source, replace(channel, **{variable.lower(): value})
+        src, ch = point_records(source, channel, variable, value)
     except ValueError as exc:
         with pytest.raises(ValueError) as error:
             sweep._apply_value(source, channel, variable, value)
         assert str(error.value) == str(exc)
     else:
-        got = sweep._apply_value(source, channel, variable, value)
-        assert got == expect
-        # the record the variable leaves alone is passed through, not copied
-        assert (got[0] is source) == (expect[0] is source)
-        assert (got[1] is channel) == (expect[1] is channel)
+        got_src, got_ch, l_ac = sweep._apply_value(source, channel, variable, value)
+        assert got_src == (src.r, src.d, src.tau)
+        assert (got_ch.l_ac, l_ac) == (channel.l_ac, ch.l_ac)
+        assert replace(got_ch, l_ac=l_ac) == ch
+        # only a V_A or eta value builds a channel; L_AC moves in as a float
+        assert (got_ch is channel) == (variable in ("L_AC", "d", "tau"))
 
 
 class TestStagedSweep:
@@ -383,6 +378,24 @@ class TestStagedSweep:
         assert _succeeds(base_source(), base_channel(), variable, lo, hi, 7)
         assert channels == [(base_channel(), base_channel().l_ac)]
 
+    def test_max_distance_families_share_a_source_stage(self, monkeypatch, capsys):
+        # at tau = 1, 0-pstmsv pins the tmsv source (r, 0, 1, 0)
+        argv = ["max-distance", "--config", str(CONFIGS / "fig7.cfg"),
+                "--set", "sweep.families=tmsv, 0-pstmsv", "--set", "source.tau=1"]
+        parsed = _counting(monkeypatch, "_parse_families")
+        sources = _counting(monkeypatch, "source_stage")
+        assert cli.main(argv) == 0
+        assert len(parsed) == len(sources) == 1
+        assert sources[0][1:] == (0.0, 1.0, 0)
+        distances = json.loads(capsys.readouterr().out)
+        assert distances["tmsv"] == distances["0-pstmsv"] > 0.0
+        # the target is checked after the families, before any stage
+        parsed.clear()
+        sources.clear()
+        assert cli.main(argv + ["--set", "max_distance.k_target=-0.5"]) == 1
+        assert (len(parsed), sources) == (1, [])
+        assert "k_target must be >= 0" in capsys.readouterr().err
+
     def test_search_runs_the_source_stage_once(self, monkeypatch):
         sources = _counting(monkeypatch, "source_stage")
         channels = _counting(monkeypatch, "breakdown")
@@ -390,31 +403,31 @@ class TestStagedSweep:
         assert sources == [(R50, 2.0, 0.9, 1)]
         assert len(channels) > 50
 
-    def test_sweep_builds_a_source_record_only_per_swept_value(self, monkeypatch):
-        args = (base_source(), base_channel(), "V_A", 5.0, 100.0, 51)
-        built = _counting_inits(monkeypatch, SqueezedSourceParams)
-        rebuilt = _counting(monkeypatch, "_rebuilt")
+    @pytest.mark.parametrize(
+        "variable, lo, hi",
+        [("L_AC", 0.0, 40.0), ("d", 0.5, 3.0), ("tau", 0.5, 0.99), ("V_A", 5.0, 100.0),
+         ("eta", 0.5, 1.0)],
+    )
+    def test_sweep_builds_a_channel_record_only_per_v_a_or_eta_value(
+        self, monkeypatch, variable, lo, hi
+    ):
+        args = (base_source(), base_channel(), variable, lo, hi, 51)
+        built = _counting_inits(monkeypatch, SqueezedSourceParams, ChannelParams)
         assert _succeeds(*args)
-        # one per grid point, rebuilt in _apply_value; none per (r, d, tau, k) key
-        assert built == []
-        assert Counter(type(record).__name__ for record, in rebuilt) == {
-            "SqueezedSourceParams": 51, "ChannelParams": 51,
-        }
+        # V_A and eta move into a replaced channel; no source record, none
+        # per (r, d, tau, k) key
+        assert Counter(built) == ({"ChannelParams": 51} if variable in ("V_A", "eta") else {})
 
     def test_cli_sweep_builds_no_per_cell_record(self, monkeypatch, tmp_path):
-        records = (KeyRateResult, NoiseBreakdown, SqueezedSourceParams)
+        records = (KeyRateResult, NoiseBreakdown, SqueezedSourceParams, ChannelParams)
         built = _counting_inits(monkeypatch, *records)
-        rebuilt = _counting(monkeypatch, "_rebuilt")
         argv = ["sweep", "--config", str(CONFIGS / "fig7.cfg"), "--out", str(tmp_path / "v.csv")]
         for item in ("variable=V_A", "lo=5", "hi=100", "points=51"):
             argv += ["--set", "sweep." + item]
         assert cli.main(argv) == 0
-        # only the config's source builds; each grid point rebuilds its
-        # source and channel once
-        assert Counter(built) == {"SqueezedSourceParams": 1}
-        assert Counter(type(record).__name__ for record, in rebuilt) == {
-            "SqueezedSourceParams": 51, "ChannelParams": 51,
-        }
+        # the config builds one source and one channel; each grid point
+        # replaces the channel once
+        assert Counter(built) == {"SqueezedSourceParams": 1, "ChannelParams": 1 + 51}
         assert len((tmp_path / "v.csv").read_text().splitlines()) == 1 + 51 * 5
 
     def test_search_probes_build_no_records(self, monkeypatch):
@@ -448,35 +461,6 @@ class TestStagedSweep:
             for ch, l_ac, key in probes:
                 assert key == secret_key_rate(source, replace(ch, l_ac=l_ac)).key_rate
             probes.clear()
-
-
-# good and bad values for any record field: numbers of every kind, bools
-# (an int subclass), a geometry name and a string no field takes
-_FIELD_VALUES = st.one_of(
-    st.floats(), st.integers(-2, 3), st.booleans(), st.sampled_from(GEOMETRIES + ("x",))
-)
-
-
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(
-    record=st.sampled_from([base_source(), base_channel(eta=0.9, v_el=0.01)]),
-    data=st.data(),
-)
-def test_rebuilt_is_replace_for_any_one_or_two_fields(record, data):
-    names = data.draw(
-        st.lists(st.sampled_from([f.name for f in fields(record)]), min_size=1,
-                 max_size=2, unique=True)
-    )
-    changes = {name: data.draw(_FIELD_VALUES) for name in names}
-
-    def outcome(rebuild):
-        try:
-            new = rebuild(record, **changes)
-        except (TypeError, ValueError) as exc:
-            return type(exc), str(exc)
-        return repr(new), hash(new)
-
-    assert outcome(sweep._rebuilt) == outcome(replace)
 
 
 class TestMaxSecureDistance:
