@@ -18,8 +18,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .keyrate import KeyRateResult, channel_stage, entropy_G, secret_key_rate
-from .moments import TwoModeCM, source_stage
-from .phase_space import SqueezedSourceParams, scaled_laguerre
+from .phase_space import SqueezedSourceParams, TwoModeCM, scaled_laguerre, source_stage
 from .sweep import max_secure_distance, optimize_scalar, resolve_family
 
 __version__ = "0.1.0"

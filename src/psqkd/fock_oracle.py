@@ -1,6 +1,6 @@
 """Truncated Fock-space brute force for the subtraction pipeline.
 
-Everything in this module recomputes the closed forms of `moments` from
+Everything in this module recomputes the closed forms of `phase_space` from
 first principles: prepare the displaced two-mode squeezed state as its
 amplitude array (a state here is that ndarray), mix one mode with a vacuum
 ancilla on a beam splitter, project the ancilla on a photon-number outcome,
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError, ZeroProbabilityError
-from .moments import TwoModeCM, source_stage
+from .phase_space import TwoModeCM, source_stage
 
 __all__ = [
     "build_tmsc_fock",
@@ -248,8 +248,8 @@ def compare_random_grid(
             f"got points={points}, seed={seed}, rel_tol={rel_tol:g}"
         )
     rng = np.random.default_rng(seed)
-    worst = (0.0, 0.0, 0.0)  # probability, covariance, means
-    worst_params = (0.0, 0.0, 0.0, 0)
+    # probability, covariance, means; the first point outranks them
+    worst = (-math.inf,) * 3
     for _ in range(points):
         r = rng.uniform(0.05, 1.0)
         d = rng.uniform(0.0, 2.0)

@@ -1,6 +1,6 @@
 """Secret key rate under reverse reconciliation and collective attacks.
 
-Three stages on floats: `moments.source_stage`, the channel reduction
+Three stages on floats: `phase_space.source_stage`, the channel reduction
 `channel.breakdown`, then `channel_stage` below; `secret_key_rate` runs
 them and builds the one record, a KeyRateResult. `channel_stage` is one
 straight-line kernel on the covariance fields (the source states have
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams, NoiseBreakdown, breakdown
 from .errors import NonFiniteError, UnphysicalStateError
-from .moments import source_stage
-from .phase_space import SqueezedSourceParams
+from .phase_space import SqueezedSourceParams, source_stage
 
 __all__ = [
     "KeyRateResult",

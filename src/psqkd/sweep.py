@@ -20,8 +20,7 @@ from .channel import ChannelParams, breakdown
 from .errors import NoSecureRegionError, PsqkdError, TargetUnreachableError
 # secret_key_rate stays for perfbench's tracer
 from .keyrate import channel_stage, secret_key_rate
-from .moments import _capped, source_stage
-from .phase_space import SqueezedSourceParams
+from .phase_space import SqueezedSourceParams, _capped, source_stage
 
 __all__ = [
     "SWEEP_VARIABLES",
@@ -234,16 +233,19 @@ def max_secure_distance(
 
 def _family_distances(source, channel, families, k_target: float = 0.0) -> list:
     """`max_secure_distance` of each family's source, or the message of its
-    failed stage or search; staged as a sweep, all checks first."""
+    failed stage or search; staged as a sweep, all checks first, and one
+    search per distinct stage."""
     staged = _Staged(families)
     _check_k_target(k_target)
-    kms = []
-    for stage in staged.sources((source.r, source.d, source.tau)):
-        try:
-            kms.append(stage if isinstance(stage, str) else _search(stage, channel, k_target))
-        except PsqkdError as exc:
-            kms.append(str(exc))
-    return kms
+    stages = staged.sources((source.r, source.d, source.tau))
+    kms = {}
+    for stage in stages:
+        if stage not in kms:
+            try:
+                kms[stage] = stage if isinstance(stage, str) else _search(stage, channel, k_target)
+            except PsqkdError as exc:
+                kms[stage] = str(exc)
+    return [kms[stage] for stage in stages]
 
 
 def _search(stage, channel: ChannelParams, k_target: float) -> float:

@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from psqkd.moments import TwoModeCM
+from psqkd.phase_space import TwoModeCM
 
 # levels carried above n_max through the squeeze exponential, then cropped;
 # with 10, the truncated generator bends the top kept levels by up to 6e-9 at r = 1

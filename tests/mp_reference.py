@@ -1,7 +1,7 @@
 """The key-rate pipeline and the truncated Fock oracle in mpmath at 50 digits.
 
 One plain form per formula, on the float inputs of
-`psqkd.moments.source_stage`, `psqkd.channel.breakdown`,
+`psqkd.phase_space.source_stage`, `psqkd.channel.breakdown`,
 `psqkd.keyrate.channel_stage` or of the Fock oracle taken exactly, so the
 difference from the float code is its own rounding. The source stage is
 the textbook form: the moments with their 1/nu^2 factors and each Laguerre

@@ -20,8 +20,7 @@ from psqkd.channel import ChannelParams
 from psqkd.cli import render_csv
 from psqkd.fock_oracle import compare_random_grid
 from psqkd.keyrate import secret_key_rate
-from psqkd.moments import TwoModeCM, source_stage
-from psqkd.phase_space import SqueezedSourceParams, scaled_laguerre
+from psqkd.phase_space import SqueezedSourceParams, TwoModeCM, scaled_laguerre, source_stage
 from psqkd.sweep import (
     DEFAULT_FAMILIES,
     _evaluate,

@@ -29,7 +29,7 @@ from psqkd.fock_oracle import (
     state_covariance,
     suggested_truncation,
 )
-from psqkd.moments import TwoModeCM, source_stage
+from psqkd.phase_space import TwoModeCM, source_stage
 
 CM_FIELDS = ("vax", "vap", "vbx", "vbp", "vcx", "vcp", "mean_x1", "mean_x2")
 
@@ -172,6 +172,14 @@ class TestProjection:
         for k in (9, 20):
             with pytest.raises(ZeroProbabilityError):
                 apply_bs_and_project(state, 0.5, k)
+
+    @pytest.mark.parametrize(
+        "tau, k, message",
+        [(1.5, 1, r"tau must lie in \[0, 1\], got 1.5"), (0.5, -1, "k must be >= 0")],
+    )
+    def test_rejects_an_impossible_tap(self, tau, k, message):
+        with pytest.raises(ValueError, match=message):
+            apply_bs_and_project(build_tmsc_fock(0.5, 0.8, 40), tau, k)
 
     def test_full_transmission_keeps_all_mass(self):
         state = build_tmsc_fock(0.5, 0.8, 40)
@@ -472,6 +480,69 @@ class TestRandomGridComparison:
         assert not report.passed
         means = field.startswith("mean")
         assert math.isnan(report.max_dev_means if means else report.max_dev_covariance)
+
+    def test_worst_params_are_the_point_of_the_largest_deviation(self, monkeypatch):
+        # each point's (r, d, tau, k), closed forms and oracle values, as
+        # the grid passes them along; the deviations recomputed here
+        points = []
+        project = fock_oracle.apply_bs_and_project
+        stage, covariance = fock_oracle.source_stage, fock_oracle.state_covariance
+
+        def projected(amps, tau, k):
+            state, prob = project(amps, tau, k)
+            points.append({"prob": prob})
+            return state, prob
+
+        def staged(*params):
+            points[-1].update(params=params, closed=stage(*params))
+            return points[-1]["closed"]
+
+        def read(state):
+            cm = covariance(state)
+            points[-1]["oracle"] = list(vars(cm).values())
+            return cm
+
+        monkeypatch.setattr(fock_oracle, "apply_bs_and_project", projected)
+        monkeypatch.setattr(fock_oracle, "source_stage", staged)
+        monkeypatch.setattr(fock_oracle, "state_covariance", read)
+        report = compare_random_grid(points=5, seed=7)
+        devs = []
+        for point in points:
+            closed_p, *closed = point["closed"]
+            devs.append(max(
+                abs(closed_p - point["prob"]) / point["prob"],
+                *(abs(c - o) / max(abs(o), 1.0) for c, o in zip(closed, point["oracle"])),
+            ))
+        worst = devs.index(max(devs))
+        assert worst == 2  # neither end of the grid
+        assert report.worst_params == points[worst]["params"]
+        assert max(devs) == max(
+            report.max_dev_probability, report.max_dev_covariance, report.max_dev_means
+        )
+
+    @pytest.mark.parametrize("dev", [0.0, 1e-9])
+    def test_worst_params_are_the_first_point_on_ties(self, monkeypatch, dev):
+        # every point deviates by `dev` alone: the exact probability, and
+        # each covariance and mean entry `dev` off
+        project = fock_oracle.apply_bs_and_project
+        probs, params = [], []
+
+        def projected(amps, tau, k):
+            state, prob = project(amps, tau, k)
+            probs.append(prob)
+            return state, prob
+
+        def staged(*point):
+            params.append(point)
+            return (probs[-1], *[0.0] * 8)
+
+        monkeypatch.setattr(fock_oracle, "apply_bs_and_project", projected)
+        monkeypatch.setattr(fock_oracle, "source_stage", staged)
+        monkeypatch.setattr(fock_oracle, "_rel_dev", lambda closed, oracle: dev)
+        report = compare_random_grid(points=3, seed=7)
+        assert len(set(params)) == 3
+        assert report.worst_params == params[0]
+        assert report.max_dev_covariance == report.max_dev_means == dev
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 11, 20240817, 2**32 - 1])
     def test_builds_at_the_truncation_of_the_first_two_draws(self, monkeypatch, seed):

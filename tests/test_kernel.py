@@ -4,7 +4,7 @@
 keeps its formulas one function each, and the kernel must match that
 composition bit for bit, exceptions included. `mp_reference` recomputes it
 at 50 digits, which bounds the kernel's rounding at its branch switches,
-and recomputes the source stage (`moments.source_stage`) and the channel
+and recomputes the source stage (`phase_space.source_stage`) and the channel
 reduction (`channel.breakdown`) in their textbook forms, which pins
 those on a seeded box and on both sides of each of their switches.
 """
@@ -25,7 +25,7 @@ from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, breakdown
 from psqkd.config import load_run_config
 from psqkd.errors import PsqkdError, UnphysicalStateError, ZeroProbabilityError
 from psqkd.keyrate import channel_stage
-from psqkd.moments import SUBTRACTION_CAP, TwoModeCM, source_stage
+from psqkd.phase_space import SUBTRACTION_CAP, TwoModeCM, source_stage
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("fig*.cfg"))
 # L_AC (km) past which 0.2 dB/km of fiber transmits 0.0 in floats

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import psqkd.moments as moments
+import psqkd.phase_space as phase_space
 from keyrate_reference import (
     RATE_FIELDS,
     channel_stage_fields,
@@ -28,8 +28,7 @@ from psqkd.errors import (
     ZeroProbabilityError,
 )
 from psqkd.keyrate import channel_stage, entropy_G, secret_key_rate
-from psqkd.moments import TwoModeCM, source_stage
-from psqkd.phase_space import SqueezedSourceParams
+from psqkd.phase_space import SqueezedSourceParams, TwoModeCM, source_stage
 
 OMEGA = np.array(
     [
@@ -375,7 +374,7 @@ class TestStageGuards:
         stage = list(source_stage(*self.KEY))
         assert len(stage) == len(self.SOURCE_FIELDS)
         stage[self.SOURCE_FIELDS.index(field)] = math.inf
-        monkeypatch.setattr(moments, "_source_moments", lambda *params: tuple(stage))
+        monkeypatch.setattr(phase_space, "_source_moments", lambda *params: tuple(stage))
         with pytest.raises(NonFiniteError, match="source stage"):
             source_stage(*self.KEY)
 

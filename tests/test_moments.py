@@ -21,12 +21,17 @@ from psqkd.fock_oracle import (
     oracle_covariance,
     suggested_truncation,
 )
-import psqkd.moments as moments
 from fock_reference import fock_moment
 from keyrate_reference import symplectic_eigenvalues
 from phase_space_reference import cm_matrix, cm_means, gauss_hermite_moments
-from psqkd.moments import SUBTRACTION_CAP, TwoModeCM, _laguerre_ratios, source_stage
-from psqkd.phase_space import SqueezedSourceParams
+from psqkd.phase_space import (
+    SUBTRACTION_CAP,
+    SqueezedSourceParams,
+    TwoModeCM,
+    _laguerre_ratios,
+    _probability,
+    source_stage,
+)
 
 
 def params(r=0.5, d=1.0, tau=0.8, k=1) -> SqueezedSourceParams:
@@ -41,7 +46,7 @@ def probability(p: SqueezedSourceParams) -> float:
     """p_ps by the source stage's own formula, with nu and D computed
     afresh; 0.0 where `source_stage` raises ZeroProbabilityError."""
     nu = math.sinh(p.r)
-    return moments._probability(p.r, p.d, p.tau, p.k, nu, 1.0 + (1.0 - p.tau) * nu * nu)
+    return _probability(p.r, p.d, p.tau, p.k, nu, 1.0 + (1.0 - p.tau) * nu * nu)
 
 
 CM_FIELDS = ("vax", "vap", "vbx", "vbp", "vcx", "vcp", "mean_x1", "mean_x2")

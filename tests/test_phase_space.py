@@ -27,8 +27,7 @@ from phase_space_reference import (
 )
 from psqkd.errors import ZeroProbabilityError
 from psqkd.fock_oracle import apply_bs_and_project, build_tmsc_fock
-from psqkd.moments import TwoModeCM, source_stage
-from psqkd.phase_space import SqueezedSourceParams, scaled_laguerre
+from psqkd.phase_space import SqueezedSourceParams, TwoModeCM, scaled_laguerre, source_stage
 
 ORIGIN = PhasePoint(0.0, 0.0, 0.0, 0.0)
 

@@ -269,6 +269,22 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _raising(monkeypatch, name):
+    """The arguments of each call to sweep's `name` that raises, from now on."""
+    calls = []
+    inner = getattr(sweep, name)
+
+    def recorded(*args, **kwargs):
+        try:
+            return inner(*args, **kwargs)
+        except Exception:
+            calls.append(args)
+            raise
+
+    monkeypatch.setattr(sweep, name, recorded)
+    return calls
+
+
 @pytest.mark.parametrize(
     "variable, value",
     [("L_AC", 12.5), ("L_AC", -1.0), ("V_A", 30.0), ("d", 1.5), ("d", math.inf),
@@ -395,6 +411,20 @@ class TestStagedSweep:
         assert cli.main(argv + ["--set", "max_distance.k_target=-0.5"]) == 1
         assert (len(parsed), sources) == (1, [])
         assert "k_target must be >= 0" in capsys.readouterr().err
+
+    def test_max_distance_families_share_a_search(self, monkeypatch, capsys):
+        # the two families' one stage is searched once, in as many probes
+        # as tmsv alone takes
+        argv = ["max-distance", "--config", str(CONFIGS / "fig7.cfg"),
+                "--set", "source.tau=1", "--set"]
+        probes = _counting(monkeypatch, "_rate_at_distance")
+        assert cli.main(argv + ["sweep.families=tmsv"]) == 0
+        assert len(probes) == 12
+        probes.clear()
+        capsys.readouterr()
+        assert cli.main(argv + ["sweep.families=tmsv, 0-pstmsv"]) == 0
+        assert len(probes) == 12
+        assert json.loads(capsys.readouterr().out) == {"0-pstmsv": 3.0391, "tmsv": 3.0391}
 
     def test_search_runs_the_source_stage_once(self, monkeypatch):
         sources = _counting(monkeypatch, "source_stage")
@@ -597,6 +627,42 @@ class TestOptimizeScalar:
         v, s = optimize_scalar(base_source(), base_channel(), "d", 0.0, 3.0)
         assert (v, s) == expect
         assert not math.isnan(s)
+
+    def test_invalid_grid_points_score_minus_inf(self, monkeypatch):
+        # tau above 1 is no source: the grid's upper half raises inside the
+        # score, and the optimum comes from the valid half
+        config = load_run_config(str(CONFIGS / "fig4.cfg"))
+        raised = _raising(monkeypatch, "_apply_value")
+        v, s = optimize_scalar(config.source, config.channel, "tau", 0.5, 1.5)
+        grid = sweep._grid(0.5, 1.5, 41)
+        assert [args[3] for args in raised] == [tau for tau in grid if tau > 1.0]
+        assert v == 0.9384048277799238
+        assert s == secret_key_rate(replace(config.source, tau=v), config.channel).key_rate
+        assert s >= max(
+            secret_key_rate(replace(config.source, tau=tau), config.channel).key_rate
+            for tau in grid if tau < 1.0  # no subtraction at tau = 1
+        )
+
+    def test_unreachable_grid_points_score_minus_inf(self, monkeypatch):
+        # at k_target 0.01, K(0) falls below the target from d ~ 2.5 on
+        config = load_run_config(str(CONFIGS / "fig4.cfg"))
+        raised = _raising(monkeypatch, "_search")
+        v, s = optimize_scalar(
+            config.source, config.channel, "d", 0.0, 3.0,
+            objective="max_distance", k_target=0.01,
+        )
+        unreachable = len(raised)
+        distances = {}
+        for d in sweep._grid(0.0, 3.0, 41):
+            source = replace(config.source, d=d)
+            try:
+                distances[d] = max_secure_distance(source, config.channel, 0.01)
+            except TargetUnreachableError:
+                pass
+        assert 0 < len(distances) < 41
+        assert unreachable == 41 - len(distances)
+        assert s == max_secure_distance(replace(config.source, d=v), config.channel, 0.01)
+        assert s >= max(distances.values())
 
     def test_rejects_unknown_variable_and_objective(self):
         with pytest.raises(ValueError, match="cannot optimize"):
