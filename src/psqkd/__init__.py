@@ -7,7 +7,7 @@ a Gaussian key-rate pipeline; a truncated Fock-space oracle independently
 validates every closed form.
 """
 
-from .channel import ChannelParams, NoiseBreakdown, breakdown, gain, transmittance
+from .channel import ChannelParams, NoiseBreakdown, breakdown
 from .errors import (
     NonFiniteError,
     NoSecureRegionError,
@@ -27,8 +27,6 @@ __all__ = [
     "ChannelParams",
     "NoiseBreakdown",
     "breakdown",
-    "gain",
-    "transmittance",
     "NonFiniteError",
     "NoSecureRegionError",
     "PsqkdError",

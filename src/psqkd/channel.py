@@ -10,10 +10,12 @@ Two geometries:
   * symmetric: the relay sits midway, L_BC = L_AC;
   * asymmetric: the relay is at Bob's site, L_BC = 0.
 
-One function per formula: `transmittance` of a fiber link, `gain` for the
-noise-minimizing displacement gain, and `breakdown`, the reduction itself,
-for T, the thermal excess at that gain (T_B/T_A)(eps_B - 2) + eps_A + 2/T_A
-and the added noises, as the NoiseBreakdown fields.
+One straight-line kernel, `breakdown`, computes the reduction as the
+NoiseBreakdown fields: the fiber transmittances T_A = 10^(-loss * L_AC / 10)
+and T_B (T_A or 1), the noise-minimizing displacement gain
+g = sqrt(2 (V_A - 1) / (T_B (V_A + 1))), T = T_A g^2 / 2, the thermal
+excess at that gain (T_B/T_A)(eps_B - 2) + eps_A + 2/T_A and the added
+noises.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ __all__ = [
     "GEOMETRIES",
     "ChannelParams",
     "NoiseBreakdown",
-    "transmittance",
-    "gain",
     "breakdown",
 ]
 
@@ -101,51 +101,25 @@ class NoiseBreakdown:
     chi_tot: float
 
 
-def transmittance(length_km: float, loss_db_per_km: float = 0.2) -> float:
-    """Fiber power transmittance 10^(-loss * L / 10).
-
-    >>> transmittance(0.0)
-    1.0
-    >>> transmittance(50.0, 0.2)
-    0.1
-    """
-    if not length_km >= 0:
-        raise ValueError(f"length must be >= 0 km, got {length_km}")
-    if not loss_db_per_km >= 0:
-        raise ValueError("loss must be >= 0 dB/km")
-    return 10.0 ** (-loss_db_per_km * length_km / 10.0)
-
-
-def gain(v_a: float, t_b: float) -> float:
-    """Displacement gain minimizing the equivalent thermal noise.
-
-    >>> gain(1.0, 1.0)
-    0.0
-    """
-    if not v_a >= 1.0:
-        raise ValueError(f"v_a must be >= 1 SNU, got {v_a}")
-    if not 0.0 < t_b <= 1.0:
-        raise ValueError(f"t_b must lie in (0, 1], got {t_b}")
-    return math.sqrt(2.0 * (v_a - 1.0) / (t_b * (v_a + 1.0)))
-
-
 def breakdown(params: ChannelParams, l_ac: float) -> tuple[float, ...]:
-    """The NoiseBreakdown fields at L_AC = l_ac, one `transmittance` call per
-    link. Raises ValueError when a transmittance or T underflows to 0, and
-    NonFiniteError when a quantity overflows.
+    """The NoiseBreakdown fields at L_AC = l_ac. Raises ValueError for an
+    l_ac outside [0, inf), in ChannelParams' words, or when T_A or T
+    underflows to 0, and NonFiniteError when a quantity overflows.
 
     >>> breakdown(ChannelParams("asymmetric", 0.0, 3.0, 1.0), 0.0)
     (1.0, 1.0, 1.0, 0.5, 0.0, 1.0, 0.0, 1.0)
     """
+    if not 0.0 <= l_ac < math.inf:
+        ChannelParams._check({"l_ac": l_ac})
     loss = params.loss_db_per_km
-    t_a = transmittance(l_ac, loss)
-    t_b = transmittance(l_ac if params.geometry == "symmetric" else 0.0, loss)
+    t_a = 10.0 ** (-loss * l_ac / 10.0)
+    t_b = t_a if params.geometry == "symmetric" else 1.0
     if t_a == 0.0:
         raise ValueError(
             f"fiber transmittance underflows to 0 over L_AC = {l_ac:g} km "
             f"at {loss:g} dB/km"
         )
-    g = gain(params.v_a, t_b)
+    g = math.sqrt(2.0 * (params.v_a - 1.0) / (t_b * (params.v_a + 1.0)))
     t = t_a * g * g / 2.0
     if t <= 0.0:
         raise ValueError("effective transmittance T must be positive; raise v_a")
@@ -155,5 +129,5 @@ def breakdown(params: ChannelParams, l_ac: float) -> tuple[float, ...]:
     chi_tot = chi_line + 2.0 * chi_homo / t_a
     noise = t_a, t_b, g, t, eps_th, chi_line, chi_homo, chi_tot
     if not all(map(math.isfinite, noise)):
-        raise NonFiniteError(f"channel stage overflows at T={t:g}, chi_tot={chi_tot:g}")
+        raise NonFiniteError(f"channel reduction overflows at T={t:g}, chi_tot={chi_tot:g}")
     return noise

@@ -161,13 +161,11 @@ def _build_source_channel(
     source = _section(values, "source", required=("variance", "d", "tau"))
     channel = _section(values, "channel", required=("geometry", "eps_A", "eps_B", "beta"))
     v_a = source.pop("variance")
-    if v_a < 1.0:
-        raise ConfigError(f"source.variance must be >= 1, got {v_a}")
-    r = 0.5 * math.acosh(v_a)
     channel = {_CHANNEL_RENAMES.get(name, name): value for name, value in channel.items()}
     try:
+        ChannelParams._check({"v_a": v_a})
         return (
-            SqueezedSourceParams(r=r, **{"k": 0, **source}),
+            SqueezedSourceParams(r=0.5 * math.acosh(v_a), **{"k": 0, **source}),
             ChannelParams(v_a=v_a, **{"l_ac": 0.0, **channel}),
         )
     except ValueError as exc:

@@ -101,17 +101,14 @@ def _parse_families(names: tuple[str, ...]) -> list[tuple[bool, bool, int]]:
 def _apply_value(source, channel, variable: str, value: float) -> tuple:
     """The source's (r, d, tau), the channel and the L_AC of its reduction
     at one value of a checked sweep variable, checked as its record checks
-    it. V_A sets both r = acosh(V_A)/2 and the channel's v_a."""
+    it; an L_AC is checked by the reduction. V_A sets the channel's v_a,
+    then r = acosh(V_A)/2."""
     r, d, tau = source.r, source.d, source.tau
     if variable == "L_AC":
-        ChannelParams._check({"l_ac": value})
         return (r, d, tau), channel, value
     if variable == "V_A":
-        if value < 1.0:
-            raise ValueError(f"V_A must be >= 1, got {value}")
-        r = 0.5 * math.acosh(value)
-        SqueezedSourceParams._check({"r": r})
-        return (r, d, tau), replace(channel, v_a=value), channel.l_ac
+        channel = replace(channel, v_a=value)
+        return (0.5 * math.acosh(value), d, tau), channel, channel.l_ac
     if variable == "eta":
         return (r, d, tau), replace(channel, eta=value), channel.l_ac
     SqueezedSourceParams._check({variable: value})  # d or tau

@@ -84,6 +84,11 @@ _OUTCOMES = [
     # the benchmark's figures workload passes --threads 2 to every sweep
     # (perfbench/workloads.py:159), so the flag must keep exiting 0
     ("sweep-fig4-threads-2", ["sweep", *_FIG4, "--out", os.devnull, "--threads", "2"]),
+    # a variance of 1 or below is refused in the channel's words
+    ("variance-below-one", ["keyrate", *_FIG4, "--set", "source.variance=0.5"]),
+    ("variance-one", ["keyrate", *_FIG4, "--set", "source.variance=1"]),
+    # the channel reduction overflows (chi_tot = inf), not the channel stage
+    ("reduction-overflow", ["keyrate", *_FIG4, "--set", "channel.eps_B=1e308"]),
 ]
 
 

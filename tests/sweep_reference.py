@@ -16,11 +16,10 @@ def point_records(source, channel, variable: str, value: float) -> tuple:
     """(source, channel) with `variable` set to `value`. V_A sets both the
     squeezing r = acosh(V_A)/2 and the channel's v_a; L_AC and eta are
     channel fields, d and tau source fields. Raises ValueError where a
-    record rejects the value, and for V_A < 1."""
+    record rejects the value; a V_A is checked by the channel first."""
     if variable == "V_A":
-        if value < 1.0:
-            raise ValueError(f"V_A must be >= 1, got {value}")
-        return replace(source, r=0.5 * math.acosh(value)), replace(channel, v_a=value)
+        channel = replace(channel, v_a=value)
+        return replace(source, r=0.5 * math.acosh(value)), channel
     if variable in ("d", "tau"):
         return replace(source, **{variable: value}), channel
     return source, replace(channel, **{variable.lower(): value})

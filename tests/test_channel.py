@@ -1,12 +1,11 @@
-"""Equivalent one-way channel: transmittance, gain, and the reduction."""
+"""Equivalent one-way channel: the reduction `breakdown` and its records."""
 
 import math
 
 import numpy as np
 import pytest
 
-import psqkd.channel as channel_module
-from psqkd.channel import ChannelParams, NoiseBreakdown, breakdown, gain, transmittance
+from psqkd.channel import ChannelParams, NoiseBreakdown, breakdown
 from psqkd.phase_space import SqueezedSourceParams
 
 
@@ -18,8 +17,8 @@ def thermal_excess_at_gain(params: ChannelParams, g: float) -> float:
     """Thermal excess noise of the equivalent channel at displacement gain g.
 
     The general form: relay-quadrature variance S plus the displacement
-    cross term. Its minimum over g is at `gain(v_a, T_B)`, where it reduces
-    to the closed form that `breakdown` evaluates.
+    cross term. Its minimum over g is at `optimal_gain(v_a, T_B)`, where it
+    reduces to the closed form that `breakdown` evaluates.
     """
     nb = reduced(params)
     t_a, t_b, v = nb.t_a, nb.t_b, params.v_a
@@ -35,50 +34,49 @@ def thermal_excess_at_gain(params: ChannelParams, g: float) -> float:
     )
 
 
+def optimal_gain(v_a: float, t_b: float) -> float:
+    """The noise-minimizing displacement gain, written out here."""
+    return math.sqrt(2.0 * (v_a - 1.0) / (t_b * (v_a + 1.0)))
+
+
 def channel(geometry="asymmetric", l_ac=20.0, v_a=50.0, beta=0.96, **kw):
     return ChannelParams(geometry=geometry, l_ac=l_ac, v_a=v_a, beta=beta, **kw)
 
 
 class TestTransmittance:
     def test_zero_length(self):
-        assert transmittance(0.0, 0.2) == 1.0
+        assert breakdown(channel(), 0.0)[0] == 1.0
 
     def test_fifty_km_is_ten_db(self):
-        assert transmittance(50.0, 0.2) == pytest.approx(0.1, rel=1e-14)
+        assert breakdown(channel(), 50.0)[0] == pytest.approx(0.1, rel=1e-14)
 
     def test_fifteen_km(self):
-        assert transmittance(15.0, 0.2) == pytest.approx(0.5011872336272722, rel=1e-12)
+        t_a = breakdown(channel(), 15.0)[0]
+        assert t_a == pytest.approx(0.5011872336272722, rel=1e-12)
 
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            transmittance(-1.0, 0.2)
-
-    def test_nan_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            transmittance(math.nan)
-        with pytest.raises(ValueError):
-            transmittance(1.0, math.nan)
+    @pytest.mark.parametrize("l_ac", [-1.0, math.nan, math.inf])
+    def test_length_is_checked_as_channel_params_checks_it(self, l_ac):
+        with pytest.raises(ValueError) as error:
+            breakdown(channel(), l_ac)
+        assert type(error.value) is ValueError
+        assert str(error.value) == f"l_ac must be finite and >= 0, got {l_ac}"
 
 
 class TestGain:
-    def test_no_squeezing_gives_zero(self):
-        assert gain(1.0, 1.0) == 0.0
-
     def test_reference_value(self):
-        assert gain(50.0, 1.0) == pytest.approx(1.38621, abs=1e-5)
+        nb = reduced(channel(geometry="asymmetric", v_a=50.0))
+        assert nb.t_b == 1.0
+        assert nb.g == pytest.approx(1.38621, abs=1e-5)
 
     def test_monotone_saturation(self):
-        values = [gain(v, 0.5) for v in (2.0, 10.0, 100.0, 1e6, 1e12)]
+        # symmetric 15 km: T_B = T_A ~ 0.5
+        nbs = [reduced(channel(geometry="symmetric", l_ac=15.0, v_a=v))
+               for v in (2.0, 10.0, 100.0, 1e6, 1e12)]
+        values = [nb.g for nb in nbs]
         assert all(a < b for a, b in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(2.0, abs=1e-6)  # limit sqrt(2 / t_b)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gain(0.5, 1.0)
-        with pytest.raises(ValueError):
-            gain(50.0, 0.0)
-        with pytest.raises(ValueError):
-            gain(math.nan, 1.0)
+        t_b = nbs[-1].t_b
+        assert t_b == pytest.approx(0.5, abs=2e-3)
+        assert values[-1] == pytest.approx(math.sqrt(2.0 / t_b), abs=1e-6)
 
 
 class TestGeometry:
@@ -86,7 +84,7 @@ class TestGeometry:
         nb = reduced(channel(geometry="asymmetric", l_ac=37.0))
         t_a, t_b = nb.t_a, nb.t_b
         assert t_b == 1.0
-        assert t_a == pytest.approx(transmittance(37.0, 0.2))
+        assert t_a == pytest.approx(10.0 ** (-0.2 * 37.0 / 10.0))
 
     def test_symmetric_links_are_equal(self):
         nb = reduced(channel(geometry="symmetric", l_ac=12.5))
@@ -115,7 +113,7 @@ class TestThermalExcess:
     def test_override_at_minimizer_matches_closed_form(self):
         base = channel(geometry="symmetric", l_ac=8.0, eps_a=0.002, eps_b=0.002)
         t_b = reduced(base).t_b
-        pinned = thermal_excess_at_gain(base, gain(base.v_a, t_b))
+        pinned = thermal_excess_at_gain(base, optimal_gain(base.v_a, t_b))
         assert pinned == pytest.approx(
             reduced(base).eps_th, rel=1e-12
         )
@@ -264,17 +262,6 @@ class TestNoiseBreakdown:
     def test_non_integer_k_is_rejected(self, k):
         with pytest.raises(ValueError, match="non-negative integer"):
             SqueezedSourceParams(r=0.5, d=1.0, tau=0.9, k=k)
-
-    def test_transmittances_computed_once(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return transmittance(*args)
-
-        monkeypatch.setattr(channel_module, "transmittance", counted)
-        reduced(channel(geometry="symmetric", l_ac=12.0))
-        assert len(calls) == 2  # one per link
 
     def test_breakdown_is_plain_data(self):
         noise = breakdown(channel(), 20.0)

@@ -4,7 +4,7 @@ import argparse
 import ast
 import contextlib
 import dataclasses
-import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -152,7 +152,8 @@ class TestConfigParsing:
              "{cfg}:4: empty value for 'channel.geometry'"),
             (BASE_CFG, "sweep.families=",
              "--set sweep.families: empty value for 'sweep.families'"),
-            (BASE_CFG, "source.variance=0.5", "source.variance must be >= 1, got 0.5"),
+            (BASE_CFG, "source.variance=0.5", "v_a must be finite and exceed 1 SNU, got 0.5"),
+            (BASE_CFG, "source.variance=1", "v_a must be finite and exceed 1 SNU, got 1.0"),
         ],
     )
     def test_config_mistake_is_one_usage_error_line(self, tmp_path, capsys, text, override, error):
@@ -666,6 +667,14 @@ class TestGoldenFixtures:
         assert code == 0
         golden = (GOLDEN / f"{name}.csv").read_bytes()
         assert out.read_bytes() == golden, f"{name} drifted from its golden file"
+
+    def test_corpus_holds_the_capture_scripts_cases_in_order(self):
+        spec = importlib.util.spec_from_file_location(
+            "capture_cli_corpus", GOLDEN / "capture_cli_corpus.py"
+        )
+        capture = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(capture)
+        assert [(case["name"], case["argv"]) for case in CORPUS] == capture.cases()
 
     @pytest.mark.parametrize("case", CORPUS, ids=[case["name"] for case in CORPUS])
     def test_cli_corpus(self, case, monkeypatch, capsys):

@@ -429,7 +429,7 @@ class TestStageGuards:
         ],
     )
     def test_reduction_rejects_an_overflow(self, channel):
-        match = r"^channel stage overflows at T=\S+, chi_tot=\S+$"
+        match = r"^channel reduction overflows at T=\S+, chi_tot=\S+$"
         with pytest.raises(NonFiniteError, match=match):
             breakdown(channel, channel.l_ac)
 

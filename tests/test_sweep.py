@@ -11,7 +11,7 @@ import pytest
 
 import psqkd.sweep as sweep
 from psqkd import cli
-from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown
+from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, breakdown
 from psqkd.config import load_run_config
 from psqkd.errors import NoSecureRegionError, PsqkdError, TargetUnreachableError
 from psqkd.keyrate import KeyRateResult, secret_key_rate
@@ -217,12 +217,15 @@ class TestEvaluate:
         assert cell == astuple(expect)[:7]
 
     def test_v_a_below_one_is_an_in_row_error(self):
-        [(_, _, cell)] = sweep._evaluate(
-            base_source(), base_channel(), "V_A", 0.5, 0.5, 1, families=("tmsv",)
-        )
-        with pytest.raises(ValueError, match="V_A") as error:
-            sweep._apply_value(base_source(), base_channel(), "V_A", 0.5)
-        assert cell == str(error.value)
+        # V_A = 1 is refused too, in the channel's words
+        for v_a in (0.5, 1.0):
+            [(_, _, cell)] = sweep._evaluate(
+                base_source(), base_channel(), "V_A", v_a, v_a, 1, families=("tmsv",)
+            )
+            assert cell == f"v_a must be finite and exceed 1 SNU, got {v_a}"
+            with pytest.raises(ValueError) as error:
+                sweep._apply_value(base_source(), base_channel(), "V_A", v_a)
+            assert cell == str(error.value)
 
 
 def _unstaged_rows(source, channel, variable, lo, hi, points, families=DEFAULT_FAMILIES):
@@ -295,8 +298,14 @@ def test_apply_value_returns_the_fields_of_the_records_replace_builds(variable, 
     try:
         src, ch = point_records(source, channel, variable, value)
     except ValueError as exc:
-        with pytest.raises(ValueError) as error:
-            sweep._apply_value(source, channel, variable, value)
+        if variable == "L_AC":  # passed through; the reduction checks it
+            got_src, got_ch, l_ac = sweep._apply_value(source, channel, variable, value)
+            assert (got_src, got_ch, l_ac) == ((source.r, source.d, source.tau), channel, value)
+            with pytest.raises(ValueError) as error:
+                breakdown(got_ch, l_ac)
+        else:
+            with pytest.raises(ValueError) as error:
+                sweep._apply_value(source, channel, variable, value)
         assert str(error.value) == str(exc)
     else:
         got_src, got_ch, l_ac = sweep._apply_value(source, channel, variable, value)
