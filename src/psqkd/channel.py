@@ -112,7 +112,7 @@ def breakdown(params: ChannelParams, l_ac: float) -> tuple[float, ...]:
     if not 0.0 <= l_ac < math.inf:
         ChannelParams._check({"l_ac": l_ac})
     loss = params.loss_db_per_km
-    t_a = 10.0 ** (-loss * l_ac / 10.0)
+    t_a = math.pow(10.0, -loss * l_ac / 10.0)
     t_b = t_a if params.geometry == "symmetric" else 1.0
     if t_a == 0.0:
         raise ValueError(

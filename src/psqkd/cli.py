@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end and the run configuration it reads.
 
 Subcommands wrap the library one-to-one: `keyrate` prints a single
 KeyRateResult as JSON, `sweep` writes the grid CSV straight from the
@@ -6,6 +6,23 @@ sweep's float cells, `max-distance` and `optimize` report search results
 as JSON, and `oracle-check` runs the closed-form vs Fock-space comparison.
 Exit codes: 0 success, 1 usage/config error, 2 domain error (insecure
 region, unreachable target, zero-probability event, overflow).
+
+A run is one flat dotted-key config file: UTF-8 text, one `key = value`
+per line, `#` starts a comment. Keys are whitelisted; anything unknown is
+rejected with its line number so fixture typos fail loudly instead of
+silently using defaults. `--set` overrides go through the same checks with
+a synthetic source location.
+
+Each section configures one library call: `source`, `channel`, `sweep`,
+`max_distance`, `optimize` and `oracle` configure SqueezedSourceParams,
+ChannelParams, the sweep (`sweep._evaluate`), the per-family distance
+searches (`sweep._family_distances`), optimize_scalar and
+compare_random_grid. `prefix.name` is keyword `name` of that call, an
+absent key takes that call's default, and the call checks the value. The
+exceptions: `source.variance` is resolved here into r and the channel's
+v_a; `source.k` and `channel.l_ac`, which the calls require, default to 0
+here; `channel.eps_A`/`eps_B` are `eps_a`/`eps_b`; and `max-distance`
+takes its family list from `sweep.families`.
 """
 
 from __future__ import annotations
@@ -15,16 +32,147 @@ import dataclasses
 import functools
 import inspect
 import json
+import math
 import operator
 import os
 import sys
 
-from .config import ConfigError, RunConfig, load_run_config
+from .channel import ChannelParams
 from .errors import PsqkdError
 from .keyrate import secret_key_rate
+from .phase_space import SqueezedSourceParams
 from .sweep import DEFAULT_FAMILIES, _evaluate, _family_distances, optimize_scalar
 
-__all__ = ["main"]
+__all__ = ["ConfigError", "RunConfig", "load_run_config", "main"]
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent configuration; message carries file:line."""
+
+
+# key -> type tag, which names the conversion of its raw value
+_KNOWN_KEYS: dict[str, str] = {
+    "source.variance": "float",
+    "source.d": "float",
+    "source.tau": "float",
+    "source.k": "int",
+    "channel.geometry": "str",
+    "channel.l_ac": "float",
+    "channel.eps_A": "float",
+    "channel.eps_B": "float",
+    "channel.beta": "float",
+    "channel.eta": "float",
+    "channel.v_el": "float",
+    "channel.loss_db_per_km": "float",
+    "sweep.variable": "str",
+    "sweep.lo": "float",
+    "sweep.hi": "float",
+    "sweep.points": "int",
+    "sweep.families": "list",
+    "max_distance.k_target": "float",
+    "optimize.variable": "str",
+    "optimize.lo": "float",
+    "optimize.hi": "float",
+    "optimize.objective": "str",
+    "optimize.family": "str",
+    "optimize.k_target": "float",
+    "oracle.points": "int",
+    "oracle.seed": "int",
+    "oracle.rel_tol": "float",
+}
+
+# type tag -> conversion of a raw value
+_CONVERT = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "list": lambda raw: tuple(name.strip() for name in raw.split(",") if name.strip()),
+}
+
+_CHANNEL_RENAMES = {"eps_A": "eps_a", "eps_B": "eps_b"}
+
+
+def _section(
+    values: dict[str, object], prefix: str, required: tuple[str, ...] = ()
+) -> dict[str, object]:
+    head = prefix + "."
+    missing = [head + name for name in required if head + name not in values]
+    if missing:
+        raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    return {key[len(head):]: value for key, value in values.items() if key.startswith(head)}
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """Validated physical parameters plus every entry, converted by its type tag."""
+
+    source: SqueezedSourceParams
+    channel: ChannelParams
+    values: dict[str, object]
+
+    def section(self, prefix: str, required: tuple[str, ...] = ()) -> dict[str, object]:
+        """The `prefix.*` entries as keyword arguments; raises ConfigError
+        when a `required` name is absent."""
+        return _section(self.values, prefix, required)
+
+
+def _check_entry(key: str, value: str, where: str) -> object:
+    """`value` converted by the type tag of `key`, or a ConfigError at `where`."""
+    if key not in _KNOWN_KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if not value:
+        raise ConfigError(f"{where}: empty value for {key!r}")
+    kind = _KNOWN_KEYS[key]
+    try:
+        converted = _CONVERT[kind](value)
+    except ValueError:
+        raise ConfigError(f"{where}: expected {kind} for {key!r}, got {value!r}") from None
+    if kind == "float" and not math.isfinite(converted):
+        raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
+    return converted
+
+
+def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
+    """The run of the config file `path`, each `key=value` of `overrides`
+    (the `--set`s) replacing its entry. A mistake in the text raises
+    ConfigError with its file and line, or its `--set`, before any record
+    is built; a value the records refuse raises it in their words."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    values: dict[str, object] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        where = f"{path}:{lineno}"
+        if key in values:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        values[key] = _check_entry(key, value, where)
+    for item in overrides or ():
+        if "=" not in item:
+            raise ConfigError(f"--set {item!r}: expected key=value")
+        key, value = (part.strip() for part in item.split("=", 1))
+        values[key] = _check_entry(key, value, f"--set {key}")
+    source = _section(values, "source", required=("variance", "d", "tau"))
+    channel = _section(values, "channel", required=("geometry", "eps_A", "eps_B", "beta"))
+    v_a = source.pop("variance")
+    channel = {_CHANNEL_RENAMES.get(name, name): value for name, value in channel.items()}
+    try:
+        ChannelParams._check({"v_a": v_a})
+        return RunConfig(
+            SqueezedSourceParams(r=0.5 * math.acosh(v_a), **{"k": 0, **source}),
+            ChannelParams(v_a=v_a, **{"l_ac": 0.0, **channel}),
+            values,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
 
 # the KeyRateResult fields of each CSV row, after the swept value and family
 _CSV_FIELDS = ("p_ps", "i_ab", "chi_be", "key_rate", "lambda1", "lambda2", "lambda3")

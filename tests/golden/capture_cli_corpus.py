@@ -89,6 +89,8 @@ _OUTCOMES = [
     ("variance-one", ["keyrate", *_FIG4, "--set", "source.variance=1"]),
     # the channel reduction overflows (chi_tot = inf), not the channel stage
     ("reduction-overflow", ["keyrate", *_FIG4, "--set", "channel.eps_B=1e308"]),
+    # an empty number is an empty value, as an empty name is
+    ("empty-number", ["keyrate", *_FIG4, "--set", "source.d="]),
 ]
 
 

@@ -52,7 +52,7 @@ def _cells(key: tuple, noise: tuple, beta: float) -> list[str] | None:
 def _sweep_rows(fig: str) -> list:
     """[swept value, family, the seven CSV cells or null] per CSV row, in
     the CSV's order."""
-    from psqkd.config import load_run_config
+    from psqkd.cli import load_run_config
     from psqkd.sweep import DEFAULT_FAMILIES, _grid, resolve_family
 
     import mp_reference
@@ -74,8 +74,7 @@ def _sweep_rows(fig: str) -> list:
 
 def _keyrate_numbers(argv: list[str]) -> dict:
     """The `keyrate` JSON of `argv` at 50 digits, nested as it prints."""
-    from psqkd.cli import _build_parser
-    from psqkd.config import load_run_config
+    from psqkd.cli import _build_parser, load_run_config
 
     import mp_reference
 

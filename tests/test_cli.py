@@ -23,16 +23,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import libm_shim
 from psqkd import cli
-from psqkd.cli import CSV_HEADER, main, render_csv
 from psqkd.channel import GEOMETRIES, ChannelParams
-from psqkd.config import (
+from psqkd.cli import (
     _CHANNEL_RENAMES,
     _KNOWN_KEYS,
+    CSV_HEADER,
     ConfigError,
-    apply_overrides,
     load_run_config,
-    parse_config_file,
+    main,
+    render_csv,
 )
 from psqkd.errors import PsqkdError
 from psqkd.fock_oracle import compare_random_grid
@@ -95,28 +96,30 @@ class TestConfigParsing:
         assert config.channel.l_ac == 20.0
         assert config.channel.eta == 1.0  # default
 
-    def test_comments_and_blank_lines_ignored(self, tmp_path):
+    def test_comments_and_blank_lines_ignored(self, base_cfg, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("\n# full-line comment\nsource.d = 1 # trailing\n")
-        assert parse_config_file(str(path)) == {"source.d": "1"}
+        text = BASE_CFG.replace("source.d = 2", "source.d = 1 # trailing")
+        path.write_text("\n# full-line comment\n" + text)
+        values = load_run_config(base_cfg).values
+        assert load_run_config(str(path)).values == {**values, "source.d": 1.0}
 
     def test_unknown_key_carries_line_number(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("source.d = 1\nsource.dd = 2\n")
         with pytest.raises(ConfigError, match=r"c\.cfg:2.*unknown key"):
-            parse_config_file(str(path))
+            load_run_config(str(path))
 
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("source.d = 1\nsource.d = 2\n")
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config_file(str(path))
+            load_run_config(str(path))
 
     def test_type_mismatch(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("sweep.points = 2.5\n")
         with pytest.raises(ConfigError, match="expected int"):
-            parse_config_file(str(path))
+            load_run_config(str(path))
 
     def test_missing_required_keys(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
@@ -135,13 +138,13 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"error: {path}:2: unknown key 'source.r'\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
-    def test_non_finite_float_rejected(self, tmp_path, value):
+    def test_non_finite_float_rejected(self, base_cfg, tmp_path, value):
         path = tmp_path / "c.cfg"
         path.write_text(f"source.d = 1\nchannel.l_ac = {value}\n")
         with pytest.raises(ConfigError, match=r"c\.cfg:2.*channel\.l_ac.*finite"):
-            parse_config_file(str(path))
+            load_run_config(str(path))
         with pytest.raises(ConfigError, match="source.variance.*finite"):
-            apply_overrides({}, [f"source.variance={value}"])
+            load_run_config(base_cfg, [f"source.variance={value}"])
 
     @pytest.mark.parametrize(
         "text, override, error",
@@ -152,6 +155,9 @@ class TestConfigParsing:
              "{cfg}:4: empty value for 'channel.geometry'"),
             (BASE_CFG, "sweep.families=",
              "--set sweep.families: empty value for 'sweep.families'"),
+            # an empty number is reported as empty, not as a failed conversion
+            (BASE_CFG, "source.d=", "--set source.d: empty value for 'source.d'"),
+            (BASE_CFG + "sweep.points =\n", None, "{cfg}:11: empty value for 'sweep.points'"),
             (BASE_CFG, "source.variance=0.5", "v_a must be finite and exceed 1 SNU, got 0.5"),
             (BASE_CFG, "source.variance=1", "v_a must be finite and exceed 1 SNU, got 1.0"),
         ],
@@ -163,14 +169,13 @@ class TestConfigParsing:
         assert main(["max-distance", "--config", str(cfg), *overrides]) == 1
         assert capsys.readouterr() == ("", f"error: {error.format(cfg=cfg)}\n")
 
-    def test_overrides_validated(self):
+    def test_overrides_validated(self, base_cfg):
         with pytest.raises(ConfigError, match="expected key=value"):
-            apply_overrides({}, ["source.d"])
+            load_run_config(base_cfg, ["source.d"])
         with pytest.raises(ConfigError, match="unknown key"):
-            apply_overrides({}, ["nope=1"])
-        assert apply_overrides({"source.d": "1"}, ["source.d=2"]) == {
-            "source.d": "2"
-        }
+            load_run_config(base_cfg, ["nope=1"])
+        config = load_run_config(base_cfg, ["source.d=3"])
+        assert config.values["source.d"] == config.source.d == 3.0
 
     def test_sweep_requires_grid_keys(self, base_cfg, tmp_path):
         out = argparse.Namespace(out=str(tmp_path / "s.csv"))
@@ -355,6 +360,15 @@ class TestMainExitCodes:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["keyrate", "--config", "/nonexistent.cfg"]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_undecodable_file_is_usage_error_with_its_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"source.variance = 50\xff\n")
+        assert main(["keyrate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: cannot read config: 'utf-8' codec can't decode byte 0xff "
+            "in position 20: invalid start byte\n"
+        )
 
     def test_domain_failure_is_exit_two(self, base_cfg, capsys):
         code = main(["keyrate", "--config", base_cfg, "--set", "source.tau=1"])
@@ -702,14 +716,66 @@ def _misses(got: dict, ref: dict, beta: float = 0.0) -> list[str]:
 _FIELDS = CSV_HEADER.split(",")[2:]
 
 
-def _golden_rows():
-    """(figure, beta, CSV row, the row's table entry) of every golden row."""
+def _golden_csv(fig: str) -> str:
+    return (GOLDEN / f"{fig}.csv").read_text(encoding="utf-8")
+
+
+def _fresh_csv(fig: str) -> str:
+    """The CSV that `psqkd sweep` writes for the figure's config, computed now."""
+    config = load_run_config(str(REPO / "configs" / f"{fig}.cfg"))
+    return render_csv(_evaluate(config.source, config.channel, **config.section("sweep")))
+
+
+def _golden_rows(csv_of=_golden_csv):
+    """(figure, beta, CSV row, the row's table entry) of every golden row,
+    the rows read from `csv_of(figure)`."""
     for fig, rows in TRUTH["sweeps"].items():
         beta = load_run_config(str(REPO / "configs" / f"{fig}.cfg")).channel.beta
-        lines = (GOLDEN / f"{fig}.csv").read_text(encoding="utf-8").splitlines()[1:]
+        lines = csv_of(fig).splitlines()[1:]
         assert len(lines) == len(rows), fig
         for line, row in zip(lines, rows):
             yield fig, beta, line.split(","), row
+
+
+def _cell_misses(rows) -> tuple[int, list]:
+    """(cells checked, cells outside their bound) of the `_golden_rows`."""
+    checked, misses = 0, []
+    for fig, beta, (head, family, *cells), (value, ref_family, ref) in rows:
+        assert (head, family) == ("%.12g" % value, ref_family)
+        if ref is None:  # a failed row prints nan, and only there
+            assert cells == ["nan"] * len(cells)
+            continue
+        assert "nan" not in cells
+        misses += [
+            (fig, head, family, name)
+            for name in _misses(dict(zip(_FIELDS, cells)), dict(zip(_FIELDS, ref)), beta)
+        ]
+        checked += len(cells)
+    return checked, misses
+
+
+def _keyrate_misses(stdout_of) -> tuple[int, list]:
+    """(numbers checked, numbers outside their bound) of the `keyrate`
+    corpus cases that exit 0, each case printing `stdout_of(case)`."""
+    cases = [case for case in CORPUS if case["argv"][0] == "keyrate" and case["exit"] == 0]
+    assert sorted(case["name"] for case in cases) == sorted(TRUTH["keyrate"])
+    checked, misses = 0, []
+    for case in cases:
+        got, ref = json.loads(stdout_of(case)), dict(TRUTH["keyrate"][case["name"]])
+        got_noise, ref_noise = got.pop("noise"), ref.pop("noise")
+        args = cli._build_parser().parse_args(case["argv"])
+        beta = load_run_config(args.config, args.set).channel.beta
+        misses += [(case["name"], name) for name in _misses(got, ref, beta)]
+        misses += [(case["name"], name) for name in _misses(got_noise, ref_noise)]
+        checked += len(got) + len(got_noise)
+    return checked, misses
+
+
+def _fresh_stdout(case: dict) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(case["argv"]) == 0
+    return out.getvalue()
 
 
 def _correctly_rounded(text: str, ref: str) -> bool:
@@ -723,20 +789,7 @@ def _correctly_rounded(text: str, ref: str) -> bool:
 
 class TestTruthTable:
     def test_every_golden_cell_is_within_its_bound(self):
-        checked, misses = 0, []
-        for fig, beta, (head, family, *cells), (value, ref_family, ref) in _golden_rows():
-            assert (head, family) == ("%.12g" % value, ref_family)
-            if ref is None:  # a failed row prints nan, and only there
-                assert cells == ["nan"] * len(cells)
-                continue
-            assert "nan" not in cells
-            misses += [
-                (fig, head, family, name)
-                for name in _misses(dict(zip(_FIELDS, cells)), dict(zip(_FIELDS, ref)), beta)
-            ]
-            checked += len(cells)
-        assert misses == []
-        assert checked == 11_116
+        assert _cell_misses(_golden_rows()) == (11_116, [])
 
     def test_correctly_rounded_cells_do_not_drop(self):
         wrong = sum(
@@ -749,19 +802,21 @@ class TestTruthTable:
 
     def test_every_keyrate_number_in_the_corpus(self, monkeypatch):
         monkeypatch.chdir(REPO)
-        cases = [case for case in CORPUS if case["argv"][0] == "keyrate" and case["exit"] == 0]
-        assert sorted(case["name"] for case in cases) == sorted(TRUTH["keyrate"])
-        checked, misses = 0, []
-        for case in cases:
-            got, ref = json.loads(case["stdout"]), dict(TRUTH["keyrate"][case["name"]])
-            got_noise, ref_noise = got.pop("noise"), ref.pop("noise")
-            args = cli._build_parser().parse_args(case["argv"])
-            beta = load_run_config(args.config, args.set).channel.beta
-            misses += [(case["name"], name) for name in _misses(got, ref, beta)]
-            misses += [(case["name"], name) for name in _misses(got_noise, ref_noise)]
-            checked += len(got) + len(got_noise)
-        assert misses == []
-        assert checked == 150
+        assert _keyrate_misses(lambda case: case["stdout"]) == (150, [])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bounds_hold_under_a_libm_one_ulp_off(self, seed, monkeypatch):
+        # the golden and corpus bytes are this platform's libm; the table's
+        # bound is the verdict that must hold on any libm within 1 ulp of it
+        shim = libm_shim.perturbed(seed)
+        for module in ("phase_space", "channel", "keyrate", "sweep", "cli"):
+            monkeypatch.setattr(f"psqkd.{module}.math", shim)
+        monkeypatch.chdir(REPO)
+        assert _cell_misses(_golden_rows(_fresh_csv)) == (11_116, [])
+        assert _keyrate_misses(_fresh_stdout) == (150, [])
+        # the stand-in reaches the numbers: some cells print differently
+        rows = zip(_golden_rows(_fresh_csv), _golden_rows())
+        assert any(fresh[2] != golden[2] for fresh, golden in rows)
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -866,9 +921,11 @@ class TestImports:
         # references, run_sweep went with the sweep's record layer (`psqkd
         # sweep` runs `_evaluate`), and the moments and channel names went
         # with the record-returning twins of the stages, which no pipeline
-        # called (the moments module itself is now part of phase_space);
+        # called (the moments module itself is now part of phase_space), and
+        # load_run_config went with the config module into psqkd.cli;
         # ROADMAP item 1 re-points the tracer at the stages that run
         assert missing == {
+            "config.load_run_config",
             "sweep.run_sweep",
             "keyrate.holevo_bound",
             "keyrate.symplectic_eigenvalues",

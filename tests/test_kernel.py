@@ -22,7 +22,7 @@ import psqkd.sweep as sweep
 from keyrate_reference import RATE_FIELDS, composed_stage
 from sweep_reference import point_records
 from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, breakdown
-from psqkd.config import load_run_config
+from psqkd.cli import load_run_config
 from psqkd.errors import PsqkdError, UnphysicalStateError, ZeroProbabilityError
 from psqkd.keyrate import channel_stage
 from psqkd.phase_space import SUBTRACTION_CAP, TwoModeCM, source_stage

@@ -12,7 +12,7 @@ import pytest
 import psqkd.sweep as sweep
 from psqkd import cli
 from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, breakdown
-from psqkd.config import load_run_config
+from psqkd.cli import load_run_config
 from psqkd.errors import NoSecureRegionError, PsqkdError, TargetUnreachableError
 from psqkd.keyrate import KeyRateResult, secret_key_rate
 from psqkd.phase_space import SqueezedSourceParams
