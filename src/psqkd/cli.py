@@ -139,7 +139,7 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     is built; a value the records refuse raises it in their words."""
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
+            lines = handle.read().split("\n")  # whole: a bad byte's offset is the file's
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     values: dict[str, object] = {}

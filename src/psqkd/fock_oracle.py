@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError, ZeroProbabilityError
-from .phase_space import TwoModeCM, source_stage
+from .phase_space import SqueezedSourceParams, TwoModeCM, source_stage
 
 __all__ = [
     "build_tmsc_fock",
@@ -81,19 +81,25 @@ def build_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
     blocks of whole rows up to n_max 511, single rows split by columns
     above.
 
-    Raises TruncationError when more than 1e-8 of probability lies above
-    n_max or sits in the top 5 retained levels.
+    Raises ValueError for an r or d the source record refuses, and
+    TruncationError when psi(0, 0) underflows or more than 1e-8 of
+    probability lies above n_max or sits in the top 5 retained levels.
     """
+    if not (0.0 <= r < math.inf and 0.0 <= d < math.inf):
+        SqueezedSourceParams._check({"r": r, "d": d})
     if n_max < _LEAK_LEVELS:
         raise ValueError(f"n_max={n_max} is too small to be meaningful")
     alpha, th, dim = d / 2.0, math.tanh(r), n_max + 1
+    cosh = math.cosh(r) if r < 710.0 else math.inf  # it overflows past r = 710.47
+    c = math.exp(-alpha * alpha * (1.0 + th) / 2.0) / math.sqrt(cosh)
+    if c == 0.0:  # a factor of every term of Q: no n_max holds the state
+        raise TruncationError(f"psi(0, 0) underflows at r={r}, d={d}")
     level = np.arange(2.0 * dim)
     step = level.itemsize
     # ratio[j, m] = b sqrt(j + m) / m takes Q[j + m - 1, j] to Q[j + m, j]
     ratio = np.empty((dim, dim))
-    ratio[:, 1:] = np.ndarray((dim, dim - 1), float, np.sqrt(level), step, (step, step))
-    ratio[:, 1:] *= (alpha / math.cosh(r)) / level[1:dim]
-    c = math.exp(-alpha * alpha * (1.0 + th) / 2.0) / math.sqrt(math.cosh(r))
+    view = np.ndarray((dim, dim - 1), float, np.sqrt(level), step, (step, step))
+    np.multiply(view, (alpha / cosh) / level[1:dim], out=ratio[:, 1:])
     ratio[:, 0] = c * math.sqrt(th) ** level[:dim]
     # skew[j, m] = Q[j + m, j]; a row stride one short of skew's reads Q^T,
     # with the zero padding above the diagonal
@@ -110,8 +116,9 @@ def build_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
             amps[top:end, left:right] = qt[:end, top:end].T @ qt[:end, left:right]
     kept = math.sqrt(_vdot(amps, amps))
     cropped = abs(1.0 - kept * kept)
-    amps /= kept
-    if cropped + _leakage(amps) > _LEAK_TOL:
+    if kept > 0.0:  # 0 where all of psi underflows, as at r = 700
+        amps /= kept
+    if not cropped + _leakage(amps) <= _LEAK_TOL:  # NaN fails
         raise TruncationError(
             f"truncation insufficient at n_max={n_max} for r={r}, d={d}: "
             f"mass above n_max {cropped:.3e}, top-level mass {_leakage(amps):.3e}"
@@ -127,10 +134,9 @@ def apply_bs_and_project(amps: np.ndarray, tau: float, k: int) -> tuple[np.ndarr
     acts: mode-2 level j + k keeps j photons with amplitude
     sqrt(C(j+k, j)) sqrt(tau)^j (-sqrt(1-tau))^k.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    # one range test on the way through, the record's check only to raise
+    if not (0.0 <= tau <= 1.0 and type(k) is int and k >= 0):
+        SqueezedSourceParams._check({"tau": tau, "k": k})
     out = np.zeros_like(amps)
     kept = max(0, amps.shape[0] - k)  # output levels j reachable from j + k
     binom = np.array([math.comb(j + k, k) for j in range(kept)], dtype=float)
@@ -145,18 +151,6 @@ def apply_bs_and_project(amps: np.ndarray, tau: float, k: int) -> tuple[np.ndarr
     return out, prob
 
 
-def _x_and_w(v: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x = a + a' and w = a' - a on the first axis of v, truncated at the top.
-
-    root[n] = sqrt(n + 1), shaped to broadcast over the remaining axis.
-    """
-    lowered = np.zeros_like(v)
-    lowered[:-1] = root * v[1:]
-    raised = np.zeros_like(v)
-    raised[1:] = root * v[:-1]
-    return raised + lowered, raised - lowered
-
-
 def state_covariance(amps: np.ndarray) -> TwoModeCM:
     """Means and covariance of a two-mode Fock state, x and w once per mode.
 
@@ -165,9 +159,14 @@ def state_covariance(amps: np.ndarray) -> TwoModeCM:
     <X1 psi|X2 psi> these are the Weyl-ordered moments. The p means enter
     the p variances only; TwoModeCM carries the x means.
     """
-    root = np.sqrt(np.arange(1.0, amps.shape[0]))[:, None]
-    x1, w1 = _x_and_w(amps, root)
-    x2, w2 = (q.T for q in _x_and_w(amps.T, root))
+    root = np.sqrt(np.arange(amps.shape[0] + 1.0))
+    border = np.zeros((amps.shape[0] + 2,) * 2, amps.dtype)
+    border[1:-1, 1:-1] = amps
+    # results go into spent operands: fewer fresh pages to fault in per call
+    up, down = root[:-1, None] * border[:-2, 1:-1], root[1:, None] * border[2:, 1:-1]
+    x1, w1 = up + down, np.subtract(up, down, out=up)
+    up, down = root[:-1] * border[1:-1, :-2], np.multiply(root[1:], border[1:-1, 2:], out=down)
+    x2, w2 = up + down, np.subtract(up, down, out=up)
     mean_x1, mean_x2 = _vdot(amps, x1).real, _vdot(amps, x2).real
     mean_p1, mean_p2 = -_vdot(amps, w1).imag, -_vdot(amps, w2).imag
     return TwoModeCM(
@@ -195,6 +194,8 @@ def suggested_truncation(r: float, d: float) -> int:
     guard in build_tmsc_fock stays silent over r <= 1, d <= 2. Outside that
     box it can fall short; build_tmsc_fock then raises TruncationError.
     """
+    if not (0.0 <= r < math.inf and 0.0 <= d < math.inf):
+        SqueezedSourceParams._check({"r": r, "d": d})
     return 20 + math.ceil(24.0 * (r + d))
 
 

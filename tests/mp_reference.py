@@ -112,7 +112,7 @@ def channel_stage(stage, t: float, chi_tot: float, beta: float) -> tuple:
         return i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3
 
 
-def _x_and_w(rows: list) -> tuple[list, list]:
+def _quadratures(rows: list) -> tuple[list, list]:
     """x = a + a' and w = a' - a on the first index of a list of rows."""
     zero = [mpf(0)] * len(rows[0])
     lowered = [[mpmath.sqrt(n) * a for a in row] for n, row in enumerate(rows[1:], 1)]
@@ -176,8 +176,8 @@ def fock_oracle_50(r: float, d: float, tau: float, k: int, n_max: int) -> tuple:
                for row in built]
         prob = _dot(out, out)
         psi = _normalized(out)
-        x1, w1 = _x_and_w(psi)
-        x2, w2 = map(_transpose, _x_and_w(_transpose(psi)))
+        x1, w1 = _quadratures(psi)
+        x2, w2 = map(_transpose, _quadratures(_transpose(psi)))
         mean_x1, mean_x2 = _dot(psi, x1), _dot(psi, x2)
         cm = (
             _dot(x1, x1) - mean_x1**2,

@@ -362,13 +362,19 @@ class TestMainExitCodes:
         assert "cannot read" in capsys.readouterr().err
 
     def test_undecodable_file_is_usage_error_with_its_path(self, tmp_path, capsys):
+        # the position is the byte's offset in the file, also past the
+        # reader's first 8 KiB
         path = tmp_path / "latin1.cfg"
-        path.write_bytes(b"source.variance = 50\xff\n")
-        assert main(["keyrate", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path}: cannot read config: 'utf-8' codec can't decode byte 0xff "
-            "in position 20: invalid start byte\n"
-        )
+        for text, position in [
+            (b"source.variance = 50\xff\n", 20),
+            (b"#" * 9999 + b"\nsource.d = 1\xff\n", 10012),
+        ]:
+            path.write_bytes(text)
+            assert main(["keyrate", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}: cannot read config: 'utf-8' codec can't decode byte 0xff "
+                f"in position {position}: invalid start byte\n"
+            )
 
     def test_domain_failure_is_exit_two(self, base_cfg, capsys):
         code = main(["keyrate", "--config", base_cfg, "--set", "source.tau=1"])

@@ -66,6 +66,28 @@ class TestBuildState:
             build_tmsc_fock(0.3, 0.0, 3)
 
     @pytest.mark.parametrize(
+        "r, d, error, message",
+        [
+            (math.nan, 1.0, ValueError, "r must be finite and >= 0, got nan"),
+            (math.inf, 1.0, ValueError, "r must be finite and >= 0, got inf"),
+            (-0.5, 1.0, ValueError, "r must be finite and >= 0, got -0.5"),
+            (0.5, math.nan, ValueError, "d must be finite and >= 0, got nan"),
+            # psi(0, 0) underflows: d^2 overflows, or cosh r past r = 710.47
+            (0.5, 1e200, TruncationError, r"psi\(0, 0\) underflows"),
+            (0.5, 1.7e308, TruncationError, r"psi\(0, 0\) underflows"),
+            (800.0, 1.0, TruncationError, r"psi\(0, 0\) underflows"),
+            # psi(0, 0) > 0, but every retained amplitude squared underflows
+            (700.0, 0.0, TruncationError, r"mass above n_max 1\.000e\+00"),
+            (0.0, 70.0, TruncationError, r"mass above n_max 1\.000e\+00"),
+        ],
+    )
+    def test_refuses_a_state_it_cannot_hold(self, r, d, error, message):
+        # a ValueError in the record's words or a TruncationError, never a
+        # NaN state, a RuntimeWarning or a math error
+        with pytest.raises(error, match=message):
+            build_tmsc_fock(r, d, 30)
+
+    @pytest.mark.parametrize(
         "r, d", [(0.0, 1.3), (0.05, 0.0), (0.4, 0.7), (1.0, 0.0), (1.0, 2.0)]
     )
     def test_product_matches_squeezer_exponential(self, r, d):
@@ -175,9 +197,15 @@ class TestProjection:
 
     @pytest.mark.parametrize(
         "tau, k, message",
-        [(1.5, 1, r"tau must lie in \[0, 1\], got 1.5"), (0.5, -1, "k must be >= 0")],
+        [
+            (1.5, 1, r"tau must lie in \[0, 1\], got 1.5"),
+            (0.5, -1, "k must be a non-negative integer, got -1"),
+            (0.5, True, "k must be a non-negative integer, got True"),
+            (0.5, 1.5, "k must be a non-negative integer, got 1.5"),
+        ],
     )
     def test_rejects_an_impossible_tap(self, tau, k, message):
+        # in SqueezedSourceParams' words
         with pytest.raises(ValueError, match=message):
             apply_bs_and_project(build_tmsc_fock(0.5, 0.8, 40), tau, k)
 
@@ -312,20 +340,20 @@ class TestStateCovariance:
     @pytest.mark.parametrize("rotated", [False, True], ids=["real", "complex"])
     def test_applies_four_quadratures(self, monkeypatch, rotated):
         # x and w once per mode, in the state's own dtype: float64 for the
-        # real subtracted state, complex for the rotated one
-        calls = []
-        inner = fock_oracle._x_and_w
-
-        def counting(v, root):
-            out = inner(v, root)
-            calls.append((v.dtype, *(q.dtype for q in out)))
-            return out
-
-        monkeypatch.setattr(fock_oracle, "_x_and_w", counting)
+        # real subtracted state, complex for the rotated one; four means and
+        # six second moments, each one inner product
         state = _rotated_state() if rotated else _subtracted_state()
+        calls = []
+        inner = fock_oracle._vdot
+
+        def counting(a, b):
+            calls.append((a.dtype, b.dtype))
+            return inner(a, b)
+
+        monkeypatch.setattr(fock_oracle, "_vdot", counting)
         state_covariance(state)
         dtype = np.dtype(complex if rotated else float)
-        assert calls == [(dtype, dtype, dtype)] * 2
+        assert calls == [(dtype, dtype)] * 10
 
     def test_real_state_stays_float64(self):
         state = build_tmsc_fock(0.5, 1.0, 50)
@@ -421,6 +449,20 @@ class TestOracleCovariance:
                 assert dev < 1e-7, (field, r, d, tau, k, n_max)
             _assert_matches_moment_reference(state, (r, d, tau, k, n_max))
 
+    def test_covariance_at_the_configs_base_point(self):
+        # V_A = 50 (r = 2.30), d = 2, tau = 0.9: measured 4.8e-15 (k = 1) and
+        # 9.1e-15 (k = 2). p_ps is not pinned: the 1e-8 mass guard accepts
+        # n_max 1000, where p_ps is still 8.6e-10 off (ROADMAP item 9's
+        # cutoff rule is to bound it); the covariance is renormalized after
+        # the tap and hides that
+        r = math.acosh(50.0) / 2.0
+        amps = build_tmsc_fock(r, 2.0, 1000)
+        for k in (1, 2):
+            state, _ = apply_bs_and_project(amps, 0.9, k)
+            oracle = vars(state_covariance(state)).values()
+            for field, closed, got in zip(CM_FIELDS, source_stage(r, 2.0, 0.9, k)[1:], oracle):
+                assert _rel_dev(closed, got) <= 1e-12, (field, k)
+
     def test_stable_under_truncation_doubling(self):
         lo = oracle_covariance(0.4, 1.0, 0.8, 1, 40)
         hi = oracle_covariance(0.4, 1.0, 0.8, 1, 60)
@@ -439,6 +481,18 @@ class TestSuggestedTruncation:
     def test_monotone(self):
         values = [suggested_truncation(r, 0.5) for r in (0.1, 0.5, 1.0)]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize(
+        "r, d, message",
+        [
+            (math.inf, 0.0, "r must be finite and >= 0, got inf"),
+            (math.nan, 0.0, "r must be finite and >= 0, got nan"),
+            (0.5, -1.0, "d must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_checks_r_and_d_as_the_source_record(self, r, d, message):
+        with pytest.raises(ValueError, match=message):
+            suggested_truncation(r, d)
 
 
 class TestRandomGridComparison:
