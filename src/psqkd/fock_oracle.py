@@ -96,15 +96,15 @@ def build_tmsc_fock(r: float, d: float, n_max: int) -> np.ndarray:
         raise TruncationError(f"psi(0, 0) underflows at r={r}, d={d}")
     level = np.arange(2.0 * dim)
     step = level.itemsize
-    # ratio[j, m] = b sqrt(j + m) / m takes Q[j + m - 1, j] to Q[j + m, j]
-    ratio = np.empty((dim, dim))
+    # skew[j, m] = Q[j + m, j]; a row stride one short of skew's reads Q^T,
+    # with the zero padding above the diagonal. The cumprod runs in place on
+    # ratio[j, m] = b sqrt(j + m) / m, which takes Q[j + m - 1, j] to Q[j + m, j]
+    skew = np.zeros((dim, 2 * dim))
+    ratio = skew[:, :dim]
     view = np.ndarray((dim, dim - 1), float, np.sqrt(level), step, (step, step))
     np.multiply(view, (alpha / cosh) / level[1:dim], out=ratio[:, 1:])
     ratio[:, 0] = c * math.sqrt(th) ** level[:dim]
-    # skew[j, m] = Q[j + m, j]; a row stride one short of skew's reads Q^T,
-    # with the zero padding above the diagonal
-    skew = np.zeros((dim, 2 * dim))
-    np.cumprod(ratio, axis=1, out=skew[:, :dim])
+    np.cumprod(ratio, axis=1, out=ratio)
     qt = np.ndarray((dim, dim), float, skew, 0, ((2 * dim - 1) * step, step))
     amps = np.empty((dim, dim))
     rows = max(1, _GEMM_SIZE // (dim * dim))
@@ -141,7 +141,7 @@ def apply_bs_and_project(amps: np.ndarray, tau: float, k: int) -> tuple[np.ndarr
     kept = max(0, amps.shape[0] - k)  # output levels j reachable from j + k
     binom = np.array([math.comb(j + k, k) for j in range(kept)], dtype=float)
     column = np.sqrt(binom) * math.sqrt(tau) ** np.arange(kept) * (-math.sqrt(1.0 - tau)) ** k
-    out[:, :kept] = amps[:, k : k + kept] * column
+    np.multiply(amps[:, k : k + kept], column, out=out[:, :kept])
     prob = float(_vdot(out, out).real)
     if prob < 1e-300:
         raise ZeroProbabilityError(
@@ -193,10 +193,15 @@ def suggested_truncation(r: float, d: float) -> int:
     Linear in r + d with a flat safety offset, calibrated so the leakage
     guard in build_tmsc_fock stays silent over r <= 1, d <= 2. Outside that
     box it can fall short; build_tmsc_fock then raises TruncationError.
+    Raises TruncationError, too, where 24 (r + d) overflows: no cutoff holds
+    such a state.
     """
     if not (0.0 <= r < math.inf and 0.0 <= d < math.inf):
         SqueezedSourceParams._check({"r": r, "d": d})
-    return 20 + math.ceil(24.0 * (r + d))
+    levels = 24.0 * (r + d)
+    if levels == math.inf:
+        raise TruncationError(f"no photon-number cutoff holds r={r}, d={d}")
+    return 20 + math.ceil(levels)
 
 
 @dataclass(frozen=True)

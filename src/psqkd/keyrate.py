@@ -1,8 +1,8 @@
 """Secret key rate under reverse reconciliation and collective attacks.
 
 Three stages on floats: `phase_space.source_stage`, the channel reduction
-`channel.breakdown`, then `channel_stage` below; `secret_key_rate` runs
-them and builds the one record, a KeyRateResult. `channel_stage` is one
+`channel.breakdown`, then `channel_stage` below (the cell, p_ps to lambda3);
+`secret_key_rate` adds the reduction: a KeyRateResult. `channel_stage` is one
 straight-line kernel on the covariance fields (the source states have
 zeros on every x-p cross term, so conditioning needs only scalar
 divisions, never a Schur complement): the Alice-Bob covariance after the
@@ -74,7 +74,7 @@ def channel_stage(
     """The channel half of the pipeline on floats: the source stage (p_ps,
     then the TwoModeCM fields) through the channel reduction `noise` (the
     NoiseBreakdown fields, which `breakdown` has checked), with
-    efficiency beta. Returns the KeyRateResult fields i_ab to lambda3.
+    efficiency beta. Returns the cell: the KeyRateResult fields p_ps to lambda3.
     Raises ValueError for a beta outside (0, 1], in ChannelParams' words,
     or a T or chi_tot no `breakdown` returns; UnphysicalStateError; or
     NonFiniteError when the arithmetic overflows or one of these is not
@@ -82,7 +82,7 @@ def channel_stage(
 
     >>> noise = breakdown(ChannelParams("asymmetric", 0.0, 3.0, 1.0), 0.0)
     >>> channel_stage(source_stage(0.0, 0.0, 1.0, 0), noise, 1.0)
-    (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+    (1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
     """
     if not 0.0 < beta <= 1.0:
         ChannelParams._check({"beta": beta})
@@ -141,13 +141,13 @@ def channel_stage(
             + entropy_G(x2 if x2 > 0.0 else 0.0)
             - entropy_G(x3 if x3 > 0.0 else 0.0)
         )
-        rate = (i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3)
-        finite = all(map(math.isfinite, rate))
+        cell = (p_ps, i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3)
+        finite = all(map(math.isfinite, cell))
     except OverflowError:
         finite = False
     if not finite:
         raise NonFiniteError(f"channel stage overflows at T={t:g}, chi_tot={chi_tot:g}")
-    return rate
+    return cell
 
 
 def secret_key_rate(source: SqueezedSourceParams, channel: ChannelParams) -> KeyRateResult:
@@ -163,5 +163,4 @@ def secret_key_rate(source: SqueezedSourceParams, channel: ChannelParams) -> Key
     """
     stage = source_stage(source.r, source.d, source.tau, source.k)
     noise = breakdown(channel, channel.l_ac)
-    rate = channel_stage(stage, noise, channel.beta)
-    return KeyRateResult(stage[0], *rate, NoiseBreakdown(*noise))
+    return KeyRateResult(*channel_stage(stage, noise, channel.beta), NoiseBreakdown(*noise))

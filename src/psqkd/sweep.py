@@ -150,14 +150,14 @@ class _Staged:
 
 
 def _cell(stage, noise, beta: float):
-    """The KeyRateResult fields p_ps to lambda3, or the first error message:
-    the source stage's, the channel reduction's, the channel stage's."""
+    """The channel stage's cell, or the first error message: the source
+    stage's, the channel reduction's, the channel stage's."""
     if isinstance(stage, str):
         return stage
     if isinstance(noise, str):
         return noise
     try:
-        return (stage[0], *channel_stage(stage, noise, beta))
+        return channel_stage(stage, noise, beta)
     except (PsqkdError, ValueError) as exc:
         return str(exc)
 
@@ -198,7 +198,7 @@ def _evaluate(
 
 
 def _rate_at_distance(stage: tuple[float, ...], channel: ChannelParams, l_ac: float) -> float:
-    return channel_stage(stage, breakdown(channel, l_ac), channel.beta)[2]
+    return channel_stage(stage, breakdown(channel, l_ac), channel.beta)[3]
 
 
 def _check_k_target(k_target: float) -> None:

@@ -30,7 +30,6 @@ REPO = Path(__file__).resolve().parents[2]
 TABLE = Path(__file__).resolve().parent / "truth_table.json"
 FIGURES = [f"fig{n}" for n in range(2, 11)]
 DIGITS = 25
-RATE_FIELDS = ("p_ps", "i_ab", "chi_be", "key_rate", "lambda1", "lambda2", "lambda3")
 NOISE_FIELDS = ("t_a", "t_b", "g", "t", "eps_th", "chi_line", "chi_homo", "chi_tot")
 
 
@@ -46,7 +45,7 @@ def _cells(key: tuple, noise: tuple, beta: float) -> list[str] | None:
     stage = mp_reference.source_stage(*key)
     if stage[0] == 0:
         return None
-    return _text((stage[0], *mp_reference.channel_stage(stage, noise[3], noise[7], beta)))
+    return _text(mp_reference.channel_stage(stage, noise[3], noise[7], beta))
 
 
 def _sweep_rows(fig: str) -> list:
@@ -77,6 +76,7 @@ def _keyrate_numbers(argv: list[str]) -> dict:
     from psqkd.cli import _build_parser, load_run_config
 
     import mp_reference
+    from keyrate_reference import RATE_FIELDS
 
     args = _build_parser().parse_args(argv)
     config = load_run_config(args.config, args.set)

@@ -16,8 +16,8 @@ import math
 from psqkd.errors import NonFiniteError, UnphysicalStateError
 from psqkd.keyrate import entropy_G
 
-# the KeyRateResult fields the channel stage returns, in its order
-RATE_FIELDS = ["i_ab", "chi_be", "key_rate", "lambda1", "lambda2", "lambda3"]
+# the KeyRateResult fields the channel stage returns, in its order: the cell
+RATE_FIELDS = ["p_ps", "i_ab", "chi_be", "key_rate", "lambda1", "lambda2", "lambda3"]
 
 
 def effective_cm(vax, vap, vbx, vbp, vcx, vcp, t, chi_tot) -> tuple[float, ...]:
@@ -99,7 +99,7 @@ def channel_stage_fields(stage, t: float, chi_tot: float, beta: float) -> tuple[
     """The formulas above composed as the channel stage, unchecked: the
     source stage (p_ps, then the TwoModeCM fields) through a channel of
     transmittance t and added noise chi_tot. Returns the KeyRateResult
-    fields i_ab to lambda3."""
+    fields p_ps to lambda3."""
     p_ps, vax, vap, vbx, vbp, vcx, vcp = stage[:7]
     eff = effective_cm(vax, vap, vbx, vbp, vcx, vcp, t, chi_tot)
     vx, vp = conditional_cm_after_heterodyne(*eff)
@@ -107,7 +107,7 @@ def channel_stage_fields(stage, t: float, chi_tot: float, beta: float) -> tuple[
     lam3 = math.sqrt(vx * vp)
     i_ab = mutual_information(vax, vap, vx, vp)  # Alice's block is the source's
     chi_be = holevo_bound(lam1, lam2, lam3)
-    return i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3
+    return p_ps, i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3
 
 
 def composed_stage(stage, noise, beta: float) -> tuple[float, ...]:

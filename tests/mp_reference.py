@@ -90,7 +90,7 @@ def breakdown(channel, l_ac: float) -> tuple:
 
 
 def channel_stage(stage, t: float, chi_tot: float, beta: float) -> tuple:
-    """The KeyRateResult fields i_ab to lambda3, as mpf, of the source stage
+    """The KeyRateResult fields p_ps to lambda3, as mpf, of the source stage
     `stage` (p_ps, then the TwoModeCM fields) through a channel of
     transmittance t and added noise chi_tot."""
     with mpmath.workdps(50):
@@ -109,7 +109,7 @@ def channel_stage(stage, t: float, chi_tot: float, beta: float) -> tuple:
         chi_be = (
             _entropy_g((lam1 - 1) / 2) + _entropy_g((lam2 - 1) / 2) - _entropy_g((lam3 - 1) / 2)
         )
-        return i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3
+        return p_ps, i_ab, chi_be, p_ps * (beta * i_ab - chi_be), lam1, lam2, lam3
 
 
 def _quadratures(rows: list) -> tuple[list, list]:

@@ -494,6 +494,14 @@ class TestSuggestedTruncation:
         with pytest.raises(ValueError, match=message):
             suggested_truncation(r, d)
 
+    # 24 (r + d) overflows for finite r and d past 7.49e306; just below,
+    # the cutoff keeps its value
+    @pytest.mark.parametrize("r, d", [(1e308, 1e308), (1e307, 0.0), (0.0, 7.5e306)])
+    def test_refuses_a_state_no_cutoff_holds(self, r, d):
+        with pytest.raises(TruncationError, match="no photon-number cutoff holds"):
+            suggested_truncation(r, d)
+        assert suggested_truncation(0.0, 7.4e306) == 20 + math.ceil(24.0 * 7.4e306)
+
 
 class TestRandomGridComparison:
     def test_small_grid_passes(self):

@@ -146,7 +146,7 @@ class TestPinnedToReference:
     def test_each_branch(self, stage, noise, expect):
         assert _mismatches([(stage, noise, 0.96)]) == []
         try:
-            i_ab, chi_be, _, lam1, lam2, _ = channel_stage(stage, noise, 0.96)
+            _, i_ab, chi_be, _, lam1, lam2, _ = channel_stage(stage, noise, 0.96)
         except PsqkdError as exc:
             assert expect in str(exc)
             return
@@ -164,7 +164,7 @@ def _within_bounds(stage, t, chi_tot, beta=0.96) -> dict[str, bool]:
     security edge, 1e-10 * p_ps * (beta I_AB + chi_BE) absolute."""
     got = channel_stage(stage, _noise(t, chi_tot), beta)
     ref = mp_reference.channel_stage(stage, t, chi_tot, beta)
-    k_bound = 1e-10 * stage[0] * (beta * ref[0] + ref[1])
+    k_bound = 1e-10 * stage[0] * (beta * ref[1] + ref[2])
     return {
         name: abs(g - r) <= (k_bound if name == "key_rate" else 1e-10 * abs(r))
         for name, g, r in zip(RATE_FIELDS, got, ref)
@@ -231,7 +231,7 @@ class TestFiftyDigitReference:
         misses = []
         for stage, t, chi_tot in _near_pure_box(seed=7, n=400):
             ok = _within_bounds(stage, t, chi_tot)
-            chi_be = channel_stage(stage, _noise(t, chi_tot), 0.96)[1]
+            chi_be = channel_stage(stage, _noise(t, chi_tot), 0.96)[2]
             if not ok["key_rate"] or chi_be < 0.0:
                 misses.append((stage[:2], t, chi_tot))
         assert misses == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from keyrate_reference import (
     symplectic_eigenvalues,
 )
 from phase_space_reference import cm_matrix
+from psqkd import cli
 from psqkd.channel import GEOMETRIES, ChannelParams, NoiseBreakdown, breakdown
 from psqkd.errors import (
     NonFiniteError,
@@ -27,7 +29,7 @@ from psqkd.errors import (
     UnphysicalStateError,
     ZeroProbabilityError,
 )
-from psqkd.keyrate import channel_stage, entropy_G, secret_key_rate
+from psqkd.keyrate import KeyRateResult, channel_stage, entropy_G, secret_key_rate
 from psqkd.phase_space import SqueezedSourceParams, TwoModeCM, source_stage
 
 OMEGA = np.array(
@@ -361,6 +363,28 @@ class TestSecretKeyRate:
         assert 0.0 < rates[0] < rates[1] < rates[2]
 
 
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("fig*.cfg"))
+
+
+class TestOneCellLayout:
+    """The channel stage's cell is KeyRateResult's fields before `noise`, the
+    CSV's cell columns and the references' RATE_FIELDS, in one order."""
+
+    def test_csv_columns_are_the_record_fields_before_noise(self):
+        names = [field.name for field in dataclasses.fields(KeyRateResult)]
+        assert names[-1] == "noise"
+        assert list(cli._CSV_FIELDS) == names[:-1] == RATE_FIELDS
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_record_is_the_cell_and_the_reduction(self, path):
+        config = cli.load_run_config(str(path))
+        source, channel = config.source, config.channel
+        stage = source_stage(source.r, source.d, source.tau, source.k)
+        noise = breakdown(channel, channel.l_ac)
+        cell = channel_stage(stage, noise, channel.beta)
+        assert secret_key_rate(source, channel) == KeyRateResult(*cell, NoiseBreakdown(*noise))
+
+
 class TestStageGuards:
     """Each finiteness guard must cover every value it guards."""
 
@@ -437,7 +461,7 @@ class TestStageGuards:
     # that output of the unchecked formulas is not finite; the first three
     # make it the only one
     NON_FINITE_OUTPUTS = [
-        ("key_rate", (math.inf, 50.0, 50.0, 50.0, 50.0, 49.0, -49.0), 0.38, 1.62),
+        ("key_rate", (1.7e308, 50.0, 50.0, 50.0, 50.0, 49.0, -49.0), 0.38, 1.62),
         ("lambda1", (0.5, 50.0, 1e-300, math.inf, 0.0, 1e-300, 0.0), 1e-300, 1.6),
         ("lambda2", (1.0, 1e-300, 1.7e308, -1e300, 1.0, 1e-300, 1.0), 1.0, 1e300),
         ("chi_be", (0.5, 2.0, 5.7, math.inf, 50.0, 0.0, 50.0), 1e-300, 1.6),
@@ -450,7 +474,7 @@ class TestStageGuards:
         rate = channel_stage_fields(cm, t, chi_tot, 0.96)
         assert not math.isfinite(rate[RATE_FIELDS.index(output)])
         if output in ("key_rate", "lambda1", "lambda2"):
-            assert sum(map(math.isfinite, rate)) == 5
+            assert sum(map(math.isfinite, rate)) == 6
         noise = (1.0, 1.0, 1.0, t, 0.0, 0.0, 0.0, chi_tot)  # the stage reads T and chi_tot
         with pytest.raises(NonFiniteError, match="channel stage overflows"):
             channel_stage(cm + (0.0, 0.0), noise, 0.96)

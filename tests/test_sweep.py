@@ -629,8 +629,8 @@ class TestOptimizeScalar:
         kernel = sweep.channel_stage
 
         def rate(stage, noise, beta):
-            i_ab, chi_be, key, *eigenvalues = kernel(stage, noise, beta)
-            return i_ab, chi_be, float("nan") if stage == last else key, *eigenvalues
+            p_ps, i_ab, chi_be, key, *eigenvalues = kernel(stage, noise, beta)
+            return p_ps, i_ab, chi_be, float("nan") if stage == last else key, *eigenvalues
 
         monkeypatch.setattr(sweep, "channel_stage", rate)
         v, s = optimize_scalar(base_source(), base_channel(), "d", 0.0, 3.0)
